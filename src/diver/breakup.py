@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 
 from .cotf import Clause
-from .llm import ChatMessage, ChatRequest, extract_json_array
+from .llm import ChatMessage, ChatRequest, extract_json
 from .prompts import SEGMENTATION_SYSTEM, SEGMENTATION_TEMPERATURE, SEGMENTATION_USER
 from .tokens import tokenize
 
@@ -33,7 +33,7 @@ def segment(question_text: str, llm, temperature: float = SEGMENTATION_TEMPERATU
         response_format="free_text",
     )
     response = llm.chat(request)
-    arr = extract_json_array(response)
+    arr = extract_json(response, list)
     if arr is None:
         logger.warning("segmentation output was not a JSON array; using whole question")
         return []

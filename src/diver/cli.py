@@ -13,13 +13,14 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .cotf import TOOL_NAMES, FEEDBACK_KINDS, Question, deserialize, serialize
+from .cotf import FEEDBACK_KINDS, Question, deserialize, serialize
 from .database import db_path_for, description_dir_for
 from .embedding import LexicalEmbedder, RemoteEmbedder
 from .errors import ConfigurationError, DiverError
 from .eval import KNOWN_METRICS, EvalSample, evaluate
 from .llm import LiveClient, ScriptedSession
 from .pipeline import DEFAULT_CANDIDATES, DEFAULT_MAX_TURNS, PipelineConfig, run_question
+from .toolbox import TOOL_NAMES
 
 log = logging.getLogger(__name__)
 
@@ -56,16 +57,21 @@ def _build_embedder(args):
 # --- run ---
 
 
-def _already_done(trace_dir: Path, evidence_dir: Path, qid: str, styles) -> bool:
-    trace = trace_dir / f"{qid}.json"
-    sidecar = evidence_dir / f"{qid}.json"
-    if not (trace.exists() and sidecar.exists()):
-        return False
+def _read_sidecar(path: Path) -> dict:
+    """A question's {style: text} evidence sidecar; {} when it is missing,
+    unreadable or not a JSON object."""
     try:
-        texts = json.loads(sidecar.read_text(encoding="utf-8"))
+        texts = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
+        return {}
+    return texts if isinstance(texts, dict) else {}
+
+
+def _already_done(trace_dir: Path, evidence_dir: Path, qid: str, styles) -> bool:
+    if not (trace_dir / f"{qid}.json").exists():
         return False
-    return isinstance(texts, dict) and all(s in texts for s in styles)
+    texts = _read_sidecar(evidence_dir / f"{qid}.json")
+    return all(s in texts for s in styles)
 
 
 def _run_one(row: dict, qid: str, args, llm, embedder, config, trace_dir, evidence_dir):
@@ -95,14 +101,7 @@ def _run_one(row: dict, qid: str, args, llm, embedder, config, trace_dir, eviden
     )
     (trace_dir / f"{qid}.json").write_bytes(serialize(doc))
     sidecar_path = evidence_dir / f"{qid}.json"
-    texts: dict = {}
-    if sidecar_path.exists():
-        try:
-            prior = json.loads(sidecar_path.read_text(encoding="utf-8"))
-            if isinstance(prior, dict):
-                texts.update(prior)
-        except (OSError, json.JSONDecodeError):
-            pass
+    texts = _read_sidecar(sidecar_path)
     texts.update({style: ev.text for style, ev in evidences.items()})
     sidecar_path.write_text(_dump_json(texts), encoding="utf-8")
 
@@ -171,18 +170,9 @@ def cmd_run(args) -> int:
         else:
             failed[qid] = error
 
+    sidecars = {qid: _read_sidecar(evidence_dir / f"{qid}.json") for qid, _ in ordered}
     for style in styles:
-        mapping: dict[str, str] = {}
-        for qid, _ in ordered:
-            sidecar = evidence_dir / f"{qid}.json"
-            if not sidecar.exists():
-                continue
-            try:
-                texts = json.loads(sidecar.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                continue
-            if isinstance(texts, dict) and style in texts:
-                mapping[qid] = texts[style]
+        mapping = {qid: texts[style] for qid, texts in sidecars.items() if style in texts}
         (out_dir / f"evidence_{style}.json").write_text(
             _dump_json(mapping), encoding="utf-8"
         )

@@ -4,6 +4,10 @@ A document holds one question, its clause partition, one turn column per
 clause (thought, tool call, feedback), and the verified linkings harvested at
 the end. The whole document serializes to canonical JSON (sorted keys, UTF-8,
 two-space indent, trailing newline) so replayed runs are byte-identical.
+
+Tool names are not validated here: a call keeps whatever name the model gave,
+and the tool table toolbox.TOOLS judges it at dispatch time. The only tool
+this module knows is the stop signal "none", which ends a clause.
 """
 
 from __future__ import annotations
@@ -21,20 +25,6 @@ from .errors import (
 from .tokens import tokenize
 
 SCHEMA_VERSION = 1
-
-# order matters: guidance and prompts render tools in this sequence, with the
-# stop signal last
-TOOL_NAMES = (
-    "value_in",
-    "sim_value_in",
-    "uniq_value",
-    "head",
-    "random",
-    "if_null",
-    "info",
-    "sim_columns",
-    "none",
-)
 
 FEEDBACK_KINDS = ("standard", "corrective", "guiding")
 LINKING_KINDS = ("value", "schema", "function")
@@ -116,7 +106,7 @@ class ToolCall:
 
     def __post_init__(self) -> None:
         # tool stays a plain string so hallucinated names can be recorded and
-        # replayed; TOOL_NAMES membership is checked at dispatch time
+        # replayed; the tool table is checked at dispatch time
         if not isinstance(self.tool, str):
             raise SchemaViolation("tool_call.tool must be a string")
         if not isinstance(self.args, dict):

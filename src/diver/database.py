@@ -152,10 +152,6 @@ def open_database(path: str | Path, statement_timeout: float = 30.0) -> Database
     return DatabaseHandle(p, statement_timeout=statement_timeout)
 
 
-def query(handle: DatabaseHandle, sql: str, params: Sequence[Any] = ()) -> ResultSet:
-    return handle.query(sql, params)
-
-
 def quote_identifier(name: str) -> str:
     # backticks, not double quotes: SQLite silently reads an unknown
     # double-quoted identifier as a string literal, which would swallow the

@@ -26,19 +26,16 @@ DEFAULT_MAX_LENGTH = 8192
 REMOTE_BATCH_SIZE = 64
 
 
-def trigrams(text: str) -> set[str]:
+def _grams(text: str) -> list[str]:
     """Lowercased character 3-grams; strings shorter than 3 chars are one gram."""
     t = text.lower()
     if len(t) < 3:
-        return {t} if t else set()
-    return {t[i : i + 3] for i in range(len(t) - 2)}
+        return [t] if t else []
+    return [t[i : i + 3] for i in range(len(t) - 2)]
 
 
-def _trigram_counts(text: str) -> Counter:
-    t = text.lower()
-    if len(t) < 3:
-        return Counter({t: 1}) if t else Counter()
-    return Counter(t[i : i + 3] for i in range(len(t) - 2))
+def trigrams(text: str) -> set[str]:
+    return set(_grams(text))
 
 
 def trigram_jaccard(a: str, b: str) -> float:
@@ -72,7 +69,7 @@ class LexicalEmbedder:
         if not texts:
             raise EmptyInput("embed() needs at least one text")
         texts = [_truncate(t, self.max_length) for t in texts]
-        counts = [_trigram_counts(t) for t in texts]
+        counts = [Counter(_grams(t)) for t in texts]
         df: Counter = Counter()
         for c in counts:
             df.update(set(c))

@@ -61,13 +61,6 @@ class DescriptionParseError(DiverError):
     """A description CSV could not be parsed. Non-fatal: callers warn and skip."""
 
 
-# --- toolbox ---
-
-
-class MissingGuidancePart(DiverError):
-    """A tool spec lacks one of description / parameters / scenario."""
-
-
 # --- embedder ---
 
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .database import DatabaseHandle, SchemaCatalog
+from .database import DatabaseHandle, ResultSet, SchemaCatalog
 from .database import catalog as build_catalog
 from .database import open_database
 from .errors import DiverError, ParseFailure
@@ -534,12 +534,19 @@ def _order_sensitive(gold_sql: str) -> bool:
     return _ORDER_BY_RE.search(_STRING_BODY_RE.sub("''", gold_sql)) is not None
 
 
-def ex_match(handle: DatabaseHandle, pred_sql: str | None, gold_sql: str) -> bool:
-    """True when pred and gold return the same rows. Errors count as a miss."""
+def ex_match(
+    handle: DatabaseHandle,
+    pred_sql: str | None,
+    gold_sql: str,
+    gold: ResultSet | None = None,
+) -> bool:
+    """True when pred and gold return the same rows. Errors count as a miss.
+    gold is gold_sql's result when the caller has already run it."""
     if not pred_sql:
         return False
     try:
-        gold = handle.query(gold_sql)
+        if gold is None:
+            gold = handle.query(gold_sql)
         pred = handle.query(pred_sql)
     except DiverError:
         return False
@@ -566,16 +573,19 @@ def ves_reward(
     pred_sql: str | None,
     gold_sql: str,
     iterations: int = 10,
+    matched: bool | None = None,
 ) -> float:
-    """sqrt(gold_time / pred_time) when results match, else 0."""
+    """sqrt(gold_time / pred_time) when results match, else 0. matched is the
+    EX verdict when the caller already has it; the runs that produced it
+    serve as the warm-up, so the first timed sample is not paying cache
+    costs."""
     if iterations < 3:
         raise ValueError("iterations must be at least 3")
-    if not ex_match(handle, pred_sql, gold_sql):
+    if matched is None:
+        matched = ex_match(handle, pred_sql, gold_sql)
+    if not matched:
         return 0.0
     assert pred_sql is not None
-    # warm-up run each so the first timed sample is not paying cache costs
-    handle.query(gold_sql)
-    handle.query(pred_sql)
     gold_times: list[float] = []
     pred_times: list[float] = []
     for _ in range(iterations):
@@ -584,20 +594,6 @@ def ves_reward(
     gold_mean = max(_trimmed_mean(gold_times), 1e-9)
     pred_mean = max(_trimmed_mean(pred_times), 1e-9)
     return math.sqrt(gold_mean / pred_mean)
-
-
-def ves(
-    handle: DatabaseHandle,
-    pairs: list[tuple[str | None, str]],
-    iterations: int = 10,
-) -> float:
-    """Mean timing-weighted reward over (pred, gold) pairs."""
-    if iterations < 3:
-        raise ValueError("iterations must be at least 3")
-    if not pairs:
-        return 0.0
-    rewards = [ves_reward(handle, p, g, iterations=iterations) for p, g in pairs]
-    return sum(rewards) / len(rewards)
 
 
 # --- corpus evaluation ---
@@ -723,7 +719,7 @@ def evaluate(
                 continue
             if needs_execution:
                 try:
-                    handle.query(sample.gold_sql)
+                    gold = handle.query(sample.gold_sql)
                 except DiverError as exc:
                     warnings.append(
                         f"{sample.question_id}: reference query failed ({exc}); skipped"
@@ -733,12 +729,19 @@ def evaluate(
                 warnings.append(f"{sample.question_id}: missing prediction")
 
             record: dict = {"difficulty": sample.difficulty}
-            if "ex" in metrics:
-                record["ex"] = float(ex_match(handle, sample.pred_sql, sample.gold_sql))
-            if "ves" in metrics:
-                record["ves"] = ves_reward(
-                    handle, sample.pred_sql, sample.gold_sql, iterations=iterations
-                )
+            if needs_execution:
+                # each statement runs once for its result; VES reuses the verdict
+                matched = ex_match(handle, sample.pred_sql, sample.gold_sql, gold=gold)
+                if "ex" in metrics:
+                    record["ex"] = float(matched)
+                if "ves" in metrics:
+                    record["ves"] = ves_reward(
+                        handle,
+                        sample.pred_sql,
+                        sample.gold_sql,
+                        iterations=iterations,
+                        matched=matched,
+                    )
             if "f1" in metrics:
                 if path not in catalogs:
                     catalogs[path] = build_catalog(handle, None)

@@ -21,8 +21,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
-
 import requests
 
 from .cotf import ToolCall
@@ -225,18 +223,19 @@ class LiveClient:
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 
 
-def _extract_json_object(text: str) -> dict | None:
-    """Pull the first JSON object out of model output, tolerating code fences
-    and surrounding prose."""
+def extract_json(text: str, kind: type) -> dict | list | None:
+    """Pull the first JSON value of type kind (dict or list) out of model
+    output, tolerating code fences and surrounding prose."""
+    opener, closer = ("{", "}") if kind is dict else ("[", "]")
     candidates = [m.strip() for m in _FENCE_RE.findall(text)]
     candidates.append(text.strip())
-    start = text.find("{")
+    start = text.find(opener)
     if start != -1:
         depth = 0
         for i in range(start, len(text)):
-            if text[i] == "{":
+            if text[i] == opener:
                 depth += 1
-            elif text[i] == "}":
+            elif text[i] == closer:
                 depth -= 1
                 if depth == 0:
                     candidates.append(text[start : i + 1])
@@ -246,39 +245,13 @@ def _extract_json_object(text: str) -> dict | None:
             obj = json.loads(cand)
         except json.JSONDecodeError:
             continue
-        if isinstance(obj, dict):
-            return obj
-    return None
-
-
-def extract_json_array(text: str) -> list | None:
-    """Pull the first JSON array out of model output, tolerating code fences
-    and surrounding prose."""
-    candidates = [m.strip() for m in _FENCE_RE.findall(text)]
-    candidates.append(text.strip())
-    start = text.find("[")
-    if start != -1:
-        depth = 0
-        for i in range(start, len(text)):
-            if text[i] == "[":
-                depth += 1
-            elif text[i] == "]":
-                depth -= 1
-                if depth == 0:
-                    candidates.append(text[start : i + 1])
-                    break
-    for cand in candidates:
-        try:
-            obj = json.loads(cand)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(obj, list):
+        if isinstance(obj, kind):
             return obj
     return None
 
 
 def _parse_tool_call(text: str) -> tuple[ToolCall | None, str | None]:
-    obj = _extract_json_object(text)
+    obj = extract_json(text, dict)
     if obj is None:
         return None, "response did not contain a JSON object"
     if "tool" not in obj:
@@ -292,23 +265,15 @@ def _parse_tool_call(text: str) -> tuple[ToolCall | None, str | None]:
         return None, str(exc)
 
 
-def structured_tool_call(
-    client,
-    request: ChatRequest,
-    validator: Callable[[ToolCall], str | None] | None = None,
-) -> ToolCall:
+def structured_tool_call(client, request: ChatRequest) -> ToolCall:
     """Ask for a tool call and parse it, with exactly one repair round-trip.
 
-    The repair prompt replays the model's own output plus the validation
-    error. If the second attempt is still malformed, MalformedToolCall carries
-    both raw outputs so the loop can record them.
+    The repair prompt replays the model's own output plus the parse error.
+    If the second attempt is still malformed, MalformedToolCall carries both
+    raw outputs so the loop can record them.
     """
     first = client.chat(request)
     call, error = _parse_tool_call(first)
-    if call is not None and validator is not None:
-        error = validator(call)
-        if error is not None:
-            call = None
     if call is not None:
         return call
 
@@ -328,10 +293,6 @@ def structured_tool_call(
     )
     second = client.chat(repair)
     call, error = _parse_tool_call(second)
-    if call is not None and validator is not None:
-        error = validator(call)
-        if error is not None:
-            call = None
     if call is not None:
         return call
     raise MalformedToolCall(

@@ -2,10 +2,11 @@
 
 Each clause runs a loop of two chat calls: a free-text thought over the full
 serialized workspace, then a structured tool call. Repeated identical calls
-are answered from the route table instead of the database; everything else
-goes through the toolbox dispatcher. After all clauses stop, harvest_linkings
-turns the accumulated standard feedback into verified linkings, dropping any
-proposal the recorded feedback does not actually support.
+are answered from ROUTE_RULES, derived from the reroute column of the tool
+table toolbox.TOOLS, instead of the database; everything else goes through
+the toolbox dispatcher. After all clauses stop, harvest_linkings turns the
+accumulated standard feedback into verified linkings, dropping any proposal
+the recorded feedback does not actually support.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from .cotf import (
     turn_facts,
 )
 from .errors import LlmError, MalformedToolCall, SchemaViolation
-from .llm import (
-    ChatMessage,
-    ChatRequest,
-    _extract_json_object,
-    extract_json_array,
-    structured_tool_call,
-)
+from .llm import ChatMessage, ChatRequest, extract_json, structured_tool_call
 from .prompts import (
     HARVEST_SYSTEM,
     HARVEST_TEMPERATURE,
@@ -40,61 +35,30 @@ from .prompts import (
     LOOKUP_THOUGHT_USER,
     LOOKUP_TOOL_USER,
 )
-from .toolbox import ToolContext, dispatch, render_guidance
+from .toolbox import TOOLS, ToolContext, dispatch, render_guidance
 
 logger = logging.getLogger(__name__)
 
-# After a repeated identical call, suggest the next-broader probe. Each
-# message names exactly one registered tool.
+# After a repeated identical call, suggest the next-broader probe named in the
+# tool table. Each message names exactly one tool.
 ROUTE_RULES: dict[str, str] = {
-    "value_in": (
-        "This tool has been called before."
-        " Consider using sim_value_in for a fuzzy search."
-    ),
-    "sim_value_in": (
-        "This tool has been called before."
-        " Consider using uniq_value to list the column's distinct values instead."
-    ),
-    "uniq_value": (
-        "This tool has been called before."
-        " Consider using info to read the column's metadata and description instead."
-    ),
-    "head": (
-        "This tool has been called before."
-        " Consider using uniq_value to study one column's distinct values instead."
-    ),
-    "random": (
-        "This tool has been called before."
-        " Consider using uniq_value to study one column's distinct values instead."
-    ),
-    "if_null": (
-        "This tool has been called before."
-        " Consider using info to read the column's metadata and description instead."
-    ),
-    "info": (
-        "This tool has been called before."
-        " Consider using sim_columns to search the whole schema for related columns instead."
-    ),
-    "sim_columns": (
-        "This tool has been called before."
-        " Consider using head to inspect real rows of a candidate table instead."
-    ),
+    name: f"This tool has been called before. Consider using {tool.reroute}."
+    for name, tool in TOOLS.items()
+    if tool.reroute is not None
 }
 
 
-def classify_feedback(
-    call: ToolCall, repeat: bool, rules: dict[str, str], context: ToolContext
-) -> ToolFeedback:
+def classify_feedback(call: ToolCall, repeat: bool, context: ToolContext) -> ToolFeedback:
     """Repeats with a known tool get guiding feedback and never reach the
     database; everything else is dispatched and the result passes through."""
-    if repeat and call.tool in rules:
-        return ToolFeedback.guiding(rules[call.tool])
+    if repeat and call.tool in ROUTE_RULES:
+        return ToolFeedback.guiding(ROUTE_RULES[call.tool])
     return dispatch(call, context)
 
 
 def _best_effort_tool(raw_outputs: list[str]) -> str:
     for raw in raw_outputs:
-        obj = _extract_json_object(raw)
+        obj = extract_json(raw, dict)
         if obj is not None and isinstance(obj.get("tool"), str):
             return obj["tool"]
     return ""
@@ -105,19 +69,14 @@ def run_clause(
     clause_index: int,
     llm,
     context: ToolContext,
-    rules: dict[str, str] | None = None,
     temperature: float = LOOKUP_TEMPERATURE,
-    turn_cap: int | None = None,
 ) -> CoTFDocument:
-    """Probe one clause until its stop signal or the turn budget.
+    """Probe one clause until its stop signal or max_turns turns.
 
     A call that stays malformed after the repair round-trip is recorded as a
     corrective turn and the loop continues; any other client failure aborts
-    the clause, keeping the partial trace. turn_cap tightens (never widens)
-    the per-clause budget.
+    the clause, keeping the partial trace.
     """
-    rules = ROUTE_RULES if rules is None else rules
-    cap = doc.max_turns if turn_cap is None else min(doc.max_turns, turn_cap)
     clause = doc.clauses[clause_index]
     system = ChatMessage("system", LOOKUP_SYSTEM.format(guidance=render_guidance()))
 
@@ -125,7 +84,7 @@ def run_clause(
         column = doc.turns[clause_index]
         if column and column[-1].tool_call.tool == "none":
             break
-        if len(column) >= cap:
+        if len(column) >= doc.max_turns:
             break
 
         workspace = serialize(doc).decode("utf-8")
@@ -170,39 +129,17 @@ def run_clause(
             break
 
         repeat = detect_repeat(doc, clause_index, call)
-        feedback = classify_feedback(call, repeat, rules, context)
+        feedback = classify_feedback(call, repeat, context)
         append_turn(doc, clause_index, Turn(thought=thought, tool_call=call, feedback=feedback))
         if call.tool == "none":
             break
     return doc
 
 
-def run_lookup(
-    doc: CoTFDocument,
-    llm,
-    context: ToolContext,
-    rules: dict[str, str] | None = None,
-    global_budget: int | None = None,
-) -> CoTFDocument:
-    """Run every clause in order. global_budget caps the total turn count
-    across clauses (default max_turns per clause); it is a hard safety net on
-    top of the per-clause cap."""
-    if global_budget is None:
-        global_budget = doc.max_turns * len(doc.clauses)
+def run_lookup(doc: CoTFDocument, llm, context: ToolContext) -> CoTFDocument:
+    """Run every clause in order, each capped at max_turns turns."""
     for clause in doc.clauses:
-        used = sum(len(col) for col in doc.turns)
-        room = global_budget - used
-        if room <= 0:
-            logger.warning("global turn budget %d exhausted", global_budget)
-            break
-        run_clause(
-            doc,
-            clause.index,
-            llm,
-            context,
-            rules,
-            turn_cap=len(doc.turns[clause.index]) + room,
-        )
+        run_clause(doc, clause.index, llm, context)
     return doc
 
 
@@ -227,7 +164,7 @@ def harvest_linkings(
         response_format="free_text",
     )
     response = llm.chat(request)
-    proposals = extract_json_array(response)
+    proposals = extract_json(response, list)
     if proposals is None:
         logger.warning("linking harvest output was not a JSON array; keeping none")
         return []

@@ -27,7 +27,6 @@ class PipelineConfig:
     max_turns: int = DEFAULT_MAX_TURNS
     candidates: int = DEFAULT_CANDIDATES
     seed: int = 0
-    turn_budget: int | None = None  # global per-question cap; default per-clause cap
 
     def styles(self) -> tuple[str, ...]:
         if self.style == "both":
@@ -59,7 +58,7 @@ def run_question(
             embedder=embedder,
             rng=random.Random(f"{config.seed}:{question.question_id}"),
         )
-        run_lookup(doc, llm, context, global_budget=config.turn_budget)
+        run_lookup(doc, llm, context)
         for link in harvest_linkings(doc, llm):
             doc.add_verified(link)
         evidences = {

@@ -24,6 +24,3 @@ def tokenize(text: str) -> list[Token]:
     """Split text into offset-tagged tokens. Deterministic, no normalization."""
     return [Token(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
 
-
-def token_texts(text: str) -> list[str]:
-    return [t.text for t in tokenize(text)]

@@ -1,145 +1,29 @@
 """Atomic database probing tools.
 
-Nine tools: eight probes plus the stop signal. Each carries three guidance
-parts (description, required parameters, scenario) rendered into one
-deterministic prompt block. dispatch() is total: every failure becomes
-corrective feedback carrying the engine's or validator's message, never an
-exception into the loop.
+Nine tools, eight probes plus the stop signal, defined once in the ordered
+table TOOLS. Each row carries the guidance parts rendered into the prompt
+(description, parameters, scenario), the tool to suggest when a call is
+repeated, and the adapter that runs it. Names, guidance, validation and
+dispatch are all derived from that table. dispatch() is total: every failure
+becomes corrective feedback carrying the engine's or validator's message,
+never an exception into the loop.
 """
 
 from __future__ import annotations
 
 import random as _random_mod
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
-from .cotf import TOOL_NAMES, ToolCall, ToolFeedback, jsonify
+from .cotf import ToolCall, ToolFeedback
 from .database import DatabaseHandle, SchemaCatalog, quote_identifier
 from .embedding import rank_lexical, top_k, trigrams
-from .errors import (
-    DiverError,
-    EmbedderUnavailable,
-    MissingGuidancePart,
-    SqlError,
-    UnknownColumn,
-    UnknownTable,
-)
+from .errors import DiverError, EmbedderUnavailable, SqlError, UnknownColumn, UnknownTable
 
 POOL_CAP = 10_000  # embed the whole distinct-value pool up to this size
 PREFILTER_SIZE = 1_000  # larger pools are cut down by trigram overlap first
 DEFAULT_K = 5
 DEFAULT_SAMPLE_LIMIT = 20
-
-
-@dataclass(frozen=True)
-class ToolSpec:
-    name: str
-    description: str
-    required_params: tuple[str, ...]
-    optional_params: tuple[str, ...]
-    scenario: str
-
-
-REGISTRY: dict[str, ToolSpec] = {
-    spec.name: spec
-    for spec in [
-        ToolSpec(
-            name="value_in",
-            description="Exact membership check: does the column store the given value?",
-            required_params=("table", "column", "value"),
-            optional_params=(),
-            scenario=(
-                "The clause quotes a literal and you need to confirm the column"
-                " stores it exactly as written, including case."
-            ),
-        ),
-        ToolSpec(
-            name="sim_value_in",
-            description="Fuzzy search: rank the column's stored values by similarity to a query string.",
-            required_params=("table", "column", "query_text"),
-            optional_params=("k",),
-            scenario=(
-                "An exact membership check came back empty and you suspect the"
-                " stored spelling differs from the question's wording."
-            ),
-        ),
-        ToolSpec(
-            name="uniq_value",
-            description="Count distinct values in a column and list a sorted sample of them.",
-            required_params=("table", "column"),
-            optional_params=("limit",),
-            scenario=(
-                "The column's vocabulary is unclear; enumerate a bounded sample"
-                " of its distinct entries to see how values are written."
-            ),
-        ),
-        ToolSpec(
-            name="head",
-            description="Fetch the first n rows of a table in storage order.",
-            required_params=("table", "n"),
-            optional_params=(),
-            scenario=(
-                "You want a feel for realistic full rows before probing"
-                " specific columns."
-            ),
-        ),
-        ToolSpec(
-            name="random",
-            description="Fetch n rows sampled without replacement, reproducibly by seed.",
-            required_params=("table", "n"),
-            optional_params=("seed",),
-            scenario=(
-                "You want rows drawn from across the whole table instead of the"
-                " possibly unrepresentative leading block."
-            ),
-        ),
-        ToolSpec(
-            name="if_null",
-            description="Count NULL entries in a column and report the missing fraction.",
-            required_params=("table", "column"),
-            optional_params=(),
-            scenario=(
-                "Aggregates or joins may be skewed by missing entries; measure"
-                " how sparse the column is first."
-            ),
-        ),
-        ToolSpec(
-            name="info",
-            description=(
-                "Describe a table or one column: declared type, attached"
-                " description, row count and missing fraction."
-            ),
-            required_params=("table",),
-            optional_params=("column",),
-            scenario=(
-                "You need a column's declared type or its documentation, e.g."
-                " to decode an abbreviation the question uses."
-            ),
-        ),
-        ToolSpec(
-            name="sim_columns",
-            description="Rank every catalog column by similarity to a query string.",
-            required_params=("query_text",),
-            optional_params=("k",),
-            scenario=(
-                "No column probed so far fits the clause; search the whole"
-                " schema by meaning for better candidates."
-            ),
-        ),
-        ToolSpec(
-            name="none",
-            description="Finish the current clause: no further probing is needed.",
-            required_params=(),
-            optional_params=(),
-            scenario=(
-                "Every fact the clause needs has been verified (or probing is"
-                " clearly exhausted); end this clause's loop."
-            ),
-        ),
-    ]
-}
-
-assert tuple(REGISTRY) == TOOL_NAMES
 
 
 @dataclass
@@ -154,33 +38,158 @@ class ToolContext:
     rng: _random_mod.Random | None = None
 
 
-def render_guidance(registry: dict[str, ToolSpec] | None = None) -> str:
-    """Deterministic tool-guidance block for prompts: all nine tools in fixed
+@dataclass(frozen=True)
+class Tool:
+    """One row of the tool table."""
+
+    description: str
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    scenario: str
+    # where a repeated call is pointed: the text after "Consider using "
+    reroute: str | None
+    # run(context, args) names its handler inside a lambda, so the handler is
+    # looked up at call time and a wrapper installed on e.g. toolbox.value_in
+    # still sees every dispatched call
+    run: Callable[[ToolContext, dict[str, Any]], dict[str, Any]]
+
+
+# order matters: guidance and prompts render tools in this sequence, with the
+# stop signal last
+TOOLS: dict[str, Tool] = {
+    "value_in": Tool(
+        description="Exact membership check: does the column store the given value?",
+        required=("table", "column", "value"),
+        optional=(),
+        scenario=(
+            "The clause quotes a literal and you need to confirm the column"
+            " stores it exactly as written, including case."
+        ),
+        reroute="sim_value_in for a fuzzy search",
+        run=lambda c, a: value_in(c.handle, a["table"], a["column"], a["value"]),
+    ),
+    "sim_value_in": Tool(
+        description="Fuzzy search: rank the column's stored values by similarity to a query string.",
+        required=("table", "column", "query_text"),
+        optional=("k",),
+        scenario=(
+            "An exact membership check came back empty and you suspect the"
+            " stored spelling differs from the question's wording."
+        ),
+        reroute="uniq_value to list the column's distinct values instead",
+        run=lambda c, a: sim_value_in(
+            c.handle, c.embedder, a["table"], a["column"], a["query_text"],
+            k=a.get("k", DEFAULT_K),
+        ),
+    ),
+    "uniq_value": Tool(
+        description="Count distinct values in a column and list a sorted sample of them.",
+        required=("table", "column"),
+        optional=("limit",),
+        scenario=(
+            "The column's vocabulary is unclear; enumerate a bounded sample"
+            " of its distinct entries to see how values are written."
+        ),
+        reroute="info to read the column's metadata and description instead",
+        run=lambda c, a: uniq_value(
+            c.handle, a["table"], a["column"], limit=a.get("limit", DEFAULT_SAMPLE_LIMIT)
+        ),
+    ),
+    "head": Tool(
+        description="Fetch the first n rows of a table in storage order.",
+        required=("table", "n"),
+        optional=(),
+        scenario=(
+            "You want a feel for realistic full rows before probing"
+            " specific columns."
+        ),
+        reroute="uniq_value to study one column's distinct values instead",
+        run=lambda c, a: head(c.handle, a["table"], a["n"]),
+    ),
+    "random": Tool(
+        description="Fetch n rows sampled without replacement, reproducibly by seed.",
+        required=("table", "n"),
+        optional=("seed",),
+        scenario=(
+            "You want rows drawn from across the whole table instead of the"
+            " possibly unrepresentative leading block."
+        ),
+        reroute="uniq_value to study one column's distinct values instead",
+        run=lambda c, a: random_rows(c.handle, a["table"], a["n"], a["seed"]),
+    ),
+    "if_null": Tool(
+        description="Count NULL entries in a column and report the missing fraction.",
+        required=("table", "column"),
+        optional=(),
+        scenario=(
+            "Aggregates or joins may be skewed by missing entries; measure"
+            " how sparse the column is first."
+        ),
+        reroute="info to read the column's metadata and description instead",
+        run=lambda c, a: if_null(c.handle, a["table"], a["column"]),
+    ),
+    "info": Tool(
+        description=(
+            "Describe a table or one column: declared type, attached"
+            " description, row count and missing fraction."
+        ),
+        required=("table",),
+        optional=("column",),
+        scenario=(
+            "You need a column's declared type or its documentation, e.g."
+            " to decode an abbreviation the question uses."
+        ),
+        reroute="sim_columns to search the whole schema for related columns instead",
+        run=lambda c, a: info(c.handle, c.catalog, a["table"], a.get("column")),
+    ),
+    "sim_columns": Tool(
+        description="Rank every catalog column by similarity to a query string.",
+        required=("query_text",),
+        optional=("k",),
+        scenario=(
+            "No column probed so far fits the clause; search the whole"
+            " schema by meaning for better candidates."
+        ),
+        reroute="head to inspect real rows of a candidate table instead",
+        run=lambda c, a: sim_columns(
+            c.catalog, c.embedder, a["query_text"], k=a.get("k", DEFAULT_K)
+        ),
+    ),
+    "none": Tool(
+        description="Finish the current clause: no further probing is needed.",
+        required=(),
+        optional=(),
+        scenario=(
+            "Every fact the clause needs has been verified (or probing is"
+            " clearly exhausted); end this clause's loop."
+        ),
+        reroute=None,
+        run=lambda c, a: {},
+    ),
+}
+
+TOOL_NAMES = tuple(TOOLS)
+
+
+def render_guidance() -> str:
+    """Deterministic tool-guidance block for prompts: all nine tools in table
     order, each with description, parameter list and usage scenario."""
-    registry = REGISTRY if registry is None else registry
     lines = [
         "Atomic database tools",
         "=====================",
         'Call exactly one tool per turn as JSON: {"tool": "<name>", "args": {...}}.',
         "",
     ]
-    for name in registry:
-        spec = registry[name]
-        if not spec.description:
-            raise MissingGuidancePart(f"{name}: missing description")
-        if not spec.scenario:
-            raise MissingGuidancePart(f"{name}: missing scenario")
-        if not spec.required_params and name != "none":
-            raise MissingGuidancePart(f"{name}: missing required parameters")
-        lines.append(f"### {spec.name}")
-        lines.append(spec.description)
-        if spec.required_params:
-            lines.append("Required parameters: " + ", ".join(spec.required_params))
+    for name, tool in TOOLS.items():
+        lines.append(f"### {name}")
+        lines.append(tool.description)
+        if tool.required:
+            lines.append("Required parameters: " + ", ".join(tool.required))
         else:
             lines.append("Required parameters: (no arguments)")
-        if spec.optional_params:
-            lines.append("Optional parameters: " + ", ".join(spec.optional_params))
-        lines.append("Scenario: " + spec.scenario)
+        if tool.optional:
+            lines.append("Optional parameters: " + ", ".join(tool.optional))
+        lines.append("Scenario: " + tool.scenario)
         lines.append("")
     return "\n".join(lines)
 
@@ -372,36 +381,59 @@ def sim_columns(
     }
 
 
-_INT_PARAMS = {"n", "k", "limit", "seed"}
-_STR_PARAMS = {"table", "column", "query_text"}
-_MIN_ONE = {"n", "k", "limit"}
+def _non_empty_string(name: str, value: Any) -> str | None:
+    if not isinstance(value, str) or not value:
+        return f"parameter {name!r} must be a non-empty string"
+    return None
+
+
+def _integer(name: str, value: Any) -> str | None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        return f"parameter {name!r} must be an integer"
+    return None
+
+
+def _positive_integer(name: str, value: Any) -> str | None:
+    error = _integer(name, value)
+    if error is None and value < 1:
+        return f"parameter {name!r} must be at least 1"
+    return error
+
+
+# one check per parameter name, whichever tool takes it; `value` accepts any
+# scalar
+_PARAM_CHECKS: dict[str, Callable[[str, Any], str | None]] = {
+    "table": _non_empty_string,
+    "column": _non_empty_string,
+    "query_text": _non_empty_string,
+    "n": _positive_integer,
+    "k": _positive_integer,
+    "limit": _positive_integer,
+    "seed": _integer,
+}
 
 
 def validate_call(call: ToolCall) -> str | None:
     """Return an error message for a bad call, or None when it is well formed.
     Validation failures never raise: the message becomes corrective feedback
     (or a repair prompt at the client)."""
-    spec = REGISTRY.get(call.tool)
-    if spec is None:
+    tool = TOOLS.get(call.tool)
+    if tool is None:
         return f"unknown tool: {call.tool!r}"
-    missing = [p for p in spec.required_params if p not in call.args]
+    missing = [p for p in tool.required if p not in call.args]
     if missing:
         return f"missing required parameter(s): {', '.join(missing)}"
-    allowed = set(spec.required_params) | set(spec.optional_params)
+    allowed = tool.required + tool.optional
     extra = [p for p in call.args if p not in allowed]
     if extra:
         if not allowed:
             return f"{call.tool} takes no arguments, got: {', '.join(extra)}"
         return f"unexpected parameter(s): {', '.join(extra)}"
     for name, value in call.args.items():
-        if name in _STR_PARAMS:
-            if not isinstance(value, str) or not value:
-                return f"parameter {name!r} must be a non-empty string"
-        elif name in _INT_PARAMS:
-            if not isinstance(value, int) or isinstance(value, bool):
-                return f"parameter {name!r} must be an integer"
-            if name in _MIN_ONE and value < 1:
-                return f"parameter {name!r} must be at least 1"
+        check = _PARAM_CHECKS.get(name)
+        error = check(name, value) if check else None
+        if error is not None:
+            return error
     return None
 
 
@@ -412,54 +444,18 @@ def dispatch(call: ToolCall, context: ToolContext) -> ToolFeedback:
     error = validate_call(call)
     if error is not None:
         return ToolFeedback.corrective(error)
-    args = call.args
+    if call.tool == "random" and "seed" not in call.args:
+        if context.rng is None:
+            return ToolFeedback.corrective(
+                "random requires an explicit seed when no run RNG is"
+                " configured (replay mode)"
+            )
+        # draw and record the seed into the call so the trace replays
+        call.args["seed"] = context.rng.randrange(2**32)
     try:
-        if call.tool == "none":
-            return ToolFeedback.standard({})
-        if call.tool == "value_in":
-            result = value_in(context.handle, args["table"], args["column"], args["value"])
-        elif call.tool == "sim_value_in":
-            result = sim_value_in(
-                context.handle,
-                context.embedder,
-                args["table"],
-                args["column"],
-                args["query_text"],
-                k=args.get("k", DEFAULT_K),
-            )
-        elif call.tool == "uniq_value":
-            result = uniq_value(
-                context.handle,
-                args["table"],
-                args["column"],
-                limit=args.get("limit", DEFAULT_SAMPLE_LIMIT),
-            )
-        elif call.tool == "head":
-            result = head(context.handle, args["table"], args["n"])
-        elif call.tool == "random":
-            if "seed" not in args:
-                if context.rng is None:
-                    return ToolFeedback.corrective(
-                        "random requires an explicit seed when no run RNG is"
-                        " configured (replay mode)"
-                    )
-                # draw and record the seed into the call so the trace replays
-                args["seed"] = context.rng.randrange(2**32)
-            result = random_rows(context.handle, args["table"], args["n"], args["seed"])
-        elif call.tool == "if_null":
-            result = if_null(context.handle, args["table"], args["column"])
-        elif call.tool == "info":
-            result = info(context.handle, context.catalog, args["table"], args.get("column"))
-        elif call.tool == "sim_columns":
-            result = sim_columns(
-                context.catalog, context.embedder, args["query_text"], k=args.get("k", DEFAULT_K)
-            )
-        else:  # pragma: no cover - registry and branch list must stay in sync
-            return ToolFeedback.corrective(f"unknown tool: {call.tool!r}")
-    except SqlError as exc:
-        return ToolFeedback.corrective(str(exc))
-    except (UnknownTable, UnknownColumn) as exc:
+        result = TOOLS[call.tool].run(context, call.args)
+    except (SqlError, UnknownTable, UnknownColumn) as exc:
         return ToolFeedback.corrective(str(exc))
     except DiverError as exc:
         return ToolFeedback.corrective(f"{type(exc).__name__}: {exc}")
-    return ToolFeedback.standard(jsonify(result))
+    return ToolFeedback.standard(result)

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from diver.cotf import (
-    TOOL_NAMES,
     Clause,
     CoTFDocument,
     Question,
@@ -28,6 +27,7 @@ from diver.errors import (
     TurnBudgetExceeded,
 )
 from diver.tokens import tokenize
+from diver.toolbox import TOOL_NAMES
 
 
 def make_clauses(text: str, cuts: list[int]) -> list[Clause]:

@@ -15,7 +15,6 @@ from diver.database import (
     description_dir_for,
     open_database,
     parse_description_file,
-    query,
 )
 from diver.errors import (
     DescriptionParseError,
@@ -64,7 +63,7 @@ def test_open_garbage_file(tmp_path):
 
 def test_query_basic_and_column_order(schools_db):
     handle = open_database(schools_db)
-    rs = query(handle, 'SELECT City, School FROM schools WHERE "Magnet" = ? ORDER BY School', (1,))
+    rs = handle.query('SELECT City, School FROM schools WHERE "Magnet" = ? ORDER BY School', (1,))
     assert rs.columns == ["City", "School"]
     assert rs.rows == [
         ("Fresno", "Dover Charter Academy"),
@@ -77,13 +76,12 @@ def test_query_basic_and_column_order(schools_db):
 def test_query_binds_parameters_not_interpolates(schools_db):
     handle = open_database(schools_db)
     # a value full of SQL metacharacters must be treated as data
-    rs = query(
-        handle,
+    rs = handle.query(
         "SELECT COUNT(*) FROM schools WHERE School = ?",
         ("x'; DROP TABLE schools; --",),
     )
     assert rs.rows == [(0,)]
-    assert query(handle, "SELECT COUNT(*) FROM schools").rows == [(12,)]
+    assert handle.query("SELECT COUNT(*) FROM schools").rows == [(12,)]
 
 
 def test_write_statements_rejected(schools_db):
@@ -98,7 +96,7 @@ def test_write_statements_rejected(schools_db):
         "  -- sneaky comment\n  UPDATE schools SET City = 'x'",
     ]:
         with pytest.raises(ReadOnlyViolation):
-            query(handle, sql)
+            handle.query(sql)
 
 
 def test_sql_error_carries_engine_message_verbatim(schools_db):
@@ -114,7 +112,7 @@ def test_sql_error_carries_engine_message_verbatim(schools_db):
 
     handle = open_database(schools_db)
     with pytest.raises(SqlError) as err:
-        query(handle, "SELECT missing_col FROM schools")
+        handle.query("SELECT missing_col FROM schools")
     assert str(err.value) == reference
     assert "no such column" in str(err.value)
 
@@ -183,20 +181,20 @@ def test_parse_description_file_raises_on_junk(tmp_path):
 def test_statement_timeout_interrupts(eval_db):
     handle = open_database(eval_db, statement_timeout=0.05)
     with pytest.raises(SqlError) as err:
-        query(handle, "SELECT COUNT(*) FROM pad a, pad b, pad c WHERE a.x + b.x + c.x > 1")
+        handle.query("SELECT COUNT(*) FROM pad a, pad b, pad c WHERE a.x + b.x + c.x > 1")
     assert "interrupt" in str(err.value).lower()
     # the handle still works afterwards
-    assert query(handle, "SELECT COUNT(*) FROM pad").rows == [(2500,)]
+    assert handle.query("SELECT COUNT(*) FROM pad").rows == [(2500,)]
 
 
 def test_probing_leaves_file_bytes_untouched(schools_db):
     before = hashlib.sha256(Path(schools_db).read_bytes()).hexdigest()
     handle = open_database(schools_db)
     catalog(handle)
-    query(handle, "SELECT * FROM frpm")
-    query(handle, 'SELECT DISTINCT "Low Grade" FROM frpm')
+    handle.query("SELECT * FROM frpm")
+    handle.query('SELECT DISTINCT "Low Grade" FROM frpm')
     with pytest.raises(ReadOnlyViolation):
-        query(handle, "DELETE FROM frpm")
+        handle.query("DELETE FROM frpm")
     after = hashlib.sha256(Path(schools_db).read_bytes()).hexdigest()
     assert before == after
 

@@ -7,10 +7,11 @@ against brute-force set arithmetic.
 
 import random
 import string
+from collections import Counter
 
 import pytest
 
-from diver.database import catalog as build_catalog, open_database
+from diver.database import DatabaseHandle, catalog as build_catalog, open_database
 from diver.eval import (
     EvalSample,
     LinkingSets,
@@ -19,7 +20,6 @@ from diver.eval import (
     extract_entities,
     linking_f1,
     token_overlap,
-    ves,
     ves_reward,
 )
 
@@ -338,7 +338,7 @@ def test_ves_identity_pairs_close_to_ex(handle):
         ("SELECT id FROM orders WHERE qty > 5",) * 2,
         ("SELECT SUM(amount) FROM orders",) * 2,
     ]
-    v = ves(handle, pairs, iterations=5)
+    v = sum(ves_reward(handle, p, g, iterations=5) for p, g in pairs) / len(pairs)
     assert 0.95 <= v <= 1.05
 
 
@@ -347,7 +347,7 @@ def test_ves_zero_on_mismatches(handle):
         ("SELECT 1", "SELECT 2"),
         ("SELECT 3", "SELECT 4"),
     ]
-    assert ves(handle, pairs, iterations=3) == 0.0
+    assert [ves_reward(handle, p, g, iterations=3) for p, g in pairs] == [0.0, 0.0]
 
 
 def test_ves_penalizes_slow_equivalent_query(handle):
@@ -360,7 +360,7 @@ def test_ves_penalizes_slow_equivalent_query(handle):
 
 def test_ves_requires_three_iterations(handle):
     with pytest.raises(ValueError):
-        ves(handle, [("SELECT 1", "SELECT 1")], iterations=2)
+        ves_reward(handle, "SELECT 1", "SELECT 1", iterations=2)
 
 
 # --- evaluate / report ---
@@ -420,6 +420,29 @@ def test_evaluate_per_difficulty_breakdown(eval_db):
     report = evaluate(samples, metrics=("ex",))
     assert report.per_difficulty["simple"]["ex"] == 1.0
     assert report.per_difficulty["challenging"]["ex"] == 0.0
+
+
+def test_evaluate_runs_each_statement_once_for_its_result(eval_db, monkeypatch):
+    runs = Counter()
+    real_query = DatabaseHandle.query
+
+    def counting_query(self, sql, params=()):
+        runs[sql] += 1
+        return real_query(self, sql, params)
+
+    monkeypatch.setattr(DatabaseHandle, "query", counting_query)
+    gold = "SELECT id FROM orders"
+    pred = "SELECT id FROM orders ORDER BY id DESC"
+    report = evaluate([sample(eval_db, pred, gold)], metrics=("ex", "ves"), iterations=10)
+    assert report.ex == 1.0 and report.ves > 0.0
+    # one run for the result, which doubles as the warm-up, plus ten timed
+    assert runs == {gold: 11, pred: 11}
+
+    runs.clear()
+    miss = "SELECT customer FROM orders"
+    report = evaluate([sample(eval_db, miss, gold)], metrics=("ex", "ves"), iterations=10)
+    assert report.ex == 0.0 and report.ves == 0.0
+    assert runs == {gold: 1, miss: 1}
 
 
 def test_evaluate_f1_only_report(eval_db):

@@ -24,7 +24,6 @@ from diver.llm import (
     fingerprint,
     structured_tool_call,
 )
-from diver.toolbox import validate_call
 
 
 def _req(user_text: str = "hello", temperature: float = 0.7, fmt: str = "free_text"):
@@ -110,19 +109,20 @@ def test_structured_tool_call_parses_plain_and_fenced():
 
 
 def test_structured_tool_call_repairs_once():
+    first = '{"tool_name": "value_in", "args": {"table": "frpm", "value": "K"}}'
     session = ScriptedSession(
         [
-            '{"tool": "value_in", "args": {"table": "frpm", "column": "Low Grade", "wrong_param": "K"}}',
+            first,
             '{"tool": "value_in", "args": {"table": "frpm", "column": "Low Grade", "value": "K"}}',
         ]
     )
-    call = structured_tool_call(session, _req(fmt="tool_call_schema"), validator=validate_call)
+    call = structured_tool_call(session, _req(fmt="tool_call_schema"))
     assert call.args["value"] == "K"
     assert session.consumed == 2
-    # the repair request carried the validation error back to the model
+    # the repair request carried the model's own output and the parse error back
     repair_request = session.requests[1]
-    assert any("wrong_param" in m.content for m in repair_request.messages)
-    assert any(m.role == "assistant" for m in repair_request.messages)
+    assert repair_request.messages[-2] == ChatMessage("assistant", first)
+    assert 'lacks the "tool" key' in repair_request.messages[-1].content
 
 
 def test_structured_tool_call_gives_up_after_one_repair():
@@ -140,7 +140,7 @@ def test_structured_tool_call_rejects_non_scalar_args_then_repairs():
             '{"tool": "head", "args": {"table": "frpm", "n": 2}}',
         ]
     )
-    call = structured_tool_call(session, _req(fmt="tool_call_schema"), validator=validate_call)
+    call = structured_tool_call(session, _req(fmt="tool_call_schema"))
     assert call == ToolCall("head", {"table": "frpm", "n": 2})
 
 

@@ -8,7 +8,6 @@ import re
 import pytest
 
 from diver.cotf import (
-    TOOL_NAMES,
     CoTFDocument,
     Question,
     ToolCall,
@@ -28,7 +27,7 @@ from diver.lookup import (
     run_lookup,
 )
 from diver.prompts import HARVEST_TEMPERATURE, LOOKUP_TEMPERATURE, LOOKUP_TOOL_USER
-from diver.toolbox import ToolContext
+from diver.toolbox import TOOL_NAMES, ToolContext
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +101,7 @@ def test_repeat_classifies_guiding_and_never_touches_db(ctx, monkeypatch):
 
     monkeypatch.setattr(ctx.handle, "query", boom)
     call = ToolCall("value_in", {"table": "frpm", "column": "Low Grade", "value": "K"})
-    fb = classify_feedback(call, repeat=True, rules=ROUTE_RULES, context=ctx)
+    fb = classify_feedback(call, repeat=True, context=ctx)
     assert fb.kind == "guiding"
     assert fb.message == ROUTE_RULES["value_in"]
 
@@ -111,7 +110,6 @@ def test_fresh_call_passes_dispatch_result_through(ctx):
     ok = classify_feedback(
         ToolCall("value_in", {"table": "frpm", "column": "Low Grade", "value": "K"}),
         repeat=False,
-        rules=ROUTE_RULES,
         context=ctx,
     )
     assert ok.kind == "standard"
@@ -120,16 +118,13 @@ def test_fresh_call_passes_dispatch_result_through(ctx):
     bad = classify_feedback(
         ToolCall("value_in", {"table": "frpm", "column": "No Such", "value": "K"}),
         repeat=False,
-        rules=ROUTE_RULES,
         context=ctx,
     )
     assert bad.kind == "corrective"
 
 
 def test_repeated_unknown_tool_falls_back_to_corrective(ctx):
-    fb = classify_feedback(
-        ToolCall("look_up", {}), repeat=True, rules=ROUTE_RULES, context=ctx
-    )
+    fb = classify_feedback(ToolCall("look_up", {}), repeat=True, context=ctx)
     assert fb.kind == "corrective"
 
 
@@ -298,14 +293,6 @@ def test_run_lookup_covers_all_clauses(ctx):
     assert [len(col) for col in doc.turns] == [1, 1]
     assert all(col[-1].tool_call.tool == "none" for col in doc.turns)
     assert llm.consumed == 4
-
-
-def test_run_lookup_global_budget_stops_midstream(ctx):
-    doc = two_clause_doc()
-    llm = ScriptedSession(["a", tc("value_in", table="frpm", column="Low Grade", value="K")])
-    run_lookup(doc, llm, ctx, global_budget=1)
-    assert [len(col) for col in doc.turns] == [1, 0]
-    assert llm.consumed == 2
 
 
 # --- harvest_linkings ---

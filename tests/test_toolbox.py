@@ -8,14 +8,14 @@ import sqlite3
 
 import pytest
 
-from diver.cotf import TOOL_NAMES, ToolCall
+from diver.cotf import ToolCall
 from diver.database import catalog, open_database
 from diver.embedding import LexicalEmbedder
-from diver.errors import EmbedderUnavailable, MissingGuidancePart, UnknownColumn, UnknownTable
+from diver.errors import EmbedderUnavailable, UnknownColumn, UnknownTable
 from diver.toolbox import (
-    REGISTRY,
+    TOOL_NAMES,
+    TOOLS,
     ToolContext,
-    ToolSpec,
     dispatch,
     head,
     if_null,
@@ -410,10 +410,16 @@ def test_dispatch_results_are_json_native(ctx):
 
 
 def test_registry_covers_all_nine_tools():
-    assert tuple(REGISTRY) == TOOL_NAMES
-    for spec in REGISTRY.values():
-        assert spec.description
-        assert spec.scenario
+    assert TOOL_NAMES == tuple(TOOLS)
+    assert len(TOOLS) == 9 and TOOL_NAMES[-1] == "none"
+    for name, tool in TOOLS.items():
+        assert tool.description, name
+        assert tool.scenario, name
+        if name == "none":
+            assert not tool.required and not tool.optional and tool.reroute is None
+        else:
+            assert tool.required, name
+            assert tool.reroute and tool.reroute.split()[0] in TOOLS, name
 
 
 def test_guidance_is_deterministic_and_complete():
@@ -427,16 +433,3 @@ def test_guidance_is_deterministic_and_complete():
     # every required parameter is listed
     assert "query_text" in text
     assert "table" in text
-
-
-def test_guidance_missing_part_raises():
-    broken = dict(REGISTRY)
-    broken["head"] = ToolSpec(
-        name="head",
-        description="first rows of a table",
-        required_params=("table", "n"),
-        optional_params=(),
-        scenario="",
-    )
-    with pytest.raises(MissingGuidancePart):
-        render_guidance(broken)
