@@ -5,6 +5,11 @@ Opens database files in read-only mode, walks their schema into a catalog
 probe queries under a per-statement timeout. Nothing here can write: the
 connection is opened with mode=ro and query() additionally rejects any
 statement that is not SELECT/WITH/VALUES.
+
+Because the files are read-only, the answer to a deterministic statement
+depends only on the file. memo_query() keeps such answers in a per-file memo
+shared by every handle on the same file, keyed by the file's identity
+(resolved path, size, mtime_ns) and bounded to MEMO_ROWS result rows per file.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ import csv
 import logging
 import re
 import sqlite3
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -31,6 +38,9 @@ logger = logging.getLogger(__name__)
 READ_KEYWORDS = {"select", "with", "values"}
 
 DESCRIPTION_ENCODINGS = ("utf-8-sig", "cp1252", "latin-1")
+
+MEMO_ROWS = 200_000  # result rows one database file's memo may hold
+MEMO_FILES = 32  # database files whose memo is kept at once
 
 
 @dataclass
@@ -77,6 +87,59 @@ class SchemaCatalog:
         return None
 
 
+class _Memo:
+    """Results of deterministic statements on one database file, least
+    recently used first. A result counts as at least one row against
+    MEMO_ROWS, so the number of entries is bounded too."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        # (sql, params) -> (column names, rows)
+        self._results: OrderedDict[tuple, tuple[tuple, tuple]] = OrderedDict()
+        self.rows = 0
+
+    def get(self, key: tuple) -> tuple[tuple, tuple] | None:
+        with self._lock:
+            hit = self._results.get(key)
+            if hit is not None:
+                self._results.move_to_end(key)
+            return hit
+
+    def put(self, key: tuple, columns: tuple, rows: tuple) -> None:
+        cost = max(len(rows), 1)
+        if cost > MEMO_ROWS:
+            return
+        with self._lock:
+            if key in self._results:
+                return
+            self._results[key] = (columns, rows)
+            self.rows += cost
+            while self.rows > MEMO_ROWS:
+                _, (_, old) = self._results.popitem(last=False)
+                self.rows -= max(len(old), 1)
+
+
+_memos: OrderedDict[tuple, _Memo] = OrderedDict()
+_memos_lock = threading.Lock()
+
+
+def _memo_for(path: Path) -> _Memo:
+    """The memo of the file at `path` as it is now; a rewritten file gets a
+    new one."""
+    resolved = path.resolve()
+    st = resolved.stat()
+    key = (str(resolved), st.st_size, st.st_mtime_ns)
+    with _memos_lock:
+        memo = _memos.get(key)
+        if memo is None:
+            memo = _memos[key] = _Memo()
+            while len(_memos) > MEMO_FILES:
+                _memos.popitem(last=False)
+        else:
+            _memos.move_to_end(key)
+        return memo
+
+
 class DatabaseHandle:
     """One read-only connection to one SQLite file."""
 
@@ -95,6 +158,7 @@ class DatabaseHandle:
         except sqlite3.DatabaseError as exc:
             self._conn.close()
             raise NotReadable(f"cannot read {self.path}: {exc}") from exc
+        self._memo = _memo_for(self.path)
 
     def _tick(self) -> int:
         # nonzero return interrupts the running statement
@@ -102,11 +166,12 @@ class DatabaseHandle:
             return 1
         return 0
 
-    def _execute(self, sql: str, params: Sequence[Any] = ()) -> sqlite3.Cursor:
-        """Internal execution path for catalog PRAGMAs; no keyword filtering."""
+    def _execute(self, sql: str, params: Sequence[Any] = ()) -> list[tuple]:
+        """Internal execution path for catalog PRAGMAs; no keyword filtering.
+        Rows are fetched here, while the statement deadline still holds."""
         self._deadline = time.perf_counter() + self.statement_timeout
         try:
-            return self._conn.execute(sql, tuple(params))
+            return self._conn.execute(sql, tuple(params)).fetchall()
         except sqlite3.Error as exc:
             raise SqlError(str(exc)) from exc
         finally:
@@ -131,6 +196,20 @@ class DatabaseHandle:
         elapsed = time.perf_counter() - started
         columns = [d[0] for d in cursor.description] if cursor.description else []
         return ResultSet(columns=columns, rows=rows, elapsed=elapsed)
+
+    def memo_query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
+        """query() for a statement whose answer depends only on the file: the
+        first call on a file runs it, later calls on any handle to the same
+        unchanged file reuse its rows (elapsed 0.0). Errors are never kept, so
+        a failing statement fails again with the engine's message."""
+        key = (sql, tuple(params))
+        hit = self._memo.get(key)
+        if hit is not None:
+            columns, rows = hit
+            return ResultSet(columns=list(columns), rows=list(rows), elapsed=0.0)
+        rs = self.query(sql, params)
+        self._memo.put(key, tuple(rs.columns), tuple(rs.rows))
+        return rs
 
     def close(self) -> None:
         self._conn.close()
@@ -214,11 +293,11 @@ def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -
             logger.warning("description directory missing: %s", d)
 
     tables = []
-    cur = handle._execute(
+    names = handle._execute(
         "SELECT name FROM sqlite_master WHERE type = 'table'"
         " AND name NOT LIKE 'sqlite_%' ORDER BY name"
     )
-    for (table_name,) in cur.fetchall():
+    for (table_name,) in names:
         table_desc = descriptions.get(table_name.lower(), {})
         columns = []
         for row in handle._execute(f"PRAGMA table_info({quote_identifier(table_name)})"):
@@ -230,9 +309,7 @@ def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -
                     description=table_desc.get(col_name.lower()),
                 )
             )
-        count = handle._execute(
-            f"SELECT COUNT(*) FROM {quote_identifier(table_name)}"
-        ).fetchone()[0]
+        count = handle._execute(f"SELECT COUNT(*) FROM {quote_identifier(table_name)}")[0][0]
         tables.append(TableInfo(name=table_name, columns=columns, row_count=count))
     return SchemaCatalog(tables=tables)
 

@@ -9,6 +9,7 @@ Scores are cosine mapped onto [0, 1]; rank_lexical is the last-resort scorer
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
@@ -45,6 +46,7 @@ def trigram_jaccard(a: str, b: str) -> float:
     return len(ga & gb) / len(ga | gb)
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _bucket(gram: str, dimension: int) -> tuple[int, float]:
     digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
     value = int.from_bytes(digest, "big")

@@ -100,7 +100,8 @@ class ScriptedSession:
                 "script must be a list, {'responses': [...]}, or {'by_fingerprint': {...}}"
             )
         self.consumed = 0
-        self.requests: list[ChatRequest] = []
+        # fingerprint scripts may be shared by concurrent questions (--jobs)
+        self._lock = threading.Lock()
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedSession":
@@ -122,20 +123,20 @@ class ScriptedSession:
         return sum(len(v) for v in self._by_fingerprint.values())
 
     def chat(self, request: ChatRequest) -> str:
-        self.requests.append(request)
         if self._sequence is not None:
-            if not self._sequence:
+            queue, fp = self._sequence, None
+        else:
+            fp = fingerprint(request)
+            queue = self._by_fingerprint.get(fp)
+        with self._lock:
+            if queue:
+                self.consumed += 1
+                return queue.pop(0)
+            if fp is None:
                 raise ScriptExhausted(
                     f"replay script exhausted after {self.consumed} responses"
                 )
-            self.consumed += 1
-            return self._sequence.pop(0)
-        fp = fingerprint(request)
-        queue = self._by_fingerprint.get(fp)
-        if not queue:
             raise ScriptExhausted(f"no scripted response for request {fp[:12]}…")
-        self.consumed += 1
-        return queue.pop(0)
 
 
 @dataclass

@@ -225,8 +225,8 @@ def uniq_value(
     """Distinct count plus the first `limit` distinct values, ascending by
     their text form. NULLs are excluded, matching COUNT(DISTINCT)."""
     q_table, q_col = quote_identifier(table), quote_identifier(column)
-    count = handle.query(f"SELECT COUNT(DISTINCT {q_col}) FROM {q_table}").rows[0][0]
-    rs = handle.query(
+    count = handle.memo_query(f"SELECT COUNT(DISTINCT {q_col}) FROM {q_table}").rows[0][0]
+    rs = handle.memo_query(
         f"SELECT DISTINCT CAST({q_col} AS TEXT) AS v FROM {q_table}"
         f" WHERE {q_col} IS NOT NULL ORDER BY v LIMIT ?",
         (limit,),
@@ -240,19 +240,27 @@ def head(handle: DatabaseHandle, table: str, n: int) -> dict[str, Any]:
 
 
 def random_rows(handle: DatabaseHandle, table: str, n: int, seed: int) -> dict[str, Any]:
-    """n rows without replacement, reproducible from (database file, seed)."""
-    total = handle.query(f"SELECT COUNT(*) FROM {quote_identifier(table)}").rows[0][0]
+    """n rows without replacement, reproducible from (database file, seed).
+
+    The sample is of row positions in scan order; each chosen row is fetched
+    on its own, in ascending position, so only n rows ever reach Python."""
+    q_table = quote_identifier(table)
+    total = handle.query(f"SELECT COUNT(*) FROM {q_table}").rows[0][0]
     k = min(n, total)
-    chosen = set(_random_mod.Random(seed).sample(range(total), k)) if k else set()
-    rs = handle.query(f"SELECT * FROM {quote_identifier(table)}")
-    picked = [row for i, row in enumerate(rs.rows) if i in chosen]
-    payload = _rows_payload(rs.columns, picked)
+    chosen = sorted(_random_mod.Random(seed).sample(range(total), k)) if k else []
+    columns = handle.query(f"SELECT * FROM {q_table} LIMIT 0").columns
+    picked = [
+        row
+        for i in chosen
+        for row in handle.query(f"SELECT * FROM {q_table} LIMIT 1 OFFSET ?", (i,)).rows
+    ]
+    payload = _rows_payload(columns, picked)
     payload["seed"] = seed
     return payload
 
 
 def if_null(handle: DatabaseHandle, table: str, column: str) -> dict[str, Any]:
-    rs = handle.query(
+    rs = handle.memo_query(
         f"SELECT COUNT(*), COUNT({quote_identifier(column)})"
         f" FROM {quote_identifier(table)}"
     )
@@ -263,7 +271,7 @@ def if_null(handle: DatabaseHandle, table: str, column: str) -> dict[str, Any]:
 
 def _null_fractions(handle: DatabaseHandle, table) -> dict[str, float]:
     counters = ", ".join(f"COUNT({quote_identifier(c.name)})" for c in table.columns)
-    rs = handle.query(f"SELECT COUNT(*), {counters} FROM {quote_identifier(table.name)}")
+    rs = handle.memo_query(f"SELECT COUNT(*), {counters} FROM {quote_identifier(table.name)}")
     row = rs.rows[0]
     total = row[0]
     return {
@@ -318,6 +326,30 @@ def _rank(embedder, query_text: str, candidates: list[str], k: int):
         return rank_lexical(query_text, candidates, k), "lexical"
 
 
+def _prefilter(query_text: str, pool: list[str]) -> list[str]:
+    """pool sorted by (-trigram overlap with query_text, text).
+
+    A value shares a trigram with the query only if one of the query's
+    grams occurs in its lowercased text, so only values passing that
+    substring test get a trigram set; every other value has overlap 0."""
+    query_grams = trigrams(query_text)
+    overlapping, disjoint = [], []
+    for value in pool:
+        low = value.lower()
+        overlap = (
+            len(query_grams & trigrams(value))
+            if any(g in low for g in query_grams)
+            else 0
+        )
+        if overlap:
+            overlapping.append((-overlap, value))
+        else:
+            disjoint.append(value)
+    overlapping.sort()
+    disjoint.sort()
+    return [value for _, value in overlapping] + disjoint
+
+
 def sim_value_in(
     handle: DatabaseHandle,
     embedder,
@@ -332,7 +364,7 @@ def sim_value_in(
     PREFILTER_SIZE by raw trigram overlap so the embedding step stays bounded.
     """
     q_table, q_col = quote_identifier(table), quote_identifier(column)
-    rs = handle.query(
+    rs = handle.memo_query(
         f"SELECT DISTINCT CAST({q_col} AS TEXT) AS v FROM {q_table}"
         f" WHERE {q_col} IS NOT NULL ORDER BY v"
     )
@@ -340,12 +372,7 @@ def sim_value_in(
     pool_size = len(pool)
     prefiltered = pool_size > POOL_CAP
     if prefiltered:
-        query_grams = trigrams(query_text)
-        overlap = sorted(
-            range(pool_size),
-            key=lambda i: (-len(query_grams & trigrams(pool[i])), pool[i]),
-        )
-        pool = [pool[i] for i in overlap[:PREFILTER_SIZE]]
+        pool = _prefilter(query_text, pool)[:PREFILTER_SIZE]
     if not pool:
         return {"matches": [], "pool_size": 0, "prefiltered": False, "scoring": "embedding"}
     ranked, scoring = _rank(embedder, query_text, pool, k)

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from diver.database import DatabaseHandle
+
 FRPM_COLUMNS = [
     ("CDSCode", "TEXT"),
     ("School Name", "TEXT"),
@@ -188,3 +190,17 @@ def schools_desc_dir(db_root: Path) -> Path:
 @pytest.fixture(scope="session")
 def eval_db(db_root: Path) -> Path:
     return db_root / "eval_fixture" / "eval_fixture.sqlite"
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """Every statement DatabaseHandle.query runs during the test, in order."""
+    calls = []
+    real_query = DatabaseHandle.query
+
+    def counting(self, sql, params=()):
+        calls.append(sql)
+        return real_query(self, sql, params)
+
+    monkeypatch.setattr(DatabaseHandle, "query", counting)
+    return calls

@@ -5,6 +5,8 @@ candidates plus a merge per style."""
 
 import json
 
+from diver.llm import ScriptedSession
+
 
 def tool(name, **args):
     return {"tool": name, "args": args}
@@ -46,3 +48,15 @@ class ScriptBuilder:
     def write(self, path):
         path.write_text(json.dumps(self.responses, indent=2) + "\n", encoding="utf-8")
         return path
+
+
+class RecordingSession(ScriptedSession):
+    """ScriptedSession that also keeps every request it answered, in order."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.requests = []
+
+    def chat(self, request):
+        self.requests.append(request)
+        return super().chat(request)

@@ -10,6 +10,8 @@ from diver.errors import ScriptExhausted
 from diver.llm import ScriptedSession
 from diver.tokens import Token, tokenize
 
+from replay import RecordingSession
+
 
 def test_tokenize_offsets_hand_derived():
     q = "Which schools in Fresno serve grades K-8?"
@@ -104,7 +106,7 @@ def test_refine_fuzz_corpus_partition_and_idempotence():
 
 
 def test_segment_parses_json_array():
-    session = ScriptedSession(['["schools in Fresno", "with magnet programs"]'])
+    session = RecordingSession(['["schools in Fresno", "with magnet programs"]'])
     proposals = segment("schools in Fresno with magnet programs", session)
     assert proposals == ["schools in Fresno", "with magnet programs"]
     # the request used the segmentation temperature

@@ -1,11 +1,13 @@
 """Command-line surface: runs, resume, evaluation, trace statistics."""
 
 import json
+import sys
 
 import pytest
 
 from diver import cli
 from diver.cotf import deserialize
+from diver.llm import fingerprint
 
 from replay import ScriptBuilder, tool
 
@@ -380,3 +382,113 @@ def test_unknown_command_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def build_two_database_script():
+    """Six questions over both fixture databases that repeat the memoized
+    probes (uniq_value, if_null, info, sim_value_in) and draw random seeds."""
+    b = ScriptBuilder()
+    # 21: Which schools serve grade K?
+    b.segmentation(["Which schools", "serve grade K"])
+    b.turn(tool("sim_value_in", table="frpm", column="School Type", query_text="special"))
+    b.stop_clause()
+    b.turn(tool("uniq_value", table="frpm", column="Low Grade"))
+    b.turn(tool("info", table="frpm", column="Low Grade"))
+    b.stop_clause()
+    b.harvest([])
+    b.evidence(Q1_EVIDENCE)
+    # 22: How many schools are in Fresno?
+    b.segmentation(["How many schools", "are in Fresno"])
+    b.turn(tool("if_null", table="schools", column="Phone"))
+    b.turn(tool("random", table="schools", n=3))
+    b.stop_clause()
+    b.turn(tool("sim_value_in", table="schools", column="City", query_text="fresno"))
+    b.turn(tool("uniq_value", table="schools", column="City"))
+    b.stop_clause()
+    b.harvest([])
+    b.evidence(Q2_EVIDENCE)
+    # 23: List magnet schools
+    b.segmentation(["List magnet schools"])
+    b.turn(tool("info", table="schools"))
+    b.turn(tool("if_null", table="schools", column="Phone"))
+    b.turn(tool("uniq_value", table="frpm", column="Low Grade"))
+    b.stop_clause()
+    b.harvest([])
+    b.evidence(Q3_EVIDENCE)
+    # 31: Which customers ordered in the west?
+    b.segmentation(["Which customers ordered", "in the west"])
+    b.turn(tool("uniq_value", table="orders", column="customer"))
+    b.turn(tool("sim_value_in", table="orders", column="region", query_text="West"))
+    b.stop_clause()
+    b.turn(tool("if_null", table="orders", column="amount"))
+    b.stop_clause()
+    b.harvest([])
+    b.evidence("West refers to region = 'west'.")
+    # 32: What is the total amount per region?
+    b.segmentation(["What is the total amount", "per region"])
+    b.turn(tool("info", table="orders"))
+    b.turn(tool("random", table="orders", n=4))
+    b.stop_clause()
+    b.turn(tool("uniq_value", table="orders", column="nope"))
+    b.stop_clause()
+    b.harvest([])
+    b.evidence("Amount is stored in `amount`.")
+    # 33: How often did acme order?
+    b.segmentation(["How often did acme order?"])
+    b.turn(tool("info", table="pad", column="x"))
+    b.turn(tool("if_null", table="orders", column="qty"))
+    b.turn(tool("sim_value_in", table="orders", column="customer", query_text="acme corp"))
+    b.stop_clause()
+    b.harvest([])
+    b.evidence("Acme refers to customer = 'acme'.")
+    return b
+
+
+TWO_DATABASE_DATASET = [
+    {"question_id": 21, "db_id": "california_schools", "question": "Which schools serve grade K?"},
+    {"question_id": 22, "db_id": "california_schools", "question": "How many schools are in Fresno?"},
+    {"question_id": 23, "db_id": "california_schools", "question": "List magnet schools"},
+    {"question_id": 31, "db_id": "eval_fixture", "question": "Which customers ordered in the west?"},
+    {"question_id": 32, "db_id": "eval_fixture", "question": "What is the total amount per region?"},
+    {"question_id": 33, "db_id": "eval_fixture", "question": "How often did acme order?"},
+]
+
+
+def _tree(root):
+    return {
+        str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
+def test_jobs_four_and_jobs_one_write_identical_outputs(tmp_path, db_root, monkeypatch):
+    dataset = write_dataset(tmp_path / "dataset.json", TWO_DATABASE_DATASET)
+    tape = []
+
+    class Taping(cli.ScriptedSession):
+        def chat(self, request):
+            response = super().chat(request)
+            tape.append((fingerprint(request), response))
+            return response
+
+    sequence = build_two_database_script().write(tmp_path / "sequence.json")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "ScriptedSession", Taping)
+        assert cli.main(run_args(dataset, db_root, tmp_path / "out_seq", sequence)) == 0
+    by_fingerprint = {}
+    for fp, response in tape:
+        by_fingerprint.setdefault(fp, []).append(response)
+    script = tmp_path / "by_fingerprint.json"
+    script.write_text(json.dumps({"by_fingerprint": by_fingerprint}), encoding="utf-8")
+
+    assert cli.main(run_args(dataset, db_root, tmp_path / "out_1", script)) == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        rc = cli.main(run_args(dataset, db_root, tmp_path / "out_4", script, ("--jobs", "4")))
+    finally:
+        sys.setswitchinterval(interval)
+    assert rc == 0
+    one, four = _tree(tmp_path / "out_1"), _tree(tmp_path / "out_4")
+    assert len(one) == 2 * len(TWO_DATABASE_DATASET) + 2
+    assert one == four
+    assert one == _tree(tmp_path / "out_seq")

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import sqlite3
 from pathlib import Path
 
 import pytest
 
+from diver import database
 from diver.database import (
     DatabaseHandle,
     catalog,
@@ -212,3 +214,81 @@ def test_handle_reports_path(schools_db):
     handle = open_database(schools_db)
     assert isinstance(handle, DatabaseHandle)
     assert Path(handle.path) == Path(schools_db)
+
+
+def test_execute_fetches_rows_under_the_statement_deadline(schools_db):
+    handle = open_database(schools_db, statement_timeout=0.2)
+    # the first row comes at once, the rest never end: only a deadline that
+    # still holds while rows are fetched can stop it
+    with pytest.raises(SqlError, match="interrupt"):
+        handle._execute(
+            "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c)"
+            " SELECT x FROM c WHERE x % 1000 = 1"
+        )
+
+
+def _small_db(path: Path, rows) -> Path:
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t (v TEXT)")
+    conn.executemany("INSERT INTO t VALUES (?)", [(r,) for r in rows])
+    conn.commit()
+    conn.close()
+    return path
+
+
+def test_memo_query_hit_issues_no_query(tmp_path, counted):
+    db = _small_db(tmp_path / "m.sqlite", ["b", "a", "c"])
+    sql = "SELECT v FROM t ORDER BY v"
+    first = open_database(db).memo_query(sql)
+    assert first.rows == [("a",), ("b",), ("c",)]
+    second = open_database(db).memo_query(sql)
+    assert (second.columns, second.rows) == (first.columns, first.rows)
+    assert counted == [sql]
+    # a caller may change what it got without touching the memo
+    second.rows.clear()
+    assert open_database(db).memo_query(sql).rows == first.rows
+
+
+def test_memo_query_misses_on_a_rewritten_file(tmp_path, counted):
+    db = _small_db(tmp_path / "m.sqlite", ["old"])
+    sql = "SELECT v FROM t"
+    assert open_database(db).memo_query(sql).rows == [("old",)]
+    before = db.stat().st_mtime_ns
+    db.unlink()
+    _small_db(db, ["new"])
+    # a later rewrite: the file's mtime moves even on a coarse clock
+    os.utime(db, ns=(before + 10**9, before + 10**9))
+    assert open_database(db).memo_query(sql).rows == [("new",)]
+    assert counted == [sql, sql]
+
+
+def test_memo_query_never_keeps_errors(tmp_path, counted):
+    db = _small_db(tmp_path / "m.sqlite", ["x"])
+    handle = open_database(db)
+    for _ in range(3):
+        with pytest.raises(SqlError, match="no such column: nope"):
+            handle.memo_query("SELECT nope FROM t")
+    assert len(counted) == 3
+
+
+def test_memo_query_row_bound_evicts_least_recent(tmp_path, counted, monkeypatch):
+    monkeypatch.setattr(database, "MEMO_ROWS", 5)
+    db = _small_db(tmp_path / "m.sqlite", ["a", "b", "c", "d", "e", "f"])
+    handle = open_database(db)
+    first, second = "SELECT v FROM t LIMIT 3", "SELECT v FROM t LIMIT 2 OFFSET 3"
+    handle.memo_query(first)
+    handle.memo_query(second)
+    handle.memo_query(first)  # 3 + 2 rows fit; both hit
+    assert counted == [first, second]
+    third = "SELECT v FROM t LIMIT 1 OFFSET 5"
+    handle.memo_query(third)  # 6 rows: the least recent, `second`, goes
+    assert handle._memo.rows <= 5
+    handle.memo_query(first)
+    handle.memo_query(second)
+    assert counted == [first, second, third, second]
+    # a result larger than the whole bound is never kept
+    everything = "SELECT v FROM t"
+    handle.memo_query(everything)
+    handle.memo_query(everything)
+    assert counted[-2:] == [everything, everything]
+    assert handle._memo.rows <= 5

@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from diver import embedding
 from diver.embedding import (
     LexicalEmbedder,
     RemoteEmbedder,
@@ -204,3 +205,14 @@ def test_remote_embedder_unreachable_raises():
     emb = RemoteEmbedder(endpoint="http://127.0.0.1:9/nothing-here", timeout=0.5)
     with pytest.raises(EmbedderUnavailable):
         emb.embed(["hello"])
+
+
+def test_bucket_memo_leaves_vectors_bit_identical(monkeypatch):
+    texts = ["Fresno Unified", "FRESNO", "straße", "İstanbul", "a", "", "x\ny", "grade K-8"]
+    embedding._bucket.cache_clear()
+    cold = LexicalEmbedder().embed(texts)
+    warm = LexicalEmbedder().embed(texts)
+    monkeypatch.setattr(embedding, "_bucket", embedding._bucket.__wrapped__)
+    reference = LexicalEmbedder().embed(texts)
+    assert np.array_equal(cold, reference)
+    assert np.array_equal(warm, reference)

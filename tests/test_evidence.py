@@ -36,6 +36,8 @@ from diver.prompts import (
     MERGE_SYSTEM,
 )
 
+from replay import RecordingSession
+
 
 @pytest.fixture(scope="module")
 def cat(schools_db, schools_desc_dir):
@@ -204,7 +206,7 @@ def test_long_generation_filters_and_labels(cat):
         "The question asks about grade K. `Low Grade` stores the span start"
         " and 'K' appears among its values. The `Phantom Column` completes it."
     )
-    llm = ScriptedSession([narrative])
+    llm = RecordingSession([narrative])
     ev = generate_long(doc, llm, cat)
     assert ev.style == "long"
     assert ev.candidate_count == 1
@@ -247,7 +249,7 @@ def test_load_shots_returns_five_validated_pairs():
 
 def test_concise_generation_uses_alternating_shot_messages(cat):
     doc = probe_doc()
-    llm = ScriptedSession(["Grade K refers to `Low Grade` = 'K'."])
+    llm = RecordingSession(["Grade K refers to `Low Grade` = 'K'."])
     ev = generate_concise(doc, llm, catalog=cat)
     assert ev.style == "concise"
     assert ev.text == "Grade K refers to `Low Grade` = 'K'."
@@ -294,7 +296,7 @@ def test_merge_sees_filtered_candidates_and_result_is_filtered(cat):
     c2 = "`Ghost Col` drives it. `Low Grade` is the span column."
     c3 = "There are 4 distinct grades."
     merged = "'K' is stored in `Low Grade`; there are 4 distinct grades."
-    llm = ScriptedSession([c1, c2, c3, merged])
+    llm = RecordingSession([c1, c2, c3, merged])
     ev = self_consistency(doc, llm, n=3, style="concise", catalog=cat)
 
     assert ev.candidate_count == 3

@@ -15,10 +15,10 @@ from pathlib import Path
 
 from diver.cotf import Question, serialize
 from diver.embedding import LexicalEmbedder
-from diver.llm import ScriptedSession, fingerprint
+from diver.llm import fingerprint
 from diver.pipeline import PipelineConfig, run_question
 
-from replay import ScriptBuilder, tool
+from replay import RecordingSession, ScriptBuilder, tool
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "probe_trace.json"
 REQUESTS_SHA256 = "1c761951d456b47dc22a7fb8950e2c20e56a3ad953744c3c9504af9370c1cdf2"
@@ -103,7 +103,7 @@ def build_script() -> list[str]:
 
 def run_golden(schools_db, schools_desc_dir):
     question = Question(question_id="golden", db_id="california_schools", text=QUESTION)
-    llm = ScriptedSession(build_script())
+    llm = RecordingSession(build_script())
     doc, evidences = run_question(
         question,
         schools_db,

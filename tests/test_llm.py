@@ -25,6 +25,8 @@ from diver.llm import (
     structured_tool_call,
 )
 
+from replay import RecordingSession
+
 
 def _req(user_text: str = "hello", temperature: float = 0.7, fmt: str = "free_text"):
     return ChatRequest(
@@ -110,7 +112,7 @@ def test_structured_tool_call_parses_plain_and_fenced():
 
 def test_structured_tool_call_repairs_once():
     first = '{"tool_name": "value_in", "args": {"table": "frpm", "value": "K"}}'
-    session = ScriptedSession(
+    session = RecordingSession(
         [
             first,
             '{"tool": "value_in", "args": {"table": "frpm", "column": "Low Grade", "value": "K"}}',

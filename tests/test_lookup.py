@@ -29,6 +29,8 @@ from diver.lookup import (
 from diver.prompts import HARVEST_TEMPERATURE, LOOKUP_TEMPERATURE, LOOKUP_TOOL_USER
 from diver.toolbox import TOOL_NAMES, ToolContext
 
+from replay import RecordingSession
+
 
 @pytest.fixture(scope="module")
 def ctx(schools_db, schools_desc_dir):
@@ -212,7 +214,7 @@ def test_never_stopping_clause_is_cut_at_max_turns(ctx):
 
 def test_prompts_carry_guidance_workspace_and_thought(ctx):
     doc = one_clause_doc()
-    llm = ScriptedSession(
+    llm = RecordingSession(
         [
             "probe the grade column",
             tc("uniq_value", table="frpm", column="Low Grade"),
@@ -327,7 +329,7 @@ def proposal(**over):
 
 def test_harvest_keeps_grounded_value_linking():
     doc = probe_doc()
-    llm = ScriptedSession([json.dumps([proposal()])])
+    llm = RecordingSession([json.dumps([proposal()])])
     out = harvest_linkings(doc, llm)
     assert len(out) == 1
     link = out[0]

@@ -10,11 +10,13 @@ import pytest
 
 from diver.cotf import ToolCall
 from diver.database import catalog, open_database
-from diver.embedding import LexicalEmbedder
+from diver.embedding import LexicalEmbedder, trigrams
 from diver.errors import EmbedderUnavailable, UnknownColumn, UnknownTable
 from diver.toolbox import (
+    POOL_CAP,
     TOOL_NAMES,
     TOOLS,
+    _prefilter,
     ToolContext,
     dispatch,
     head,
@@ -433,3 +435,130 @@ def test_guidance_is_deterministic_and_complete():
     # every required parameter is listed
     assert "query_text" in text
     assert "table" in text
+
+
+# --- random_rows oracle, per-database memo, prefilter ---
+
+
+def _old_random_rows(handle, table, n, seed):
+    """The full-scan implementation random_rows replaced: the reference."""
+    q_table = f"`{table}`"
+    total = handle.query(f"SELECT COUNT(*) FROM {q_table}").rows[0][0]
+    k = min(n, total)
+    chosen = set(random.Random(seed).sample(range(total), k)) if k else set()
+    rs = handle.query(f"SELECT * FROM {q_table}")
+    picked = [row for i, row in enumerate(rs.rows) if i in chosen]
+    return {"columns": rs.columns, "rows": [list(r) for r in picked], "seed": seed}
+
+
+@pytest.fixture()
+def sampling_db(tmp_path):
+    db = tmp_path / "sampling.sqlite"
+    conn = sqlite3.connect(db)
+    conn.execute("CREATE TABLE gaps (id INTEGER PRIMARY KEY, label TEXT, score REAL)")
+    conn.executemany(
+        "INSERT INTO gaps VALUES (?, ?, ?)",
+        [(i * 3, f"row {i}", i / 7) for i in range(1, 301)],
+    )
+    conn.execute("DELETE FROM gaps WHERE id % 4 = 0 OR id BETWEEN 300 AND 420")
+    conn.execute("CREATE TABLE keyed (k TEXT PRIMARY KEY, v INTEGER) WITHOUT ROWID")
+    conn.executemany(
+        "INSERT INTO keyed VALUES (?, ?)",
+        [(f"key {(i * 37) % 101:03d}", i) for i in range(101)],
+    )
+    conn.execute("CREATE TABLE empty (a TEXT, b BLOB)")
+    conn.execute("CREATE VIEW high AS SELECT label, score FROM gaps WHERE score > 10")
+    conn.commit()
+    conn.close()
+    return db
+
+
+def test_random_rows_matches_full_scan_oracle(sampling_db):
+    handle = open_database(sampling_db)
+    fetched = []
+    query = handle.query
+
+    def counting_query(sql, params=()):
+        rs = query(sql, params)
+        fetched.append(len(rs.rows))
+        return rs
+
+    handle.query = counting_query
+    for table in ("gaps", "keyed", "empty", "high"):
+        total = query(f"SELECT COUNT(*) FROM `{table}`").rows[0][0]
+        for seed in range(25):
+            for n in (1, 2, 5, 17, total, total + 5):
+                n = max(n, 1)
+                fetched.clear()
+                got = random_rows(handle, table, n, seed)
+                assert got == _old_random_rows(open_database(sampling_db), table, n, seed)
+                # the count, then at most n rows: no other row reaches Python
+                assert sum(fetched) <= 1 + min(n, total)
+
+
+def test_random_rows_empty_table_keeps_columns(sampling_db):
+    got = random_rows(open_database(sampling_db), "empty", 3, seed=4)
+    assert got == {"columns": ["a", "b"], "rows": [], "seed": 4}
+
+
+def _memo_db(tmp_path):
+    db = tmp_path / "memo.sqlite"
+    conn = sqlite3.connect(db)
+    conn.execute("CREATE TABLE t (name TEXT, qty INTEGER)")
+    conn.executemany(
+        "INSERT INTO t VALUES (?, ?)",
+        [("Fresno", 1), ("FRESNO", None), ("fresno", 3), ("Oakland", 4), ("Fremont", None)],
+    )
+    conn.commit()
+    conn.close()
+    return db
+
+
+def test_memoized_probes_issue_no_query_on_a_second_handle(tmp_path, counted):
+    db = _memo_db(tmp_path)
+    first = open_database(db)
+    cat_ = catalog(first)
+    probes = [
+        lambda h: uniq_value(h, "t", "name", limit=3),
+        lambda h: if_null(h, "t", "qty"),
+        lambda h: info(h, cat_, "t"),
+        lambda h: info(h, cat_, "t", "qty"),
+        lambda h: sim_value_in(h, LexicalEmbedder(), "t", "name", "fresno", k=3),
+    ]
+    cold = [probe(first) for probe in probes]
+    counted.clear()
+    second = open_database(db)
+    assert [probe(second) for probe in probes] == cold
+    assert counted == []
+    # the uncached tools still reach the engine
+    value_in(second, "t", "name", "Fresno")
+    assert len(counted) == 1
+
+
+def _old_prefilter(query_text, pool):
+    query_grams = trigrams(query_text)
+    order = sorted(
+        range(len(pool)), key=lambda i: (-len(query_grams & trigrams(pool[i])), pool[i])
+    )
+    return [pool[i] for i in order]
+
+
+def test_prefilter_matches_the_overlap_sort_oracle():
+    rng = random.Random(5)
+    alphabet = ["a", "b", "ab", " ", "\n", "é", "İ", "ß", "Σ", "x", "-", "z"]
+    pool = {"", "a", "ab", "İ", "ß", "AB", "x\n"}
+    while len(pool) < POOL_CAP + 500:
+        pool.add("".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8))))
+    pool = sorted(pool)
+    queries = ["a", "ab", "abz", "x\nab", "İst", "ÉSS", "straße", "Σ-z b", "qqq", "ab ab"]
+    for query in queries:
+        assert _prefilter(query, pool) == _old_prefilter(query, pool), query
+
+
+def test_sim_value_in_six_decimal_tie_keeps_text_order(tmp_path):
+    db = _memo_db(tmp_path)
+    cold = sim_value_in(open_database(db), LexicalEmbedder(), "t", "name", "fresno", k=3)
+    assert [m["value"] for m in cold["matches"]] == ["FRESNO", "Fresno", "fresno"]
+    assert len({m["score"] for m in cold["matches"]}) == 1
+    warm = sim_value_in(open_database(db), LexicalEmbedder(), "t", "name", "fresno", k=3)
+    assert warm == cold
