@@ -17,7 +17,7 @@ from .cotf import FEEDBACK_KINDS, Question, deserialize, serialize
 from .database import db_path_for, description_dir_for
 from .embedding import LexicalEmbedder, RemoteEmbedder
 from .errors import ConfigurationError, DiverError
-from .eval import KNOWN_METRICS, EvalSample, evaluate
+from .eval import KNOWN_METRICS, EvalSample, evaluate, format_report
 from .llm import LiveClient, ScriptedSession
 from .pipeline import DEFAULT_CANDIDATES, DEFAULT_MAX_TURNS, PipelineConfig, run_question
 from .toolbox import TOOL_NAMES
@@ -237,12 +237,9 @@ def cmd_eval(args) -> int:
             )
         )
     report = evaluate(samples, metrics=metrics, iterations=args.iterations)
-    if args.json:
-        print(_dump_json(report.to_dict()), end="")
-    else:
-        print(report.to_text(), end="")
+    print(_dump_json(report) if args.json else format_report(report), end="")
     if args.out:
-        Path(args.out).write_text(_dump_json(report.to_dict()), encoding="utf-8")
+        Path(args.out).write_text(_dump_json(report), encoding="utf-8")
     return 0
 
 

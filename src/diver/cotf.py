@@ -13,7 +13,7 @@ this module knows is the stop signal "none", which ends a clause.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .errors import (
@@ -344,22 +344,19 @@ def detect_repeat(doc: CoTFDocument, clause_index: int, call: ToolCall) -> bool:
     return any(t.tool_call == call for t in doc.turns[clause_index])
 
 
-def _question_payload(q: Question) -> dict[str, Any]:
-    return {
-        "question_id": q.question_id,
-        "db_id": q.db_id,
-        "text": q.text,
-        "gold_sql": q.gold_sql,
-        "expert_evidence": q.expert_evidence,
-        "difficulty": q.difficulty,
-    }
-
-
 def serialize(doc: CoTFDocument) -> bytes:
     """Canonical JSON bytes: sorted keys, UTF-8, indent 2, trailing newline."""
+    q = doc.question
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "question": _question_payload(doc.question),
+        "question": {
+            "question_id": q.question_id,
+            "db_id": q.db_id,
+            "text": q.text,
+            "gold_sql": q.gold_sql,
+            "expert_evidence": q.expert_evidence,
+            "difficulty": q.difficulty,
+        },
         "clauses": [
             {"index": c.index, "text": c.text, "token_span": list(c.token_span)}
             for c in doc.clauses
@@ -396,14 +393,26 @@ def serialize(doc: CoTFDocument) -> bytes:
     return text.encode("utf-8")
 
 
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaViolation(message)
+def _build(cls, obj: dict, **parsed: Any) -> Any:
+    """cls from its wire object, which must carry exactly cls's fields;
+    parsed replaces the values that need converting first."""
+    names = {f.name for f in fields(cls)}
+    if obj.keys() != names:
+        raise SchemaViolation(f"{cls.__name__} needs the keys {sorted(names)}, got {sorted(obj)}")
+    return cls(**{**obj, **parsed})
+
+
+def _array(value: Any) -> list:
+    """value when it is a JSON array; an object or a string would iterate."""
+    if not isinstance(value, list):
+        raise SchemaViolation(f"expected an array, got {value!r}")
+    return value
 
 
 def deserialize(data: bytes | str) -> CoTFDocument:
-    """Parse canonical JSON back into a document. Anything that does not match
-    the schema raises SchemaViolation."""
+    """Parse canonical JSON back into a document. Every object is built by
+    its own constructor, so it must carry exactly the keys serialize writes;
+    anything that does not match the schema raises SchemaViolation."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -411,91 +420,36 @@ def deserialize(data: bytes | str) -> CoTFDocument:
             raise SchemaViolation(f"not valid UTF-8: {exc}") from exc
     try:
         payload = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"not valid JSON: {exc}") from exc
-    _expect(isinstance(payload, dict), "top level must be an object")
-    required = {"schema_version", "question", "clauses", "turns", "verified", "max_turns"}
-    missing = required - payload.keys()
-    _expect(not missing, f"missing keys: {sorted(missing)}")
-    _expect(
-        payload["schema_version"] == SCHEMA_VERSION,
-        f"unsupported schema_version: {payload['schema_version']!r}",
-    )
-
-    try:
-        qp = payload["question"]
-        _expect(isinstance(qp, dict), "question must be an object")
-        question = Question(
-            question_id=qp.get("question_id"),
-            db_id=qp.get("db_id"),
-            text=qp.get("text"),
-            gold_sql=qp.get("gold_sql"),
-            expert_evidence=qp.get("expert_evidence"),
-            difficulty=qp.get("difficulty"),
-        )
-        clauses = []
-        _expect(isinstance(payload["clauses"], list), "clauses must be a list")
-        for cp in payload["clauses"]:
-            _expect(isinstance(cp, dict), "clause must be an object")
-            span = cp.get("token_span")
-            _expect(
-                isinstance(span, list) and len(span) == 2,
-                f"token_span malformed: {span!r}",
-            )
-            clauses.append(
-                Clause(index=cp.get("index"), text=cp.get("text"), token_span=(span[0], span[1]))
-            )
-        _expect(isinstance(payload["turns"], list), "turns must be a list")
-        turns: list[list[Turn]] = []
-        for column_payload in payload["turns"]:
-            _expect(isinstance(column_payload, list), "turns entries must be lists")
-            column = []
-            for tp in column_payload:
-                _expect(isinstance(tp, dict), "turn must be an object")
-                cp2 = tp.get("tool_call")
-                _expect(isinstance(cp2, dict), "tool_call must be an object")
-                fp = tp.get("feedback")
-                _expect(isinstance(fp, dict), "feedback must be an object")
-                column.append(
-                    Turn(
-                        thought=tp.get("thought"),
-                        tool_call=ToolCall(tool=cp2.get("tool"), args=cp2.get("args")),
-                        feedback=ToolFeedback(
-                            kind=fp.get("kind"),
-                            message=fp.get("message", ""),
-                            result=fp.get("result"),
-                        ),
-                    )
-                )
-            turns.append(column)
-        verified = []
-        _expect(isinstance(payload["verified"], list), "verified must be a list")
-        for vp in payload["verified"]:
-            _expect(isinstance(vp, dict), "linking must be an object")
-            st = vp.get("source_turn")
-            _expect(
-                isinstance(st, list) and len(st) == 2,
-                f"source_turn malformed: {st!r}",
-            )
-            verified.append(
-                VerifiedLinking(
-                    kind=vp.get("kind"),
-                    table=vp.get("table"),
-                    column=vp.get("column"),
-                    literal=vp.get("literal"),
-                    rationale=vp.get("rationale", ""),
-                    source_turn=(st[0], st[1]),
-                )
-            )
-        # empty turns lists are legal on the wire only when they match clauses
-        if payload["turns"] == [] and clauses:
+        version = payload.pop("schema_version")
+        if version != SCHEMA_VERSION:
+            raise SchemaViolation(f"unsupported schema_version: {version!r}")
+        # the constructor would fill an empty turns list with empty columns
+        if not payload["turns"]:
             raise SchemaViolation("turns must hold one list per clause")
-        return CoTFDocument(
-            question=question,
-            clauses=clauses,
-            turns=turns,
-            verified=verified,
-            max_turns=payload["max_turns"],
+        return _build(
+            CoTFDocument,
+            payload,
+            question=_build(Question, payload["question"]),
+            clauses=[
+                _build(Clause, c, token_span=tuple(c["token_span"]))
+                for c in _array(payload["clauses"])
+            ],
+            turns=[
+                [
+                    _build(
+                        Turn,
+                        t,
+                        tool_call=_build(ToolCall, t["tool_call"]),
+                        feedback=_build(ToolFeedback, t["feedback"]),
+                    )
+                    for t in _array(column)
+                ]
+                for column in _array(payload["turns"])
+            ],
+            verified=[
+                _build(VerifiedLinking, v, source_turn=tuple(v["source_turn"]))
+                for v in _array(payload["verified"])
+            ],
         )
     except SchemaViolation:
         raise

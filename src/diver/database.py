@@ -166,25 +166,11 @@ class DatabaseHandle:
             return 1
         return 0
 
-    def _execute(self, sql: str, params: Sequence[Any] = ()) -> list[tuple]:
-        """Internal execution path for catalog PRAGMAs; no keyword filtering.
-        Rows are fetched here, while the statement deadline still holds."""
+    def _execute(self, sql: str, params: Sequence[Any] = ()) -> tuple[list[str], list[tuple]]:
+        """Run one statement and fetch its (column names, rows) while the
+        statement deadline still holds. No keyword filtering: catalog
+        PRAGMAs come through here."""
         self._deadline = time.perf_counter() + self.statement_timeout
-        try:
-            return self._conn.execute(sql, tuple(params)).fetchall()
-        except sqlite3.Error as exc:
-            raise SqlError(str(exc)) from exc
-        finally:
-            self._deadline = None
-
-    def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
-        keyword = _first_keyword(sql)
-        if keyword not in READ_KEYWORDS:
-            raise ReadOnlyViolation(
-                f"only read statements are allowed, got {keyword or 'empty statement'!r}"
-            )
-        started = time.perf_counter()
-        self._deadline = started + self.statement_timeout
         try:
             cursor = self._conn.execute(sql, tuple(params))
             rows = cursor.fetchall()
@@ -193,9 +179,18 @@ class DatabaseHandle:
             raise SqlError(str(exc)) from exc
         finally:
             self._deadline = None
-        elapsed = time.perf_counter() - started
         columns = [d[0] for d in cursor.description] if cursor.description else []
-        return ResultSet(columns=columns, rows=rows, elapsed=elapsed)
+        return columns, rows
+
+    def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
+        keyword = _first_keyword(sql)
+        if keyword not in READ_KEYWORDS:
+            raise ReadOnlyViolation(
+                f"only read statements are allowed, got {keyword or 'empty statement'!r}"
+            )
+        started = time.perf_counter()
+        columns, rows = self._execute(sql, params)
+        return ResultSet(columns=columns, rows=rows, elapsed=time.perf_counter() - started)
 
     def memo_query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         """query() for a statement whose answer depends only on the file: the
@@ -293,14 +288,15 @@ def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -
             logger.warning("description directory missing: %s", d)
 
     tables = []
-    names = handle._execute(
+    _, names = handle._execute(
         "SELECT name FROM sqlite_master WHERE type = 'table'"
         " AND name NOT LIKE 'sqlite_%' ORDER BY name"
     )
     for (table_name,) in names:
         table_desc = descriptions.get(table_name.lower(), {})
         columns = []
-        for row in handle._execute(f"PRAGMA table_info({quote_identifier(table_name)})"):
+        _, info = handle._execute(f"PRAGMA table_info({quote_identifier(table_name)})")
+        for row in info:
             col_name, declared = row[1], row[2]
             columns.append(
                 ColumnInfo(
@@ -309,7 +305,7 @@ def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -
                     description=table_desc.get(col_name.lower()),
                 )
             )
-        count = handle._execute(f"SELECT COUNT(*) FROM {quote_identifier(table_name)}")[0][0]
+        _, [(count,)] = handle._execute(f"SELECT COUNT(*) FROM {quote_identifier(table_name)}")
         tables.append(TableInfo(name=table_name, columns=columns, row_count=count))
     return SchemaCatalog(tables=tables)
 

@@ -11,7 +11,7 @@ import logging
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .database import DatabaseHandle, ResultSet, SchemaCatalog
@@ -601,68 +601,38 @@ def ves_reward(
 KNOWN_METRICS = ("ex", "ves", "f1", "overlap")
 
 
-@dataclass
-class MetricReport:
-    count: int
-    metrics: tuple[str, ...]
-    ex: float | None = None
-    ves: float | None = None
-    schema: dict[str, float] | None = None
-    value: dict[str, float] | None = None
-    overlap: dict[str, float] | None = None
-    per_difficulty: dict[str, dict] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        out: dict = {"count": self.count}
-        if self.ex is not None:
-            out["ex"] = self.ex
-        if self.ves is not None:
-            out["ves"] = self.ves
-        if self.schema is not None:
-            out["schema_f1"] = self.schema
-        if self.value is not None:
-            out["value_f1"] = self.value
-        if self.overlap is not None:
-            out["overlap"] = self.overlap
-        if self.per_difficulty:
-            out["per_difficulty"] = self.per_difficulty
-        out["warnings"] = list(self.warnings)
-        return out
-
-    def to_text(self) -> str:
-        lines = [f"{'questions':<14}{self.count}"]
-        if self.ex is not None:
-            lines.append(f"{'EX':<14}{self.ex:.3f}")
-        if self.ves is not None:
-            lines.append(f"{'VES':<14}{self.ves:.3f}")
-        if self.schema is not None:
+def format_report(report: dict) -> str:
+    """The aligned text `diver eval` prints for a report from evaluate()."""
+    lines = [f"{'questions':<14}{report['count']}"]
+    for key, label in (("ex", "EX"), ("ves", "VES")):
+        if key in report:
+            lines.append(f"{label:<14}{report[key]:.3f}")
+    for key, label in (("schema_f1", "schema F1"), ("value_f1", "value F1")):
+        if key in report:
+            prf = report[key]
             lines.append(
-                f"{'schema F1':<14}{self.schema['f1']:.3f}"
-                f"  (P {self.schema['precision']:.3f}, R {self.schema['recall']:.3f})"
+                f"{label:<14}{prf['f1']:.3f}"
+                f"  (P {prf['precision']:.3f}, R {prf['recall']:.3f})"
             )
-        if self.value is not None:
-            lines.append(
-                f"{'value F1':<14}{self.value['f1']:.3f}"
-                f"  (P {self.value['precision']:.3f}, R {self.value['recall']:.3f})"
-            )
-        if self.overlap is not None:
-            lines.append(
-                f"{'overlap':<14}mean {self.overlap['mean']:.3f}"
-                f"  (min {self.overlap['min']:.3f}, max {self.overlap['max']:.3f})"
-            )
-        for name in sorted(self.per_difficulty):
-            sub = self.per_difficulty[name]
-            parts = [f"n={sub['count']}"]
-            for key in ("ex", "ves"):
-                if key in sub:
-                    parts.append(f"{key.upper()} {sub[key]:.3f}")
-            if "schema_f1" in sub:
-                parts.append(f"schema F1 {sub['schema_f1']['f1']:.3f}")
-            lines.append(f"{name:<14}{'  '.join(parts)}")
-        for warning in self.warnings:
-            lines.append(f"warning: {warning}")
-        return "\n".join(lines) + "\n"
+    if "overlap" in report:
+        overlap = report["overlap"]
+        lines.append(
+            f"{'overlap':<14}mean {overlap['mean']:.3f}"
+            f"  (min {overlap['min']:.3f}, max {overlap['max']:.3f})"
+        )
+    per_difficulty = report.get("per_difficulty", {})
+    for name in sorted(per_difficulty):
+        sub = per_difficulty[name]
+        parts = [f"n={sub['count']}"]
+        for key in ("ex", "ves"):
+            if key in sub:
+                parts.append(f"{key.upper()} {sub[key]:.3f}")
+        if "schema_f1" in sub:
+            parts.append(f"schema F1 {sub['schema_f1']['f1']:.3f}")
+        lines.append(f"{name:<14}{'  '.join(parts)}")
+    for warning in report["warnings"]:
+        lines.append(f"warning: {warning}")
+    return "\n".join(lines) + "\n"
 
 
 def _mean(values: list[float]) -> float:
@@ -697,7 +667,10 @@ def evaluate(
     samples: list[EvalSample],
     metrics: tuple[str, ...] = KNOWN_METRICS,
     iterations: int = 10,
-) -> MetricReport:
+) -> dict:
+    """Score samples on the chosen metrics. The report is the dict `diver eval
+    --json` prints: _aggregate's keys, per_difficulty if any sample has a
+    difficulty, and warnings."""
     for name in metrics:
         if name not in KNOWN_METRICS:
             raise ValueError(f"unknown metric {name!r}")
@@ -760,20 +733,12 @@ def evaluate(
         for handle in handles.values():
             handle.close()
 
-    top = _aggregate(records, metrics)
-    by_difficulty: dict[str, dict] = {}
-    for name in sorted({r["difficulty"] for r in records if r["difficulty"]}):
-        subset = [r for r in records if r["difficulty"] == name]
-        by_difficulty[name] = _aggregate(subset, metrics)
-
-    return MetricReport(
-        count=top["count"],
-        metrics=tuple(metrics),
-        ex=top.get("ex"),
-        ves=top.get("ves"),
-        schema=top.get("schema_f1"),
-        value=top.get("value_f1"),
-        overlap=top.get("overlap"),
-        per_difficulty=by_difficulty,
-        warnings=warnings,
-    )
+    report = _aggregate(records, metrics)
+    by_difficulty = {
+        name: _aggregate([r for r in records if r["difficulty"] == name], metrics)
+        for name in sorted({r["difficulty"] for r in records if r["difficulty"]})
+    }
+    if by_difficulty:
+        report["per_difficulty"] = by_difficulty
+    report["warnings"] = warnings
+    return report

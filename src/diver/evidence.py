@@ -171,40 +171,29 @@ def generate_long(doc: CoTFDocument, llm, catalog: SchemaCatalog | None = None) 
 
 
 @lru_cache(maxsize=1)
-def _shot_pairs() -> tuple[tuple[CoTFDocument, str], ...]:
+def shot_messages() -> tuple[ChatMessage, ...]:
+    """The five shipped concise style examples as ten alternating messages:
+    the user message with the example's workspace, then the assistant
+    message with its one-line evidence. Each workspace is validated through
+    deserialize and rendered once per process."""
     blob = resources.files("diver").joinpath("data/concise_shots.json").read_text("utf-8")
-    pairs = []
+    messages = []
     for item in json.loads(blob):
-        doc = deserialize(json.dumps(item["cotf"]))
-        pairs.append((doc, item["evidence"]))
-    return tuple(pairs)
+        workspace = _workspace(deserialize(json.dumps(item["cotf"])))
+        messages.append(ChatMessage("user", EVIDENCE_CONCISE_USER.format(workspace=workspace)))
+        messages.append(ChatMessage("assistant", item["evidence"]))
+    return tuple(messages)
 
 
-def load_shots() -> list[tuple[CoTFDocument, str]]:
-    """The five shipped (workspace, concise evidence) style examples."""
-    return list(_shot_pairs())
-
-
-def generate_concise(
-    doc: CoTFDocument,
-    llm,
-    shots: list[tuple[CoTFDocument, str]] | None = None,
-    catalog: SchemaCatalog | None = None,
-) -> Evidence:
+def generate_concise(doc: CoTFDocument, llm, catalog: SchemaCatalog | None = None) -> Evidence:
     """One-line evidence, style-aligned through alternating example messages."""
     if not document_facts(doc):
         return Evidence(style="concise", text=NO_FINDINGS_CONCISE, candidate_count=1, source=doc)
-    if shots is None:
-        shots = load_shots()
-    messages = [ChatMessage("system", EVIDENCE_CONCISE_SYSTEM)]
-    for shot_doc, line in shots:
-        messages.append(
-            ChatMessage("user", EVIDENCE_CONCISE_USER.format(workspace=_workspace(shot_doc)))
-        )
-        messages.append(ChatMessage("assistant", line))
-    messages.append(
-        ChatMessage("user", EVIDENCE_CONCISE_USER.format(workspace=_workspace(doc)))
-    )
+    messages = [
+        ChatMessage("system", EVIDENCE_CONCISE_SYSTEM),
+        *shot_messages(),
+        ChatMessage("user", EVIDENCE_CONCISE_USER.format(workspace=_workspace(doc))),
+    ]
     raw = llm.chat(
         ChatRequest(
             messages=messages,
@@ -220,7 +209,6 @@ def self_consistency(
     llm,
     n: int = 3,
     style: str = "concise",
-    shots: list[tuple[CoTFDocument, str]] | None = None,
     catalog: SchemaCatalog | None = None,
 ) -> Evidence:
     """Generate n candidates and merge them with a union-of-facts pass.
@@ -234,12 +222,8 @@ def self_consistency(
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
 
-    def generate() -> Evidence:
-        if style == "long":
-            return generate_long(doc, llm, catalog)
-        return generate_concise(doc, llm, shots, catalog)
-
-    candidates = [generate() for _ in range(n)]
+    generate = generate_long if style == "long" else generate_concise
+    candidates = [generate(doc, llm, catalog) for _ in range(n)]
     if n == 1:
         return candidates[0]
 

@@ -1,10 +1,9 @@
 """Chat clients.
 
 LiveClient talks to a chat-completions style HTTP endpoint (credentials via
-DIVER_LLM_API_KEY) with retries, an in-flight cap, and a call log rich enough
-to turn any live run into a replay script. ScriptedSession replays canned
-responses, either in sequence or keyed by request fingerprint; running out of
-script is always an error, never a silent repetition.
+DIVER_LLM_API_KEY) with retries and an in-flight cap. ScriptedSession replays
+canned responses, either in sequence or keyed by request fingerprint; running
+out of script is always an error, never a silent repetition.
 
 structured_tool_call() layers the tool-call wire schema on top of either
 client, with exactly one repair round-trip for malformed output.
@@ -19,7 +18,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 import requests
 
@@ -68,17 +67,14 @@ class ChatRequest:
         object.__setattr__(self, "messages", tuple(self.messages))
 
 
-def _request_payload(request: ChatRequest) -> dict:
-    return {
+def fingerprint(request: ChatRequest) -> str:
+    """Stable identity of a request: sha256 over its canonical JSON."""
+    payload = {
         "messages": [{"role": m.role, "content": m.content} for m in request.messages],
         "temperature": request.temperature,
         "response_format": request.response_format,
     }
-
-
-def fingerprint(request: ChatRequest) -> str:
-    """Stable identity of a request: sha256 over its canonical JSON."""
-    blob = json.dumps(_request_payload(request), sort_keys=True, ensure_ascii=False)
+    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -140,13 +136,6 @@ class ScriptedSession:
 
 
 @dataclass
-class LogEntry:
-    fingerprint: str
-    request: dict
-    response: str
-
-
-@dataclass
 class LiveClient:
     """Chat-completions HTTP client with retries and an in-flight cap."""
 
@@ -157,7 +146,6 @@ class LiveClient:
     backoff: float = 1.0  # seconds, doubled per retry
     timeout: float = 120.0
     max_in_flight: int = 4
-    log: list[LogEntry] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.api_key is None:
@@ -169,7 +157,6 @@ class LiveClient:
         if not self.base_url:
             raise ConfigurationError("base_url must be set")
         self._gate = threading.BoundedSemaphore(self.max_in_flight)
-        self._log_lock = threading.Lock()
 
     def chat(self, request: ChatRequest) -> str:
         payload = {
@@ -194,31 +181,11 @@ class LiveClient:
                 text = resp.json()["choices"][0]["message"]["content"]
                 if not isinstance(text, str):
                     raise ProviderError(f"endpoint returned non-text content: {text!r}")
-                with self._log_lock:
-                    self.log.append(
-                        LogEntry(
-                            fingerprint=fingerprint(request),
-                            request=_request_payload(request),
-                            response=text,
-                        )
-                    )
                 return text
             except (requests.RequestException, KeyError, ValueError, IndexError) as exc:
                 last_error = exc
                 logger.warning("chat attempt %d/%d failed: %s", attempt + 1, self.max_retries, exc)
         raise ProviderError(f"chat endpoint failed after {self.max_retries} attempts: {last_error}")
-
-    def to_replay_script(self) -> dict:
-        """Dump the call log as a replay script (both sequence and
-        fingerprint views)."""
-        with self._log_lock:
-            by_fp: dict[str, list[str]] = {}
-            for entry in self.log:
-                by_fp.setdefault(entry.fingerprint, []).append(entry.response)
-            return {
-                "responses": [e.response for e in self.log],
-                "by_fingerprint": by_fp,
-            }
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)

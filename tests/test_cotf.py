@@ -309,6 +309,24 @@ def test_round_trip_fuzz():
         assert serialize(again) == serialize(doc)
 
 
+# paths to one object of each kind in a serialized golden_doc()
+LEVELS = [
+    (),
+    ("question",),
+    ("clauses", 0),
+    ("turns", 0, 0),
+    ("turns", 0, 0, "tool_call"),
+    ("turns", 0, 0, "feedback"),
+    ("verified", 0),
+]
+
+
+def at(payload, path):
+    for step in path:
+        payload = payload[step]
+    return payload
+
+
 def test_deserialize_rejects_malformed():
     good = json.loads(serialize(golden_doc()).decode("utf-8"))
 
@@ -328,7 +346,14 @@ def test_deserialize_rejects_malformed():
         lambda p: p.__setitem__("turns", []),
         lambda p: p["question"].__setitem__("text", ""),
         lambda p: p["verified"][0].__setitem__("source_turn", [0, 5]),
+        lambda p: p.__setitem__("verified", {}),
+        lambda p: p["turns"].__setitem__(0, ""),
     ]
+    # a missing and an unknown key at every level of the document
+    for path in LEVELS:
+        for key in dict(at(good, path)):
+            cases.append(lambda p, path=path, key=key: at(p, path).pop(key))
+        cases.append(lambda p, path=path: at(p, path).__setitem__("extra", None))
     for mutate in cases:
         with pytest.raises(SchemaViolation):
             deserialize(broken(mutate))
@@ -362,3 +387,59 @@ def test_hallucinated_tool_name_survives_round_trip():
         Turn("?", ToolCall("frobnicate", {"x": 1}), ToolFeedback.corrective("unknown tool: frobnicate")),
     )
     assert deserialize(serialize(doc)) == doc
+
+
+OTHER_VALUES = [None, True, 0, 7, -1, 2.5, "", "x", [], [0, 1], {}, {"x": 1}]
+
+
+def mutate(rng: random.Random, payload):
+    """Drop a key, add a key, or replace one node with a JSON value of
+    another type, somewhere in payload (in place)."""
+    nodes = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            nodes.append(node)
+            for v in node.values():
+                walk(v)
+        elif isinstance(node, list):
+            nodes.append(node)
+            for v in node:
+                walk(v)
+
+    walk(payload)
+    node = rng.choice(nodes)
+    slots = list(node) if isinstance(node, dict) else list(range(len(node)))
+    op = rng.choice(["drop", "add", "replace"]) if slots else "add"
+    if op == "add":
+        if isinstance(node, dict):
+            node["extra"] = rng.choice(OTHER_VALUES)
+        else:
+            node.append(rng.choice(OTHER_VALUES))
+        return
+    slot = rng.choice(slots)
+    if op == "drop":
+        del node[slot]
+    else:
+        old = node[slot]
+        node[slot] = rng.choice([v for v in OTHER_VALUES if type(v) is not type(old)])
+
+
+def test_mutation_fuzz_raises_schema_violation_or_round_trips():
+    rng = random.Random(20261018)
+    accepted = 0
+    for _ in range(500):
+        payload = json.loads(serialize(random_doc(rng)).decode("utf-8"))
+        mutate(rng, payload)
+        data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        try:
+            doc = deserialize(data)
+        except SchemaViolation:
+            continue
+        accepted += 1
+        # an accepted payload is already canonical: nothing was defaulted,
+        # dropped or coerced on the way in
+        canonical = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+        assert serialize(doc) == canonical.encode("utf-8")
+        assert deserialize(serialize(doc)) == doc
+    assert 0 < accepted < 500

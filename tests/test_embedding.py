@@ -188,6 +188,8 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/embed"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
 
 
 def test_remote_embedder_batches_of_64(stub_server):

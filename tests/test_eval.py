@@ -18,6 +18,7 @@ from diver.eval import (
     evaluate,
     ex_match,
     extract_entities,
+    format_report,
     linking_f1,
     token_overlap,
     ves_reward,
@@ -381,8 +382,8 @@ def test_evaluate_all_correct(eval_db):
     q = "SELECT id FROM orders WHERE region = 'west'"
     samples = [sample(eval_db, q, q, qid=f"q{i}") for i in range(4)]
     report = evaluate(samples, metrics=("ex",))
-    assert report.count == 4
-    assert report.ex == 1.0
+    assert report["count"] == 4
+    assert report["ex"] == 1.0
 
 
 def test_evaluate_half_correct_with_missing_pred(eval_db):
@@ -394,8 +395,8 @@ def test_evaluate_half_correct_with_missing_pred(eval_db):
         sample(eval_db, None, good, qid="d"),
     ]
     report = evaluate(samples, metrics=("ex",))
-    assert report.ex == 0.5
-    assert any("d" in w for w in report.warnings)
+    assert report["ex"] == 0.5
+    assert any("d" in w for w in report["warnings"])
 
 
 def test_evaluate_skips_failing_gold_with_warning(eval_db):
@@ -405,9 +406,9 @@ def test_evaluate_skips_failing_gold_with_warning(eval_db):
         sample(eval_db, good, "SELECT broken FROM nowhere", qid="bad"),
     ]
     report = evaluate(samples, metrics=("ex",))
-    assert report.count == 1
-    assert report.ex == 1.0
-    assert any("bad" in w for w in report.warnings)
+    assert report["count"] == 1
+    assert report["ex"] == 1.0
+    assert any("bad" in w for w in report["warnings"])
 
 
 def test_evaluate_per_difficulty_breakdown(eval_db):
@@ -418,8 +419,8 @@ def test_evaluate_per_difficulty_breakdown(eval_db):
         sample(eval_db, "SELECT 1", good, difficulty="challenging", qid="c1"),
     ]
     report = evaluate(samples, metrics=("ex",))
-    assert report.per_difficulty["simple"]["ex"] == 1.0
-    assert report.per_difficulty["challenging"]["ex"] == 0.0
+    assert report["per_difficulty"]["simple"]["ex"] == 1.0
+    assert report["per_difficulty"]["challenging"]["ex"] == 0.0
 
 
 def test_evaluate_runs_each_statement_once_for_its_result(eval_db, monkeypatch):
@@ -434,14 +435,14 @@ def test_evaluate_runs_each_statement_once_for_its_result(eval_db, monkeypatch):
     gold = "SELECT id FROM orders"
     pred = "SELECT id FROM orders ORDER BY id DESC"
     report = evaluate([sample(eval_db, pred, gold)], metrics=("ex", "ves"), iterations=10)
-    assert report.ex == 1.0 and report.ves > 0.0
+    assert report["ex"] == 1.0 and report["ves"] > 0.0
     # one run for the result, which doubles as the warm-up, plus ten timed
     assert runs == {gold: 11, pred: 11}
 
     runs.clear()
     miss = "SELECT customer FROM orders"
     report = evaluate([sample(eval_db, miss, gold)], metrics=("ex", "ves"), iterations=10)
-    assert report.ex == 0.0 and report.ves == 0.0
+    assert report["ex"] == 0.0 and report["ves"] == 0.0
     assert runs == {gold: 1, miss: 1}
 
 
@@ -449,13 +450,10 @@ def test_evaluate_f1_only_report(eval_db):
     q = "SELECT id FROM orders WHERE region = 'west'"
     samples = [sample(eval_db, q, q, qid="f")]
     report = evaluate(samples, metrics=("f1",))
-    assert report.ex is None
-    assert report.schema["f1"] == 1.0
-    assert report.value["f1"] == 1.0
-    d = report.to_dict()
-    assert "ex" not in d
-    assert d["schema_f1"]["f1"] == 1.0
-    text = report.to_text()
+    assert "ex" not in report
+    assert report["schema_f1"]["f1"] == 1.0
+    assert report["value_f1"]["f1"] == 1.0
+    text = format_report(report)
     assert "schema" in text.lower()
 
 
@@ -465,4 +463,4 @@ def test_evaluate_overlap_summary(eval_db):
         sample(eval_db, gold, gold, evidence="West region orders have a name.", qid="o1"),
     ]
     report = evaluate(samples, metrics=("overlap",))
-    assert report.overlap["mean"] == pytest.approx(4 / 7)
+    assert report["overlap"]["mean"] == pytest.approx(4 / 7)

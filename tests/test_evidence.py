@@ -14,6 +14,7 @@ from diver.cotf import (
     ToolFeedback,
     Turn,
     VerifiedLinking,
+    deserialize,
     document_facts,
 )
 from diver.breakup import token_refine
@@ -25,7 +26,7 @@ from diver.evidence import (
     generate_concise,
     generate_long,
     grounding_filter,
-    load_shots,
+    shot_messages,
     self_consistency,
 )
 from diver.llm import ScriptedSession
@@ -239,12 +240,15 @@ def test_long_generation_falls_back_when_everything_is_filtered(cat):
 # --- generate_concise ---
 
 
-def test_load_shots_returns_five_validated_pairs():
-    shots = load_shots()
-    assert len(shots) == 5
-    for doc, line in shots:
-        assert isinstance(doc, CoTFDocument)
-        assert isinstance(line, str) and line.strip()
+def test_shot_messages_are_five_validated_pairs():
+    messages = shot_messages()
+    assert len(messages) == 10
+    for user, assistant in zip(messages[::2], messages[1::2]):
+        assert user.role == "user" and assistant.role == "assistant"
+        workspace = user.content.split("\n", 1)[1].rsplit("\n\n", 1)[0]
+        assert isinstance(deserialize(workspace), CoTFDocument)
+        assert isinstance(assistant.content, str) and assistant.content.strip()
+    assert shot_messages() is messages
 
 
 def test_concise_generation_uses_alternating_shot_messages(cat):
@@ -254,15 +258,13 @@ def test_concise_generation_uses_alternating_shot_messages(cat):
     assert ev.style == "concise"
     assert ev.text == "Grade K refers to `Low Grade` = 'K'."
 
-    shots = load_shots()
+    shots = shot_messages()
     req = llm.requests[0]
-    assert len(req.messages) == 2 * len(shots) + 2
+    assert len(req.messages) == len(shots) + 2
     assert req.messages[0].content == EVIDENCE_CONCISE_SYSTEM
     roles = [m.role for m in req.messages[1:]]
-    assert roles == ["user", "assistant"] * len(shots) + ["user"]
-    for i, (shot_doc, line) in enumerate(shots):
-        assert shot_doc.question.text in req.messages[1 + 2 * i].content
-        assert req.messages[2 + 2 * i].content == line
+    assert roles == ["user", "assistant"] * (len(shots) // 2) + ["user"]
+    assert req.messages[1:-1] == shots
     assert '"Low Grade"' in req.messages[-1].content
 
 

@@ -202,6 +202,8 @@ def chat_stub():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
 
 
 def test_live_client_requires_key(monkeypatch):
@@ -250,19 +252,3 @@ def test_live_client_caps_in_flight_requests(chat_stub, monkeypatch):
     for t in threads:
         t.join()
     assert _ChatStub.max_concurrent <= 2
-
-
-def test_live_log_converts_to_replay_script(chat_stub, monkeypatch):
-    monkeypatch.setenv("DIVER_LLM_API_KEY", "sk-test")
-    client = LiveClient(base_url=chat_stub, model="m")
-    reqs = [_req("one"), _req("two", temperature=0.2)]
-    live_answers = [client.chat(r) for r in reqs]
-
-    script = client.to_replay_script()
-    replay = ScriptedSession(script)
-    assert [replay.chat(r) for r in reqs] == live_answers
-
-    # fingerprint-keyed replay works too, in any request order
-    replay_fp = ScriptedSession({"by_fingerprint": script["by_fingerprint"]})
-    assert replay_fp.chat(reqs[1]) == live_answers[1]
-    assert replay_fp.chat(reqs[0]) == live_answers[0]
