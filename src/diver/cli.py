@@ -17,7 +17,7 @@ from .cotf import FEEDBACK_KINDS, Question, deserialize, serialize
 from .database import db_path_for, description_dir_for
 from .embedding import LexicalEmbedder, RemoteEmbedder
 from .errors import ConfigurationError, DiverError
-from .eval import KNOWN_METRICS, EvalSample, evaluate, format_report
+from .eval import EvalSample, evaluate, format_report
 from .llm import LiveClient, ScriptedSession
 from .pipeline import DEFAULT_CANDIDATES, DEFAULT_MAX_TURNS, PipelineConfig, run_question
 from .toolbox import TOOL_NAMES
@@ -200,14 +200,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    bad = [m for m in metrics if m not in KNOWN_METRICS]
-    if bad or not metrics:
-        print(
-            f"error: unknown metrics {bad}; choose from {', '.join(KNOWN_METRICS)}",
-            file=sys.stderr,
-        )
-        return 2
     try:
         rows = _load_json(args.dataset, "dataset")
         predictions = _load_json(args.predictions, "predictions")
@@ -236,7 +228,12 @@ def cmd_eval(args) -> int:
                 evidence_text=row.get("evidence"),
             )
         )
-    report = evaluate(samples, metrics=metrics, iterations=args.iterations)
+    metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
+    try:
+        report = evaluate(samples, metrics=metrics, iterations=args.iterations)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(_dump_json(report) if args.json else format_report(report), end="")
     if args.out:
         Path(args.out).write_text(_dump_json(report), encoding="utf-8")

@@ -5,6 +5,13 @@ clause (thought, tool call, feedback), and the verified linkings harvested at
 the end. The whole document serializes to canonical JSON (sorted keys, UTF-8,
 two-space indent, trailing newline) so replayed runs are byte-identical.
 
+The workspace is re-serialized on every probing round and by every evidence
+candidate, so serialize encodes each turn once and keeps the text on the
+document, as turn_facts does with a turn's facts. Both caches assume a turn
+never changes after append_turn: nothing in this package assigns to a Turn,
+its ToolCall or its ToolFeedback once the turn is appended (the toolbox
+records a drawn random seed into the call's args before the turn is built).
+
 Tool names are not validated here: a call keeps whatever name the model gave,
 and the tool table toolbox.TOOLS judges it at dispatch time. The only tool
 this module knows is the stop signal "none", which ends a clause.
@@ -35,6 +42,11 @@ Scalar = str | int | float | bool | None
 
 def _is_scalar(v: Any) -> bool:
     return v is None or isinstance(v, (str, int, float, bool))
+
+
+def _is_int(v: Any) -> bool:
+    """An integer that is not a bool: true and false are no JSON integers."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def jsonify(value: Any) -> Any:
@@ -85,7 +97,7 @@ class Clause:
     token_span: tuple[int, int]  # half-open token indices into the question
 
     def __post_init__(self) -> None:
-        if not isinstance(self.index, int) or self.index < 0:
+        if not _is_int(self.index) or self.index < 0:
             raise SchemaViolation("clause.index must be a non-negative integer")
         if not isinstance(self.text, str) or not self.text:
             raise SchemaViolation("clause.text must be a non-empty string")
@@ -93,7 +105,7 @@ class Clause:
         if (
             not isinstance(span, tuple)
             or len(span) != 2
-            or not all(isinstance(x, int) for x in span)
+            or not all(_is_int(x) for x in span)
             or not 0 <= span[0] < span[1]
         ):
             raise SchemaViolation(f"clause.token_span malformed: {span!r}")
@@ -191,7 +203,7 @@ class VerifiedLinking:
         if (
             not isinstance(st, tuple)
             or len(st) != 2
-            or not all(isinstance(x, int) and x >= 0 for x in st)
+            or not all(_is_int(x) and x >= 0 for x in st)
         ):
             raise SchemaViolation(f"linking.source_turn malformed: {st!r}")
 
@@ -205,7 +217,11 @@ class CoTFDocument:
     max_turns: int = 5
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_turns, int) or self.max_turns < 1:
+        # per-turn caches of serialize and turn_facts; plain attributes, not
+        # fields, so they take no part in equality, repr or the wire format
+        self._fragments: dict[int, tuple[Turn, str]] = {}
+        self._facts: dict[int, tuple[Turn, frozenset[str]]] = {}
+        if not _is_int(self.max_turns) or self.max_turns < 1:
             raise SchemaViolation("max_turns must be a positive integer")
         if not self.clauses:
             raise SchemaViolation("document needs at least one clause")
@@ -278,7 +294,7 @@ class Evidence:
             raise SchemaViolation(f"unknown evidence style: {self.style!r}")
         if not isinstance(self.text, str):
             raise SchemaViolation("evidence.text must be a string")
-        if not isinstance(self.candidate_count, int) or self.candidate_count < 1:
+        if not _is_int(self.candidate_count) or self.candidate_count < 1:
             raise SchemaViolation("evidence.candidate_count must be a positive integer")
         if not isinstance(self.source, CoTFDocument):
             raise SchemaViolation("evidence.source must be a CoTFDocument")
@@ -301,24 +317,35 @@ def _collect_strings(value: Any, into: set[str]) -> None:
             _collect_strings(v, into)
 
 
-def turn_facts(turn: Turn) -> set[str]:
-    """Every string a successful probe put on the record: its arguments plus
-    its result payload. Empty for corrective and guiding turns."""
+def _memo(cache: dict[int, tuple[Turn, Any]], turn: Turn, compute) -> Any:
+    """compute(turn), computed once per turn object. The entry holds the turn
+    itself, so its id cannot be reused by another object while cached; a
+    different turn that happens to be equal is computed from its own fields."""
+    hit = cache.get(id(turn))
+    if hit is None or hit[0] is not turn:
+        hit = cache[id(turn)] = (turn, compute(turn))
+    return hit[1]
+
+
+def _collect_facts(turn: Turn) -> frozenset[str]:
     if turn.feedback.kind != "standard":
-        return set()
+        return frozenset()
     facts: set[str] = set()
-    _collect_strings(dict(turn.tool_call.args), facts)
+    _collect_strings(turn.tool_call.args, facts)
     _collect_strings(turn.feedback.result, facts)
-    return facts
+    return frozenset(facts)
 
 
-def document_facts(doc: CoTFDocument) -> set[str]:
+def turn_facts(doc: CoTFDocument, turn: Turn) -> frozenset[str]:
+    """Every string a successful probe put on the record: its arguments plus
+    its result payload. Empty for corrective and guiding turns. Collected
+    once per turn of doc."""
+    return _memo(doc._facts, turn, _collect_facts)
+
+
+def document_facts(doc: CoTFDocument) -> frozenset[str]:
     """Union of turn_facts over the whole document."""
-    facts: set[str] = set()
-    for column in doc.turns:
-        for turn in column:
-            facts |= turn_facts(turn)
-    return facts
+    return frozenset().union(*(turn_facts(doc, t) for column in doc.turns for t in column))
 
 
 def append_turn(doc: CoTFDocument, clause_index: int, turn: Turn) -> CoTFDocument:
@@ -344,10 +371,43 @@ def detect_repeat(doc: CoTFDocument, clause_index: int, call: ToolCall) -> bool:
     return any(t.tool_call == call for t in doc.turns[clause_index])
 
 
-def serialize(doc: CoTFDocument) -> bytes:
-    """Canonical JSON bytes: sorted keys, UTF-8, indent 2, trailing newline."""
-    q = doc.question
+def _encode(payload: Any) -> str:
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
+
+
+def _turn_fragment(turn: Turn) -> str:
+    """The turn as it appears in the document, three levels deep. A JSON
+    string never holds a raw newline, so every newline is a line break of
+    the layout and takes the extra indent."""
     payload = {
+        "thought": turn.thought,
+        "tool_call": {"tool": turn.tool_call.tool, "args": turn.tool_call.args},
+        "feedback": {
+            "kind": turn.feedback.kind,
+            "message": turn.feedback.message,
+            "result": turn.feedback.result,
+        },
+    }
+    return _encode(payload).replace("\n", "\n      ")
+
+
+def _layout_array(items: list[str], indent: str) -> str:
+    """What json.dumps(indent=2) writes for an array whose closing bracket
+    sits at indent, given its items already laid out one level deeper."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def serialize(doc: CoTFDocument) -> bytes:
+    """Canonical JSON bytes: sorted keys, UTF-8, indent 2, trailing newline.
+
+    Byte-identical to json.dumps(payload, sort_keys=True, ensure_ascii=False,
+    indent=2) of the whole document, but each turn is encoded once per
+    document; only the small rest is encoded on every call."""
+    q = doc.question
+    head = {
         "schema_version": SCHEMA_VERSION,
         "question": {
             "question_id": q.question_id,
@@ -360,21 +420,6 @@ def serialize(doc: CoTFDocument) -> bytes:
         "clauses": [
             {"index": c.index, "text": c.text, "token_span": list(c.token_span)}
             for c in doc.clauses
-        ],
-        "turns": [
-            [
-                {
-                    "thought": t.thought,
-                    "tool_call": {"tool": t.tool_call.tool, "args": t.tool_call.args},
-                    "feedback": {
-                        "kind": t.feedback.kind,
-                        "message": t.feedback.message,
-                        "result": t.feedback.result,
-                    },
-                }
-                for t in column
-            ]
-            for column in doc.turns
         ],
         "verified": [
             {
@@ -389,8 +434,18 @@ def serialize(doc: CoTFDocument) -> bytes:
         ],
         "max_turns": doc.max_turns,
     }
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-    return text.encode("utf-8")
+    turns = _layout_array(
+        [
+            _layout_array([_memo(doc._fragments, t, _turn_fragment) for t in column], "    ")
+            for column in doc.turns
+        ],
+        "  ",
+    )
+    text = _encode(head)
+    # "turns" sorts between "schema_version" and "verified", the last key; a
+    # top-level key is the only line that starts with two spaces and a quote
+    cut = text.index('\n  "verified": ')
+    return (text[:cut] + '\n  "turns": ' + turns + "," + text[cut:] + "\n").encode("utf-8")
 
 
 def _build(cls, obj: dict, **parsed: Any) -> Any:

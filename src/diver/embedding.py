@@ -145,14 +145,17 @@ def _truncate(text: str, max_length: int) -> str:
     return text
 
 
-def similarity_score(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine mapped onto [0, 1]; zero vectors score 0."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+def _cosine_score(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
     if na == 0 or nb == 0:
         return 0.0
     cos = float(np.dot(a, b) / (na * nb))
     cos = max(-1.0, min(1.0, cos))
     return (1.0 + cos) / 2.0
+
+
+def similarity_score(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine mapped onto [0, 1]; zero vectors score 0."""
+    return _cosine_score(a, b, np.linalg.norm(a), np.linalg.norm(b))
 
 
 def _ranked(scored: list[tuple[int, float]], candidates: list[str], k: int):
@@ -168,9 +171,14 @@ def top_k(embedder, query: str, candidates: list[str], k: int) -> list[tuple[int
     if not candidates:
         return []
     matrix = embedder.embed([query] + candidates)
-    scored = [
-        (i, similarity_score(matrix[0], matrix[i + 1])) for i in range(len(candidates))
-    ]
+    # np.linalg.norm of a 1-D float vector is np.sqrt(x.dot(x)); taking that
+    # directly, and the query's only once, gives similarity_score bit for bit
+    q = matrix[0]
+    nq = np.sqrt(q.dot(q))
+    scored = []
+    for i in range(len(candidates)):
+        row = matrix[i + 1]
+        scored.append((i, _cosine_score(q, row, nq, np.sqrt(row.dot(row)))))
     return _ranked(scored, candidates, k)
 
 

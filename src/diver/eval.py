@@ -671,9 +671,9 @@ def evaluate(
     """Score samples on the chosen metrics. The report is the dict `diver eval
     --json` prints: _aggregate's keys, per_difficulty if any sample has a
     difficulty, and warnings."""
-    for name in metrics:
-        if name not in KNOWN_METRICS:
-            raise ValueError(f"unknown metric {name!r}")
+    bad = [m for m in metrics if m not in KNOWN_METRICS]
+    if bad or not metrics:
+        raise ValueError(f"unknown metrics {bad}; choose from {', '.join(KNOWN_METRICS)}")
     needs_execution = "ex" in metrics or "ves" in metrics
 
     handles: dict[Path, DatabaseHandle] = {}

@@ -169,11 +169,11 @@ def harvest_linkings(
         logger.warning("linking harvest output was not a JSON array; keeping none")
         return []
 
-    grounded_turns: list[tuple[tuple[int, int], set[str]]] = []
+    grounded_turns: list[tuple[tuple[int, int], frozenset[str]]] = []
     for ci, column in enumerate(doc.turns):
         for ti, turn in enumerate(column):
             if turn.feedback.kind == "standard":
-                grounded_turns.append(((ci, ti), turn_facts(turn)))
+                grounded_turns.append(((ci, ti), turn_facts(doc, turn)))
     facts_by_index = dict(grounded_turns)
 
     out: list[VerifiedLinking] = []

@@ -371,6 +371,22 @@ def test_eval_f1_only_omits_execution_sections(tmp_path, db_root, capsys):
     assert not any(line.startswith("VES") for line in lines)
 
 
+@pytest.mark.parametrize(
+    "metrics, bad", [("ex,bleu", "['bleu']"), ("", "[]"), (" , ", "[]")]
+)
+def test_eval_rejects_unknown_or_empty_metrics(tmp_path, db_root, capsys, metrics, bad):
+    dataset = write_dataset(tmp_path / "eval.json", EVAL_DATASET)
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps({}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    rc = cli.main(eval_args(dataset, pred_path, db_root, out, metrics=metrics))
+    assert rc == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unknown metrics {bad}; choose from ex, ves, f1, overlap\n" in captured.err
+
+
 def test_eval_missing_dataset_is_a_hard_failure(tmp_path, db_root):
     rc = cli.main(
         eval_args(tmp_path / "nope.json", tmp_path / "nope2.json", db_root, tmp_path / "r.json")

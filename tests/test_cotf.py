@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diver.cotf import (
     Clause,
@@ -309,6 +312,114 @@ def test_round_trip_fuzz():
         assert serialize(again) == serialize(doc)
 
 
+def one_shot_bytes(doc: CoTFDocument) -> bytes:
+    """Reference encoding: the whole document's fields through json.dumps."""
+    payload = {**asdict(doc), "schema_version": 1}
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    return text.encode("utf-8")
+
+
+# quotes, backslashes, control characters, a JSON-legal line separator and
+# non-ASCII letters up to the astral plane, mixed into arbitrary text
+TRICKY = st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "ש", "数", "\u2028", "😀"]
+)
+TEXT = st.text(TRICKY | st.characters(exclude_categories=("Cs",)), max_size=10)
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | TEXT
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+FEEDBACK = (
+    st.builds(ToolFeedback.standard, st.dictionaries(TEXT, JSON_VALUES, max_size=3), TEXT)
+    | st.builds(ToolFeedback.corrective, TEXT.filter(bool))
+    | st.builds(ToolFeedback.guiding, TEXT.filter(bool))
+)
+TURNS = st.builds(
+    Turn,
+    thought=TEXT,
+    tool_call=st.builds(
+        ToolCall,
+        tool=st.sampled_from(TOOL_NAMES) | TEXT,
+        args=st.dictionaries(TEXT, SCALARS, max_size=3),
+    ),
+    feedback=FEEDBACK,
+)
+LINKINGS = st.tuples(st.integers(0, 99), TEXT.filter(bool), st.none() | TEXT, TEXT)
+
+
+@st.composite
+def growing_documents(draw):
+    """An empty document plus the turns and linkings to add to it."""
+    text = " ".join(draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=8)))
+    n_tokens = len(tokenize(text))
+    cuts = draw(st.sets(st.integers(1, n_tokens - 1), max_size=3)) if n_tokens > 1 else set()
+    question = Question(
+        question_id=draw(TEXT.filter(bool)),
+        db_id="db",
+        text=text,
+        gold_sql=draw(st.none() | TEXT),
+        expert_evidence=draw(st.none() | TEXT),
+        difficulty=draw(st.none() | TEXT),
+    )
+    doc = CoTFDocument(
+        question=question,
+        clauses=make_clauses(text, sorted(cuts)),
+        max_turns=draw(st.integers(1, 4)),
+    )
+    turns = draw(st.lists(st.tuples(st.integers(0, len(cuts)), TURNS), max_size=8))
+    return doc, turns, draw(st.lists(LINKINGS, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(growing_documents())
+def test_serialize_equals_one_shot_encoding_as_the_document_grows(case):
+    doc, turns, linkings = case
+
+    def check():
+        data = serialize(doc)
+        assert data == one_shot_bytes(doc)
+        again = deserialize(data)
+        assert again == doc
+        # equal turns that are other objects are encoded from their own fields
+        assert serialize(again) == data
+
+    check()
+    for ci, turn in turns:
+        column = doc.turns[ci]
+        if len(column) < doc.max_turns and not (column and column[-1].tool_call.tool == "none"):
+            append_turn(doc, ci, turn)
+            check()
+    sources = [
+        (ci, ti)
+        for ci, column in enumerate(doc.turns)
+        for ti, turn in enumerate(column)
+        if turn.feedback.kind == "standard"
+    ]
+    for pick, table, column, rationale in linkings:
+        if not sources:
+            break
+        doc.add_verified(
+            VerifiedLinking(
+                kind="schema",
+                table=table,
+                column=column,
+                literal=None,
+                rationale=rationale,
+                source_turn=sources[pick % len(sources)],
+            )
+        )
+        check()
+    # a turn put in place of a cached one is encoded, not looked up, also
+    # once the turns it replaced are freed and their ids come round again
+    for suffix in "!?!?":
+        for column in doc.turns:
+            for ti, turn in enumerate(column):
+                column[ti] = replace(turn, thought=turn.thought + suffix)
+        check()
+
+
 # paths to one object of each kind in a serialized golden_doc()
 LEVELS = [
     (),
@@ -348,6 +459,11 @@ def test_deserialize_rejects_malformed():
         lambda p: p["verified"][0].__setitem__("source_turn", [0, 5]),
         lambda p: p.__setitem__("verified", {}),
         lambda p: p["turns"].__setitem__(0, ""),
+        # JSON booleans are not integers
+        lambda p: p.__setitem__("max_turns", True),
+        lambda p: p["clauses"][0].__setitem__("index", False),
+        lambda p: p["clauses"][0]["token_span"].__setitem__(0, False),
+        lambda p: p["verified"][0]["source_turn"].__setitem__(1, False),
     ]
     # a missing and an unknown key at every level of the document
     for path in LEVELS:

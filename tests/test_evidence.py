@@ -97,6 +97,8 @@ def test_evidence_validates_style_and_count():
         Evidence(style="verbose", text="x", candidate_count=1, source=doc)
     with pytest.raises(SchemaViolation):
         Evidence(style="long", text="x", candidate_count=0, source=doc)
+    with pytest.raises(SchemaViolation):
+        Evidence(style="long", text="x", candidate_count=True, source=doc)
 
 
 def test_evidence_must_be_nonempty_when_linkings_exist():
