@@ -36,13 +36,19 @@ FILES = {
 }
 
 
+def render() -> dict[str, str]:
+    """The text of each docs/ file, ending in one newline."""
+    texts = {}
+    for name, producer in FILES.items():
+        text = producer()
+        texts[name] = text if text.endswith("\n") else text + "\n"
+    return texts
+
+
 def main() -> None:
     docs = ROOT / "docs"
     docs.mkdir(exist_ok=True)
-    for name, producer in FILES.items():
-        text = producer()
-        if not text.endswith("\n"):
-            text += "\n"
+    for name, text in render().items():
         (docs / name).write_text(text, encoding="utf-8")
         print(f"wrote docs/{name} ({len(text)} bytes)")
 

@@ -331,18 +331,22 @@ def build_shots():
     return shots
 
 
-def main():
+def render() -> str:
+    """The text of concise_shots.json: each shot's workspace, checked to
+    deserialize, with its evidence line."""
     payload = []
     for d, line in build_shots():
         blob = serialize(d)
         deserialize(blob)
         payload.append({"cotf": json.loads(blob.decode("utf-8")), "evidence": line})
+    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+def main():
+    text = render()
     OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {len(payload)} shots to {OUT}")
+    OUT.write_text(text, encoding="utf-8")
+    print(f"wrote {OUT} ({len(text)} bytes)")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .tokens import tokenize
 logger = logging.getLogger(__name__)
 
 
-def segment(question_text: str, llm, temperature: float = SEGMENTATION_TEMPERATURE) -> list[str]:
+def segment(question_text: str, llm) -> list[str]:
     """Coarse segmentation: ask for a JSON array of clause strings.
 
     Unparseable output degrades to [] (the caller falls back to one clause);
@@ -29,7 +29,7 @@ def segment(question_text: str, llm, temperature: float = SEGMENTATION_TEMPERATU
             ChatMessage("system", SEGMENTATION_SYSTEM),
             ChatMessage("user", SEGMENTATION_USER.format(question=question_text)),
         ],
-        temperature=temperature,
+        temperature=SEGMENTATION_TEMPERATURE,
         response_format="free_text",
     )
     response = llm.chat(request)

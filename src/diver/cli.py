@@ -13,13 +13,13 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .cotf import FEEDBACK_KINDS, Question, deserialize, serialize
+from .cotf import DEFAULT_MAX_TURNS, FEEDBACK_KINDS, Question, deserialize, serialize
 from .database import db_path_for, description_dir_for
 from .embedding import LexicalEmbedder, RemoteEmbedder
 from .errors import ConfigurationError, DiverError
 from .eval import EvalSample, evaluate, format_report
 from .llm import LiveClient, ScriptedSession
-from .pipeline import DEFAULT_CANDIDATES, DEFAULT_MAX_TURNS, PipelineConfig, run_question
+from .pipeline import DEFAULT_CANDIDATES, PipelineConfig, run_question
 from .toolbox import TOOL_NAMES
 
 log = logging.getLogger(__name__)
@@ -117,7 +117,7 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    jobs = max(1, args.jobs)
+    jobs = args.jobs
     if sequential and jobs != 1:
         log.warning("sequence replay scripts run single-threaded; ignoring --jobs %d", jobs)
         jobs = 1
@@ -295,6 +295,13 @@ def cmd_trace_stats(args) -> int:
 # --- entry point ---
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diver",
@@ -307,15 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--db-root", required=True, help="directory of <db_id>/<db_id>.sqlite")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--style", choices=["long", "concise", "both"], default="concise")
-    run.add_argument("--max-turns", type=int, default=DEFAULT_MAX_TURNS)
-    run.add_argument("--candidates", type=int, default=DEFAULT_CANDIDATES)
+    run.add_argument("--max-turns", type=positive_int, default=DEFAULT_MAX_TURNS)
+    run.add_argument("--candidates", type=positive_int, default=DEFAULT_CANDIDATES)
     run.add_argument("--mock-llm", help="replay script JSON instead of a live model")
     run.add_argument("--llm-endpoint", help="chat-completions base URL")
     run.add_argument("--llm-model", default="gpt-4o")
     run.add_argument("--embedder", choices=["remote", "lexical"], default="lexical")
     run.add_argument("--embedder-endpoint")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--jobs", type=positive_int, default=1)
     run.add_argument("--force", action="store_true", help="redo finished questions")
 
     ev = sub.add_parser("eval", help="score predictions against gold SQL")

@@ -32,6 +32,7 @@ from .errors import (
 from .tokens import tokenize
 
 SCHEMA_VERSION = 1
+DEFAULT_MAX_TURNS = 5  # probing turns per clause unless a run sets its own
 
 FEEDBACK_KINDS = ("standard", "corrective", "guiding")
 LINKING_KINDS = ("value", "schema", "function")
@@ -214,7 +215,7 @@ class CoTFDocument:
     clauses: list[Clause]
     turns: list[list[Turn]] = field(default_factory=list)
     verified: list[VerifiedLinking] = field(default_factory=list)
-    max_turns: int = 5
+    max_turns: int = DEFAULT_MAX_TURNS
 
     def __post_init__(self) -> None:
         # per-turn caches of serialize and turn_facts; plain attributes, not

@@ -39,6 +39,7 @@ READ_KEYWORDS = {"select", "with", "values"}
 
 DESCRIPTION_ENCODINGS = ("utf-8-sig", "cp1252", "latin-1")
 
+STATEMENT_TIMEOUT = 30.0  # seconds one statement may run before it is interrupted
 MEMO_ROWS = 200_000  # result rows one database file's memo may hold
 MEMO_FILES = 32  # database files whose memo is kept at once
 
@@ -143,9 +144,8 @@ def _memo_for(path: Path) -> _Memo:
 class DatabaseHandle:
     """One read-only connection to one SQLite file."""
 
-    def __init__(self, path: Path, statement_timeout: float = 30.0):
+    def __init__(self, path: Path):
         self.path = Path(path)
-        self.statement_timeout = statement_timeout
         self._deadline: float | None = None
         uri = self.path.resolve().as_uri() + "?mode=ro"
         try:
@@ -170,7 +170,7 @@ class DatabaseHandle:
         """Run one statement and fetch its (column names, rows) while the
         statement deadline still holds. No keyword filtering: catalog
         PRAGMAs come through here."""
-        self._deadline = time.perf_counter() + self.statement_timeout
+        self._deadline = time.perf_counter() + STATEMENT_TIMEOUT
         try:
             cursor = self._conn.execute(sql, tuple(params))
             rows = cursor.fetchall()
@@ -219,11 +219,11 @@ def _first_keyword(sql: str) -> str:
     return m.group(0).lower() if m else ""
 
 
-def open_database(path: str | Path, statement_timeout: float = 30.0) -> DatabaseHandle:
+def open_database(path: str | Path) -> DatabaseHandle:
     p = Path(path)
     if not p.exists():
         raise NotFound(f"database file does not exist: {p}")
-    return DatabaseHandle(p, statement_timeout=statement_timeout)
+    return DatabaseHandle(p)
 
 
 def quote_identifier(name: str) -> str:

@@ -22,9 +22,10 @@ from .errors import EmbedderUnavailable, EmptyInput
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_DIMENSION = 512
-DEFAULT_MAX_LENGTH = 8192
-REMOTE_BATCH_SIZE = 64
+DEFAULT_DIMENSION = 512  # width of a lexical vector
+DEFAULT_MAX_LENGTH = 8192  # characters of a text kept for embedding
+REMOTE_BATCH_SIZE = 64  # texts per request to a remote endpoint
+REMOTE_TIMEOUT = 30.0  # seconds per request to a remote endpoint
 
 
 def _grams(text: str) -> list[str]:
@@ -47,11 +48,11 @@ def trigram_jaccard(a: str, b: str) -> float:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def _bucket(gram: str, dimension: int) -> tuple[int, float]:
+def _bucket(gram: str) -> tuple[int, float]:
     digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
     value = int.from_bytes(digest, "big")
     sign = 1.0 if value & 1 else -1.0
-    return (value >> 1) % dimension, sign
+    return (value >> 1) % DEFAULT_DIMENSION, sign
 
 
 class LexicalEmbedder:
@@ -63,24 +64,20 @@ class LexicalEmbedder:
     vectors.
     """
 
-    def __init__(self, dimension: int = DEFAULT_DIMENSION, max_length: int = DEFAULT_MAX_LENGTH):
-        self.dimension = dimension
-        self.max_length = max_length
-
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise EmptyInput("embed() needs at least one text")
-        texts = [_truncate(t, self.max_length) for t in texts]
+        texts = [_truncate(t) for t in texts]
         counts = [Counter(_grams(t)) for t in texts]
         df: Counter = Counter()
         for c in counts:
             df.update(set(c))
         n = len(texts)
         idf = {g: math.log((1 + n) / (1 + d)) + 1.0 for g, d in df.items()}
-        out = np.zeros((n, self.dimension), dtype=np.float64)
+        out = np.zeros((n, DEFAULT_DIMENSION), dtype=np.float64)
         for row, c in enumerate(counts):
             for gram, tf in c.items():
-                bucket, sign = _bucket(gram, self.dimension)
+                bucket, sign = _bucket(gram)
                 out[row, bucket] += sign * (1.0 + math.log(tf)) * idf[gram]
             norm = np.linalg.norm(out[row])
             if norm > 0:
@@ -92,36 +89,26 @@ class RemoteEmbedder:
     """HTTP embedding backend. POST {"input": [...]} per batch of 64, expects
     {"data": [{"embedding": [...]}, ...]} in input order."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key: str | None = None,
-        batch_size: int = REMOTE_BATCH_SIZE,
-        timeout: float = 30.0,
-        max_length: int = DEFAULT_MAX_LENGTH,
-    ):
+    def __init__(self, endpoint: str, api_key: str | None = None):
         self.endpoint = endpoint
         self.api_key = api_key
-        self.batch_size = batch_size
-        self.timeout = timeout
-        self.max_length = max_length
 
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise EmptyInput("embed() needs at least one text")
-        texts = [_truncate(t, self.max_length) for t in texts]
+        texts = [_truncate(t) for t in texts]
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         rows: list[list[float]] = []
-        for start in range(0, len(texts), self.batch_size):
-            batch = texts[start : start + self.batch_size]
+        for start in range(0, len(texts), REMOTE_BATCH_SIZE):
+            batch = texts[start : start + REMOTE_BATCH_SIZE]
             try:
                 resp = requests.post(
                     self.endpoint,
                     json={"input": batch},
                     headers=headers,
-                    timeout=self.timeout,
+                    timeout=REMOTE_TIMEOUT,
                 )
                 resp.raise_for_status()
                 data = resp.json()["data"]
@@ -138,10 +125,12 @@ class RemoteEmbedder:
         return np.asarray(rows, dtype=np.float64)
 
 
-def _truncate(text: str, max_length: int) -> str:
-    if len(text) > max_length:
-        logger.warning("truncating %d-char text to %d chars for embedding", len(text), max_length)
-        return text[:max_length]
+def _truncate(text: str) -> str:
+    if len(text) > DEFAULT_MAX_LENGTH:
+        logger.warning(
+            "truncating %d-char text to %d chars for embedding", len(text), DEFAULT_MAX_LENGTH
+        )
+        return text[:DEFAULT_MAX_LENGTH]
     return text
 
 
@@ -151,11 +140,6 @@ def _cosine_score(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
     cos = float(np.dot(a, b) / (na * nb))
     cos = max(-1.0, min(1.0, cos))
     return (1.0 + cos) / 2.0
-
-
-def similarity_score(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine mapped onto [0, 1]; zero vectors score 0."""
-    return _cosine_score(a, b, np.linalg.norm(a), np.linalg.norm(b))
 
 
 def _ranked(scored: list[tuple[int, float]], candidates: list[str], k: int):
@@ -171,8 +155,8 @@ def top_k(embedder, query: str, candidates: list[str], k: int) -> list[tuple[int
     if not candidates:
         return []
     matrix = embedder.embed([query] + candidates)
-    # np.linalg.norm of a 1-D float vector is np.sqrt(x.dot(x)); taking that
-    # directly, and the query's only once, gives similarity_score bit for bit
+    # np.linalg.norm of a 1-D float vector is np.sqrt(x.dot(x)) bit for bit;
+    # computing that directly skips its overhead, and the query's is taken once
     q = matrix[0]
     nq = np.sqrt(q.dot(q))
     scored = []

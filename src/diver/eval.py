@@ -512,19 +512,15 @@ def linking_f1(gold: LinkingSets, pred: LinkingSets) -> dict[str, dict[str, floa
 # --- token overlap ---
 
 
-def token_overlap(evidence: str, sql: str, denominator: str = "sql") -> float:
+def token_overlap(evidence: str, sql: str) -> float:
     """Share of the SQL's non-keyword tokens that the evidence mentions."""
-    if denominator not in ("sql", "evidence"):
-        raise ValueError(f"unknown denominator {denominator!r}")
     sql_tokens = {
         t for t in _OVERLAP_TOKEN_RE.findall(sql.lower()) if t not in OVERLAP_STOPWORDS
     }
-    evidence_tokens = set(_OVERLAP_TOKEN_RE.findall(evidence.lower()))
-    hits = sql_tokens & evidence_tokens
-    base = sql_tokens if denominator == "sql" else evidence_tokens
-    if not base:
+    if not sql_tokens:
         return 0.0
-    return len(hits) / len(base)
+    evidence_tokens = set(_OVERLAP_TOKEN_RE.findall(evidence.lower()))
+    return len(sql_tokens & evidence_tokens) / len(sql_tokens)
 
 
 # --- execution accuracy ---
@@ -535,18 +531,13 @@ def _order_sensitive(gold_sql: str) -> bool:
 
 
 def ex_match(
-    handle: DatabaseHandle,
-    pred_sql: str | None,
-    gold_sql: str,
-    gold: ResultSet | None = None,
+    handle: DatabaseHandle, pred_sql: str | None, gold_sql: str, gold: ResultSet
 ) -> bool:
-    """True when pred and gold return the same rows. Errors count as a miss.
-    gold is gold_sql's result when the caller has already run it."""
+    """True when pred_sql returns the same rows as gold, gold_sql's result.
+    A prediction that fails to run counts as a miss."""
     if not pred_sql:
         return False
     try:
-        if gold is None:
-            gold = handle.query(gold_sql)
         pred = handle.query(pred_sql)
     except DiverError:
         return False
@@ -572,17 +563,14 @@ def ves_reward(
     handle: DatabaseHandle,
     pred_sql: str | None,
     gold_sql: str,
+    matched: bool,
     iterations: int = 10,
-    matched: bool | None = None,
 ) -> float:
     """sqrt(gold_time / pred_time) when results match, else 0. matched is the
-    EX verdict when the caller already has it; the runs that produced it
-    serve as the warm-up, so the first timed sample is not paying cache
-    costs."""
+    pair's EX verdict; the runs that produced it serve as the warm-up, so the
+    first timed sample is not paying cache costs."""
     if iterations < 3:
         raise ValueError("iterations must be at least 3")
-    if matched is None:
-        matched = ex_match(handle, pred_sql, gold_sql)
     if not matched:
         return 0.0
     assert pred_sql is not None
@@ -704,16 +692,12 @@ def evaluate(
             record: dict = {"difficulty": sample.difficulty}
             if needs_execution:
                 # each statement runs once for its result; VES reuses the verdict
-                matched = ex_match(handle, sample.pred_sql, sample.gold_sql, gold=gold)
+                matched = ex_match(handle, sample.pred_sql, sample.gold_sql, gold)
                 if "ex" in metrics:
                     record["ex"] = float(matched)
                 if "ves" in metrics:
                     record["ves"] = ves_reward(
-                        handle,
-                        sample.pred_sql,
-                        sample.gold_sql,
-                        iterations=iterations,
-                        matched=matched,
+                        handle, sample.pred_sql, sample.gold_sql, matched, iterations
                     )
             if "f1" in metrics:
                 if path not in catalogs:

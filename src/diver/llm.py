@@ -36,6 +36,11 @@ logger = logging.getLogger(__name__)
 API_KEY_ENV = "DIVER_LLM_API_KEY"
 RESPONSE_FORMATS = ("free_text", "tool_call_schema")
 
+LLM_ATTEMPTS = 3  # total tries of one chat request
+LLM_BACKOFF = 1.0  # seconds before the first retry, doubled for each later one
+LLM_TIMEOUT = 120.0  # seconds per HTTP request
+LLM_MAX_IN_FLIGHT = 4  # concurrent requests one client sends
+
 
 @dataclass(frozen=True)
 class ChatMessage:
@@ -113,11 +118,6 @@ class ScriptedSession:
         across concurrent questions."""
         return self._sequence is not None
 
-    def remaining(self) -> int:
-        if self._sequence is not None:
-            return len(self._sequence)
-        return sum(len(v) for v in self._by_fingerprint.values())
-
     def chat(self, request: ChatRequest) -> str:
         if self._sequence is not None:
             queue, fp = self._sequence, None
@@ -142,10 +142,6 @@ class LiveClient:
     base_url: str
     model: str
     api_key: str | None = None
-    max_retries: int = 3  # total attempts
-    backoff: float = 1.0  # seconds, doubled per retry
-    timeout: float = 120.0
-    max_in_flight: int = 4
 
     def __post_init__(self) -> None:
         if self.api_key is None:
@@ -156,7 +152,7 @@ class LiveClient:
             )
         if not self.base_url:
             raise ConfigurationError("base_url must be set")
-        self._gate = threading.BoundedSemaphore(self.max_in_flight)
+        self._gate = threading.BoundedSemaphore(LLM_MAX_IN_FLIGHT)
 
     def chat(self, request: ChatRequest) -> str:
         payload = {
@@ -171,12 +167,12 @@ class LiveClient:
         url = self.base_url.rstrip("/") + "/chat/completions"
         headers = {"Authorization": f"Bearer {self.api_key}"}
         last_error: Exception | None = None
-        for attempt in range(self.max_retries):
+        for attempt in range(LLM_ATTEMPTS):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(LLM_BACKOFF * (2 ** (attempt - 1)))
             try:
                 with self._gate:
-                    resp = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
+                    resp = requests.post(url, json=payload, headers=headers, timeout=LLM_TIMEOUT)
                 resp.raise_for_status()
                 text = resp.json()["choices"][0]["message"]["content"]
                 if not isinstance(text, str):
@@ -184,8 +180,8 @@ class LiveClient:
                 return text
             except (requests.RequestException, KeyError, ValueError, IndexError) as exc:
                 last_error = exc
-                logger.warning("chat attempt %d/%d failed: %s", attempt + 1, self.max_retries, exc)
-        raise ProviderError(f"chat endpoint failed after {self.max_retries} attempts: {last_error}")
+                logger.warning("chat attempt %d/%d failed: %s", attempt + 1, LLM_ATTEMPTS, exc)
+        raise ProviderError(f"chat endpoint failed after {LLM_ATTEMPTS} attempts: {last_error}")
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)

@@ -69,7 +69,6 @@ def run_clause(
     clause_index: int,
     llm,
     context: ToolContext,
-    temperature: float = LOOKUP_TEMPERATURE,
 ) -> CoTFDocument:
     """Probe one clause until its stop signal or max_turns turns.
 
@@ -103,7 +102,7 @@ def run_clause(
             thought = llm.chat(
                 ChatRequest(
                     messages=thought_messages,
-                    temperature=temperature,
+                    temperature=LOOKUP_TEMPERATURE,
                     response_format="free_text",
                 )
             )
@@ -115,7 +114,7 @@ def run_clause(
                         ChatMessage("assistant", thought),
                         ChatMessage("user", LOOKUP_TOOL_USER),
                     ],
-                    temperature=temperature,
+                    temperature=LOOKUP_TEMPERATURE,
                     response_format="tool_call_schema",
                 ),
             )
@@ -131,8 +130,6 @@ def run_clause(
         repeat = detect_repeat(doc, clause_index, call)
         feedback = classify_feedback(call, repeat, context)
         append_turn(doc, clause_index, Turn(thought=thought, tool_call=call, feedback=feedback))
-        if call.tool == "none":
-            break
     return doc
 
 
@@ -143,9 +140,7 @@ def run_lookup(doc: CoTFDocument, llm, context: ToolContext) -> CoTFDocument:
     return doc
 
 
-def harvest_linkings(
-    doc: CoTFDocument, llm, temperature: float = HARVEST_TEMPERATURE
-) -> list[VerifiedLinking]:
+def harvest_linkings(doc: CoTFDocument, llm) -> list[VerifiedLinking]:
     """Ask the model to read the workspace back into linkings, then keep only
     proposals some single standard-feedback turn fully grounds.
 
@@ -160,7 +155,7 @@ def harvest_linkings(
                 "user", HARVEST_USER.format(workspace=serialize(doc).decode("utf-8"))
             ),
         ],
-        temperature=temperature,
+        temperature=HARVEST_TEMPERATURE,
         response_format="free_text",
     )
     response = llm.chat(request)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .breakup import segment, token_refine
-from .cotf import CoTFDocument, Evidence, Question
+from .cotf import DEFAULT_MAX_TURNS, CoTFDocument, Evidence, Question
 from .database import catalog as build_catalog
 from .database import open_database
 from .evidence import self_consistency
@@ -17,7 +17,6 @@ from .toolbox import ToolContext
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MAX_TURNS = 5
 DEFAULT_CANDIDATES = 3
 
 
@@ -40,10 +39,9 @@ def run_question(
     description_dir: str | Path | None,
     llm,
     embedder,
-    config: PipelineConfig | None = None,
+    config: PipelineConfig,
 ) -> tuple[CoTFDocument, dict[str, Evidence]]:
     """Produce the probe trace and one Evidence per configured style."""
-    config = config or PipelineConfig()
     handle = open_database(db_path)
     try:
         cat = build_catalog(handle, description_dir)

@@ -28,14 +28,14 @@ DEFAULT_SAMPLE_LIMIT = 20
 
 @dataclass
 class ToolContext:
-    """Everything dispatch needs besides the call itself. rng is the live-mode
-    seed source for `random`; replay runs pass rng=None and rely on recorded
-    seeds."""
+    """Everything dispatch needs besides the call itself. rng draws the seed
+    of a `random` call that names none; the drawn seed is written into the
+    call, so the trace replays."""
 
     handle: DatabaseHandle
     catalog: SchemaCatalog
     embedder: Any
-    rng: _random_mod.Random | None = None
+    rng: _random_mod.Random
 
 
 @dataclass(frozen=True)
@@ -472,11 +472,6 @@ def dispatch(call: ToolCall, context: ToolContext) -> ToolFeedback:
     if error is not None:
         return ToolFeedback.corrective(error)
     if call.tool == "random" and "seed" not in call.args:
-        if context.rng is None:
-            return ToolFeedback.corrective(
-                "random requires an explicit seed when no run RNG is"
-                " configured (replay mode)"
-            )
         # draw and record the seed into the call so the trace replays
         call.args["seed"] = context.rng.randrange(2**32)
     try:

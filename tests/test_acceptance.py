@@ -29,7 +29,7 @@ from diver.database import catalog as build_catalog
 from diver.database import db_path_for, description_dir_for, open_database
 from diver.embedding import LexicalEmbedder
 from diver.errors import DiverError
-from diver.eval import LinkingSets, ex_match, linking_f1, ves_reward
+from diver.eval import LinkingSets, linking_f1
 from diver.evidence import (
     NO_FINDINGS_CONCISE,
     generate_concise,
@@ -52,7 +52,7 @@ from diver.toolbox import (
 
 from replay import ScriptBuilder, tool
 from test_cli import DATASET, build_happy_script, run_args, write_dataset
-from test_eval import EX_CASES, prf_oracle
+from test_eval import EX_CASES, prf_oracle, run_ex, run_ves
 
 
 def criterion(number, title):
@@ -120,14 +120,16 @@ def test_turn_cap(schools):
             json.dumps(tool("value_in", table="frpm", column="Low Grade", value=f"v{i}"))
         )
     llm = ScriptedSession(responses)
-    context = ToolContext(handle=handle, catalog=cat, embedder=LexicalEmbedder())
+    context = ToolContext(
+        handle=handle, catalog=cat, embedder=LexicalEmbedder(), rng=random.Random(0)
+    )
     started = time.perf_counter()
     run_lookup(doc, llm, context)
     elapsed = time.perf_counter() - started
     assert [len(column) for column in doc.turns] == [5, 5]
     for column in doc.turns:
         assert column[-1].tool_call.tool != "none"
-    assert llm.remaining() == 0
+    assert llm.consumed == len(responses)
     assert elapsed < 5.0
 
 
@@ -135,7 +137,9 @@ def test_turn_cap(schools):
 def test_guiding_feedback(schools):
     handle, cat = schools
     counting = CountingHandle(handle)
-    context = ToolContext(handle=counting, catalog=cat, embedder=LexicalEmbedder())
+    context = ToolContext(
+        handle=counting, catalog=cat, embedder=LexicalEmbedder(), rng=random.Random(0)
+    )
     call = json.dumps(tool("value_in", table="frpm", column="Low Grade", value="K"))
     llm = ScriptedSession(
         ["try the literal", call, "try it again", call, "finished", json.dumps(tool("none"))]
@@ -155,7 +159,9 @@ def test_guiding_feedback(schools):
 @criterion(3, "bad column yields corrective feedback with the engine text, then recovery")
 def test_corrective_recovery(schools):
     handle, cat = schools
-    context = ToolContext(handle=handle, catalog=cat, embedder=LexicalEmbedder())
+    context = ToolContext(
+        handle=handle, catalog=cat, embedder=LexicalEmbedder(), rng=random.Random(0)
+    )
     llm = ScriptedSession(
         [
             "probe the misspelled column",
@@ -313,7 +319,7 @@ def test_metric_oracles(eval_db):
 
     handle = open_database(eval_db)
     try:
-        got = [ex_match(handle, pred, gold) for pred, gold, _ in EX_CASES]
+        got = [run_ex(handle, pred, gold) for pred, gold, _ in EX_CASES]
         want = [expected for _, _, expected in EX_CASES]
         assert got == want
         assert len(EX_CASES) == 20
@@ -325,18 +331,18 @@ def test_metric_oracles(eval_db):
             ("SELECT SUM(amount) FROM orders",) * 2,
         ]
         ex_identity = sum(
-            ex_match(handle, p, g) for p, g in identity_pairs
+            run_ex(handle, p, g) for p, g in identity_pairs
         ) / len(identity_pairs)
         assert ex_identity == 1.0
         v = sum(
-            ves_reward(handle, p, g, iterations=7) for p, g in identity_pairs
+            run_ves(handle, p, g, 7) for p, g in identity_pairs
         ) / len(identity_pairs)
         assert abs(v - ex_identity) <= 0.05
 
         slow_pred = "SELECT DISTINCT orders.id FROM orders, pad"
         gold = "SELECT id FROM orders"
-        assert ex_match(handle, slow_pred, gold) is True
-        reward = ves_reward(handle, slow_pred, gold, iterations=7)
+        assert run_ex(handle, slow_pred, gold) is True
+        reward = run_ves(handle, slow_pred, gold, 7)
         assert reward < 1.0
     finally:
         handle.close()

@@ -215,6 +215,32 @@ def test_sequential_script_ignores_jobs_flag(tmp_path, db_root):
     assert len(evidence) == 3
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-turns", "0"), ("--candidates", "0"), ("--jobs", "0"), ("--jobs", "-3")],
+)
+def test_run_rejects_counts_below_one_before_any_model_call(
+    tmp_path, db_root, monkeypatch, capsys, flag, value
+):
+    calls = []
+
+    class Counting(cli.ScriptedSession):
+        def chat(self, request):
+            calls.append(request)
+            return super().chat(request)
+
+    monkeypatch.setattr(cli, "ScriptedSession", Counting)
+    dataset = write_dataset(tmp_path / "dataset.json", DATASET)
+    script = build_happy_script().write(tmp_path / "script.json")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(run_args(dataset, db_root, out, script, extra=(flag, value)))
+    assert exc.value.code == 2
+    assert calls == []
+    assert not out.exists()
+    assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+
+
 # --- trace-stats ---
 
 

@@ -180,8 +180,10 @@ def test_parse_description_file_raises_on_junk(tmp_path):
         parse_description_file(p)
 
 
-def test_statement_timeout_interrupts(eval_db):
-    handle = open_database(eval_db, statement_timeout=0.05)
+def test_statement_timeout_interrupts(eval_db, monkeypatch):
+    handle = open_database(eval_db)
+    # the deadline is read as each statement starts, not when the handle opens
+    monkeypatch.setattr(database, "STATEMENT_TIMEOUT", 0.05)
     with pytest.raises(SqlError) as err:
         handle.query("SELECT COUNT(*) FROM pad a, pad b, pad c WHERE a.x + b.x + c.x > 1")
     assert "interrupt" in str(err.value).lower()
@@ -216,8 +218,9 @@ def test_handle_reports_path(schools_db):
     assert Path(handle.path) == Path(schools_db)
 
 
-def test_execute_fetches_rows_under_the_statement_deadline(schools_db):
-    handle = open_database(schools_db, statement_timeout=0.2)
+def test_execute_fetches_rows_under_the_statement_deadline(schools_db, monkeypatch):
+    monkeypatch.setattr(database, "STATEMENT_TIMEOUT", 0.2)
+    handle = open_database(schools_db)
     # the first row comes at once, the rest never end: only a deadline that
     # still holds while rows are fetched can stop it
     with pytest.raises(SqlError, match="interrupt"):

@@ -16,12 +16,20 @@ from diver.embedding import (
     LexicalEmbedder,
     RemoteEmbedder,
     rank_lexical,
-    similarity_score,
     top_k,
     trigram_jaccard,
     trigrams,
 )
 from diver.errors import EmbedderUnavailable, EmptyInput
+
+
+def similarity_score(a: np.ndarray, b: np.ndarray) -> float:
+    """Oracle: cosine mapped onto [0, 1], a zero vector scoring 0."""
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        return 0.0
+    cos = max(-1.0, min(1.0, float(np.dot(a, b) / (na * nb))))
+    return (1.0 + cos) / 2.0
 
 
 def test_trigrams_and_jaccard_hand_computed():
@@ -69,8 +77,9 @@ def test_embed_empty_list_raises():
         LexicalEmbedder().embed([])
 
 
-def test_embed_truncates_overlong_text_with_warning(caplog):
-    emb = LexicalEmbedder(max_length=10)
+def test_embed_truncates_overlong_text_with_warning(caplog, monkeypatch):
+    monkeypatch.setattr(embedding, "DEFAULT_MAX_LENGTH", 10)
+    emb = LexicalEmbedder()
     with caplog.at_level("WARNING"):
         m = emb.embed(["x" * 50, "x" * 10])
     assert np.array_equal(m[0], m[1])
@@ -78,9 +87,8 @@ def test_embed_truncates_overlong_text_with_warning(caplog):
 
 
 def test_all_vectors_share_dimension():
-    emb = LexicalEmbedder(dimension=128)
-    m = emb.embed(["a", "bb", "ccc", "dddd"])
-    assert m.shape == (4, 128)
+    m = LexicalEmbedder().embed(["a", "bb", "ccc", "dddd"])
+    assert m.shape == (4, embedding.DEFAULT_DIMENSION)
 
 
 def _oracle_rank(emb: LexicalEmbedder, query: str, candidates: list[str], k: int):
@@ -201,8 +209,9 @@ def test_remote_embedder_batches_of_64(stub_server):
     assert m[129][0] == len("text 129")
 
 
-def test_remote_embedder_unreachable_raises():
-    emb = RemoteEmbedder(endpoint="http://127.0.0.1:9/nothing-here", timeout=0.5)
+def test_remote_embedder_unreachable_raises(monkeypatch):
+    monkeypatch.setattr(embedding, "REMOTE_TIMEOUT", 0.5)
+    emb = RemoteEmbedder(endpoint="http://127.0.0.1:9/nothing-here")
     with pytest.raises(EmbedderUnavailable):
         emb.embed(["hello"])
 

@@ -103,7 +103,8 @@ def build_script() -> list[str]:
 
 def run_golden(schools_db, schools_desc_dir):
     question = Question(question_id="golden", db_id="california_schools", text=QUESTION)
-    llm = RecordingSession(build_script())
+    script = build_script()
+    llm = RecordingSession(script)
     doc, evidences = run_question(
         question,
         schools_db,
@@ -112,7 +113,7 @@ def run_golden(schools_db, schools_desc_dir):
         LexicalEmbedder(),
         PipelineConfig(style="concise", max_turns=40, candidates=1, seed=3),
     )
-    assert llm.remaining() == 0
+    assert llm.consumed == len(script)
     requests = hashlib.sha256(
         "\n".join(fingerprint(r) for r in llm.requests).encode("ascii")
     ).hexdigest()

@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from diver import llm
 from diver.cotf import ToolCall
 from diver.errors import (
     ConfigurationError,
@@ -226,8 +227,9 @@ def test_live_client_posts_and_reads_reply(chat_stub, monkeypatch):
 
 def test_live_client_retries_then_succeeds(chat_stub, monkeypatch):
     monkeypatch.setenv("DIVER_LLM_API_KEY", "sk-test")
+    monkeypatch.setattr(llm, "LLM_BACKOFF", 0.01)
     _ChatStub.fail_remaining = 2
-    client = LiveClient(base_url=chat_stub, model="m", backoff=0.01)
+    client = LiveClient(base_url=chat_stub, model="m")
     text = client.chat(_req())
     assert text.startswith("reply")
     assert len(_ChatStub.seen) == 3
@@ -235,8 +237,9 @@ def test_live_client_retries_then_succeeds(chat_stub, monkeypatch):
 
 def test_live_client_gives_up_after_three_attempts(chat_stub, monkeypatch):
     monkeypatch.setenv("DIVER_LLM_API_KEY", "sk-test")
+    monkeypatch.setattr(llm, "LLM_BACKOFF", 0.01)
     _ChatStub.fail_remaining = 99
-    client = LiveClient(base_url=chat_stub, model="m", backoff=0.01)
+    client = LiveClient(base_url=chat_stub, model="m")
     with pytest.raises(ProviderError):
         client.chat(_req())
     assert len(_ChatStub.seen) == 3
@@ -244,8 +247,9 @@ def test_live_client_gives_up_after_three_attempts(chat_stub, monkeypatch):
 
 def test_live_client_caps_in_flight_requests(chat_stub, monkeypatch):
     monkeypatch.setenv("DIVER_LLM_API_KEY", "sk-test")
+    monkeypatch.setattr(llm, "LLM_MAX_IN_FLIGHT", 2)
     _ChatStub.delay = 0.05
-    client = LiveClient(base_url=chat_stub, model="m", max_in_flight=2)
+    client = LiveClient(base_url=chat_stub, model="m")
     threads = [threading.Thread(target=client.chat, args=(_req(f"t{i}"),)) for i in range(6)]
     for t in threads:
         t.start()

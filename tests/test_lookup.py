@@ -164,7 +164,7 @@ def test_repeated_call_gets_guiding_feedback_without_query(ctx, schools_db, scho
     handle.query = lambda *a, **k: (counted.append(a), real_query(*a, **k))[1]
     local_ctx = ToolContext(
         handle=handle, catalog=catalog(open_database(schools_db), schools_desc_dir),
-        embedder=LexicalEmbedder(),
+        embedder=LexicalEmbedder(), rng=random.Random(7),
     )
 
     probe = tc("value_in", table="frpm", column="Low Grade", value="K")
@@ -208,8 +208,7 @@ def test_never_stopping_clause_is_cut_at_max_turns(ctx):
     run_clause(doc, 0, llm, ctx)
     assert len(doc.turns[0]) == 5
     assert doc.turns[0][-1].tool_call.tool != "none"
-    assert llm.consumed == 10
-    assert llm.remaining() == 0
+    assert llm.consumed == len(script)
 
 
 def test_prompts_carry_guidance_workspace_and_thought(ctx):

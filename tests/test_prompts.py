@@ -1,24 +1,33 @@
-"""The docs/ prompt files are golden copies of the live constants."""
+"""Generated files are golden copies of their generators' output: docs/ of
+scripts/gen_docs.py, src/diver/data/concise_shots.json of
+scripts/gen_shots.py."""
 
+import importlib.util
 from pathlib import Path
 
-from diver import prompts
 from diver.toolbox import render_guidance
 
-DOCS = Path(__file__).resolve().parent.parent / "docs"
-SEPARATOR = "\n\n--- user message template ---\n\n"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
+
+
+def _script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gen_docs = _script("gen_docs")
+gen_shots = _script("gen_shots")
 
 
 def _read(name: str) -> str:
     return (DOCS / name).read_text(encoding="utf-8")
 
 
-def _finished(text: str) -> str:
-    return text if text.endswith("\n") else text + "\n"
-
-
 def test_tool_guidance_matches_golden_file():
-    assert _read("tool_guidance.txt") == _finished(render_guidance())
+    assert _read("tool_guidance.txt") == gen_docs.render()["tool_guidance.txt"]
 
 
 def test_guidance_render_is_deterministic():
@@ -26,19 +35,15 @@ def test_guidance_render_is_deterministic():
 
 
 def test_segmentation_prompt_matches_golden_file():
-    expected = prompts.SEGMENTATION_SYSTEM + SEPARATOR + prompts.SEGMENTATION_USER
-    assert _read("segmentation_prompt.txt") == _finished(expected)
+    assert _read("segmentation_prompt.txt") == gen_docs.render()["segmentation_prompt.txt"]
 
 
 def test_lookup_prompt_matches_golden_file():
-    expected = (
-        prompts.LOOKUP_SYSTEM.format(guidance=render_guidance())
-        + SEPARATOR
-        + prompts.LOOKUP_THOUGHT_USER
-        + "\n\n--- tool call request (sent after the thought) ---\n\n"
-        + prompts.LOOKUP_TOOL_USER
-    )
-    assert _read("lookup_prompt.txt") == _finished(expected)
+    assert _read("lookup_prompt.txt") == gen_docs.render()["lookup_prompt.txt"]
+
+
+def test_docs_holds_exactly_the_generated_files():
+    assert sorted(p.name for p in DOCS.iterdir()) == sorted(gen_docs.render())
 
 
 def test_lookup_golden_file_names_every_tool():
@@ -46,3 +51,7 @@ def test_lookup_golden_file_names_every_tool():
     for name in ("value_in", "sim_value_in", "uniq_value", "head", "random",
                  "if_null", "info", "sim_columns", "none"):
         assert f"### {name}" in text
+
+
+def test_concise_shots_match_generator():
+    assert gen_shots.OUT.read_bytes() == gen_shots.render().encode("utf-8")

@@ -388,13 +388,6 @@ def test_dispatch_draws_and_records_seed_in_live_mode(handle, cat):
     assert replay.result["rows"] == fb.result["rows"]
 
 
-def test_dispatch_requires_seed_without_rng(handle, cat):
-    ctx_replay = ToolContext(handle=handle, catalog=cat, embedder=LexicalEmbedder(), rng=None)
-    fb = dispatch(ToolCall("random", {"table": "frpm", "n": 2}), ctx_replay)
-    assert fb.kind == "corrective"
-    assert "seed" in fb.message
-
-
 def test_dispatch_results_are_json_native(ctx):
     import json
 
