@@ -25,7 +25,7 @@ def lookup_doc() -> str:
         + SEPARATOR
         + prompts.LOOKUP_THOUGHT_USER
         + "\n\n--- tool call request (sent after the thought) ---\n\n"
-        + prompts.LOOKUP_TOOL_USER
+        + prompts.LOOKUP_TOOL_USER.format()
     )
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import logging
 
 from .cotf import Clause
-from .llm import ChatMessage, ChatRequest, extract_json
-from .prompts import SEGMENTATION_SYSTEM, SEGMENTATION_TEMPERATURE, SEGMENTATION_USER
+from .llm import extract_json
+from .prompts import SEGMENTATION
 from .tokens import tokenize
 
 logger = logging.getLogger(__name__)
@@ -24,15 +24,7 @@ def segment(question_text: str, llm) -> list[str]:
     Unparseable output degrades to [] (the caller falls back to one clause);
     client errors propagate untouched.
     """
-    request = ChatRequest(
-        messages=[
-            ChatMessage("system", SEGMENTATION_SYSTEM),
-            ChatMessage("user", SEGMENTATION_USER.format(question=question_text)),
-        ],
-        temperature=SEGMENTATION_TEMPERATURE,
-        response_format="free_text",
-    )
-    response = llm.chat(request)
+    response = llm.chat(SEGMENTATION.request(question=question_text))
     arr = extract_json(response, list)
     if arr is None:
         logger.warning("segmentation output was not a JSON array; using whole question")

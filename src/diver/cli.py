@@ -17,7 +17,8 @@ from .cotf import DEFAULT_MAX_TURNS, FEEDBACK_KINDS, Question, deserialize, seri
 from .database import db_path_for, description_dir_for
 from .embedding import LexicalEmbedder, RemoteEmbedder
 from .errors import ConfigurationError, DiverError
-from .eval import EvalSample, evaluate, format_report
+from .eval import VES_MIN_ITERATIONS, EvalSample, evaluate, format_report
+from .evidence import STYLES
 from .llm import LiveClient, ScriptedSession
 from .pipeline import DEFAULT_CANDIDATES, PipelineConfig, run_question
 from .toolbox import TOOL_NAMES
@@ -295,11 +296,16 @@ def cmd_trace_stats(args) -> int:
 # --- entry point ---
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,16 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dataset", required=True, help="dev-set JSON file")
     run.add_argument("--db-root", required=True, help="directory of <db_id>/<db_id>.sqlite")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--style", choices=["long", "concise", "both"], default="concise")
-    run.add_argument("--max-turns", type=positive_int, default=DEFAULT_MAX_TURNS)
-    run.add_argument("--candidates", type=positive_int, default=DEFAULT_CANDIDATES)
+    # the default is the last style, the one-line form of BIRD's evidence
+    run.add_argument("--style", choices=[*STYLES, "both"], default=[*STYLES][-1])
+    run.add_argument("--max-turns", type=at_least(1), default=DEFAULT_MAX_TURNS)
+    run.add_argument("--candidates", type=at_least(1), default=DEFAULT_CANDIDATES)
     run.add_argument("--mock-llm", help="replay script JSON instead of a live model")
     run.add_argument("--llm-endpoint", help="chat-completions base URL")
     run.add_argument("--llm-model", default="gpt-4o")
     run.add_argument("--embedder", choices=["remote", "lexical"], default="lexical")
     run.add_argument("--embedder-endpoint")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--jobs", type=positive_int, default=1)
+    run.add_argument("--jobs", type=at_least(1), default=1)
     run.add_argument("--force", action="store_true", help="redo finished questions")
 
     ev = sub.add_parser("eval", help="score predictions against gold SQL")
@@ -330,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--predictions", required=True, help="JSON map question_id -> SQL")
     ev.add_argument("--db-root", required=True)
     ev.add_argument("--metrics", default="ex,ves,f1")
-    ev.add_argument("--iterations", type=int, default=10)
+    ev.add_argument("--iterations", type=at_least(VES_MIN_ITERATIONS), default=10)
     ev.add_argument("--out", help="write the JSON report here")
     ev.add_argument("--json", action="store_true", help="print JSON instead of text")
 

@@ -36,7 +36,6 @@ DEFAULT_MAX_TURNS = 5  # probing turns per clause unless a run sets its own
 
 FEEDBACK_KINDS = ("standard", "corrective", "guiding")
 LINKING_KINDS = ("value", "schema", "function")
-EVIDENCE_STYLES = ("long", "concise")
 
 Scalar = str | int | float | bool | None
 
@@ -278,29 +277,6 @@ class CoTFDocument:
     def add_verified(self, link: VerifiedLinking) -> None:
         self._check_source(link)
         self.verified.append(link)
-
-
-@dataclass
-class Evidence:
-    """One synthesized evidence text plus how it was produced. source keeps
-    the workspace it was grounded against."""
-
-    style: str
-    text: str
-    candidate_count: int
-    source: CoTFDocument
-
-    def __post_init__(self) -> None:
-        if self.style not in EVIDENCE_STYLES:
-            raise SchemaViolation(f"unknown evidence style: {self.style!r}")
-        if not isinstance(self.text, str):
-            raise SchemaViolation("evidence.text must be a string")
-        if not _is_int(self.candidate_count) or self.candidate_count < 1:
-            raise SchemaViolation("evidence.candidate_count must be a positive integer")
-        if not isinstance(self.source, CoTFDocument):
-            raise SchemaViolation("evidence.source must be a CoTFDocument")
-        if self.source.verified and not self.text.strip():
-            raise SchemaViolation("evidence must not be empty when linkings were verified")
 
 
 def _collect_strings(value: Any, into: set[str]) -> None:

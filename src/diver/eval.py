@@ -210,7 +210,7 @@ def _norm_literal(tok: _Tok) -> str:
 
 
 class _Extractor:
-    def __init__(self, toks: list[_Tok], catalog: SchemaCatalog | None):
+    def __init__(self, toks: list[_Tok], catalog: SchemaCatalog):
         self.toks = toks
         self.catalog = catalog
         self.consumed = [False] * len(toks)
@@ -368,8 +368,6 @@ class _Extractor:
         real = sorted(self.tables)
         if len(real) == 1:
             return real[0]
-        if self.catalog is None:
-            return None
         owners = []
         for table_name in real:
             info = self.catalog.table(table_name)
@@ -476,7 +474,7 @@ class _Extractor:
             i += 1
 
 
-def extract_entities(sql: str, catalog: SchemaCatalog | None = None) -> LinkingSets:
+def extract_entities(sql: str, catalog: SchemaCatalog) -> LinkingSets:
     """Schema and value entities referenced by sql. Total: never raises."""
     if not isinstance(sql, str):
         return LinkingSets(set(), set(), parse_failed=True)
@@ -552,9 +550,10 @@ def ex_match(
 # --- efficiency ---
 
 
+VES_MIN_ITERATIONS = 3  # the trimmed mean drops the fastest and slowest run
+
+
 def _trimmed_mean(samples: list[float]) -> float:
-    if len(samples) < 3:
-        return sum(samples) / len(samples)
     keep = sorted(samples)[1:-1]
     return sum(keep) / len(keep)
 
@@ -564,13 +563,13 @@ def ves_reward(
     pred_sql: str | None,
     gold_sql: str,
     matched: bool,
-    iterations: int = 10,
+    iterations: int,
 ) -> float:
     """sqrt(gold_time / pred_time) when results match, else 0. matched is the
     pair's EX verdict; the runs that produced it serve as the warm-up, so the
     first timed sample is not paying cache costs."""
-    if iterations < 3:
-        raise ValueError("iterations must be at least 3")
+    if iterations < VES_MIN_ITERATIONS:
+        raise ValueError(f"iterations must be at least {VES_MIN_ITERATIONS}")
     if not matched:
         return 0.0
     assert pred_sql is not None
@@ -653,8 +652,8 @@ def _aggregate(records: list[dict], metrics: tuple[str, ...]) -> dict:
 
 def evaluate(
     samples: list[EvalSample],
-    metrics: tuple[str, ...] = KNOWN_METRICS,
-    iterations: int = 10,
+    metrics: tuple[str, ...],
+    iterations: int,
 ) -> dict:
     """Score samples on the chosen metrics. The report is the dict `diver eval
     --json` prints: _aggregate's keys, per_difficulty if any sample has a

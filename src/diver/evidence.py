@@ -1,10 +1,10 @@
 """Evidence synthesis from a completed workspace.
 
-Two styles: a long narrative generated zero-shot, and a concise one-liner
-style-aligned with five shipped example pairs. Every generated text passes a
-programmatic grounding filter before it is returned: sentences naming
-identifiers or literals the workspace and schema cannot back are removed, so
-hallucinated claims never leave this module.
+Two styles, one row each in STYLES: a long narrative generated zero-shot,
+and a concise one-liner style-aligned with five shipped example pairs.
+Every generated text passes a programmatic grounding filter before it is
+returned: sentences naming identifiers or literals the workspace and schema
+cannot back are removed, so hallucinated claims never leave this module.
 """
 
 from __future__ import annotations
@@ -12,36 +12,47 @@ from __future__ import annotations
 import json
 import logging
 import re
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from importlib import resources
 
-from .cotf import (
-    EVIDENCE_STYLES,
-    CoTFDocument,
-    Evidence,
-    deserialize,
-    document_facts,
-    serialize,
-)
+from . import prompts
+from .cotf import CoTFDocument, deserialize, document_facts, serialize
 from .database import SchemaCatalog
-from .llm import ChatMessage, ChatRequest
-from .prompts import (
-    EVIDENCE_CONCISE_SYSTEM,
-    EVIDENCE_CONCISE_USER,
-    EVIDENCE_LONG_SYSTEM,
-    EVIDENCE_LONG_USER,
-    EVIDENCE_TEMPERATURE,
-    MERGE_SYSTEM,
-    MERGE_USER,
-)
+from .llm import ChatMessage
 
 logger = logging.getLogger(__name__)
 
-NO_FINDINGS_LONG = (
-    "No database findings were verified for this question, so nothing about"
-    " its tables, columns or stored values can be stated as evidence."
-)
-NO_FINDINGS_CONCISE = "No verified findings."
+
+@dataclass(frozen=True)
+class Style:
+    """How one evidence style is asked for: its stage, whether the shipped
+    concise examples come before the question, and the fixed text for a
+    workspace with no findings."""
+
+    stage: prompts.Stage
+    shots_first: bool
+    no_findings: str
+
+
+STYLES = {
+    "long": Style(
+        prompts.EVIDENCE_LONG,
+        False,
+        "No database findings were verified for this question, so nothing about"
+        " its tables, columns or stored values can be stated as evidence.",
+    ),
+    "concise": Style(prompts.EVIDENCE_CONCISE, True, "No verified findings."),
+}
+
+
+@dataclass(frozen=True)
+class Evidence:
+    """One synthesized evidence text and its style."""
+
+    style: str
+    text: str
+
 
 # sentence boundary: run of terminal punctuation followed by whitespace or
 # the end, or a newline run; bare dots inside numbers and dotted identifiers
@@ -79,9 +90,7 @@ def _sentence_claims(sentence: str) -> list[tuple[int, str, object]]:
     return sorted(claims, key=lambda c: c[0])
 
 
-def _catalog_index(catalog: SchemaCatalog | None):
-    if catalog is None:
-        return set(), {}
+def _catalog_index(catalog: SchemaCatalog):
     names: set[str] = set()
     tables: dict[str, set[str]] = {}
     for t in catalog.tables:
@@ -91,9 +100,7 @@ def _catalog_index(catalog: SchemaCatalog | None):
     return names, tables
 
 
-def grounding_filter(
-    text: str, doc: CoTFDocument, catalog: SchemaCatalog | None = None
-) -> dict:
+def grounding_filter(text: str, doc: CoTFDocument, catalog: SchemaCatalog) -> dict:
     """Remove sentences whose quoted spans or table.column references are
     backed neither by the document's recorded facts nor by the catalog.
 
@@ -137,7 +144,7 @@ def _workspace(doc: CoTFDocument) -> str:
     return serialize(doc).decode("utf-8")
 
 
-def _filtered(style, raw, doc, catalog, candidate_count, fallback) -> Evidence:
+def _filtered(style: str, raw: str, doc: CoTFDocument, catalog: SchemaCatalog) -> Evidence:
     out = grounding_filter(raw, doc, catalog)
     if out["removed_claims"]:
         logger.warning(
@@ -148,26 +155,8 @@ def _filtered(style, raw, doc, catalog, candidate_count, fallback) -> Evidence:
         )
     text = out["text"]
     if not text.strip():
-        text = fallback
-    return Evidence(style=style, text=text, candidate_count=candidate_count, source=doc)
-
-
-def generate_long(doc: CoTFDocument, llm, catalog: SchemaCatalog | None = None) -> Evidence:
-    """Zero-shot narrative evidence. A workspace with no recorded facts gets
-    the fixed no-findings statement without any model call."""
-    if not document_facts(doc):
-        return Evidence(style="long", text=NO_FINDINGS_LONG, candidate_count=1, source=doc)
-    raw = llm.chat(
-        ChatRequest(
-            messages=[
-                ChatMessage("system", EVIDENCE_LONG_SYSTEM),
-                ChatMessage("user", EVIDENCE_LONG_USER.format(workspace=_workspace(doc))),
-            ],
-            temperature=EVIDENCE_TEMPERATURE,
-            response_format="free_text",
-        )
-    )
-    return _filtered("long", raw, doc, catalog, 1, NO_FINDINGS_LONG)
+        text = STYLES[style].no_findings
+    return Evidence(style, text)
 
 
 @lru_cache(maxsize=1)
@@ -180,63 +169,42 @@ def shot_messages() -> tuple[ChatMessage, ...]:
     messages = []
     for item in json.loads(blob):
         workspace = _workspace(deserialize(json.dumps(item["cotf"])))
-        messages.append(ChatMessage("user", EVIDENCE_CONCISE_USER.format(workspace=workspace)))
+        user = prompts.EVIDENCE_CONCISE.user.format(workspace=workspace)
+        messages.append(ChatMessage("user", user))
         messages.append(ChatMessage("assistant", item["evidence"]))
     return tuple(messages)
 
 
-def generate_concise(doc: CoTFDocument, llm, catalog: SchemaCatalog | None = None) -> Evidence:
-    """One-line evidence, style-aligned through alternating example messages."""
-    if not document_facts(doc):
-        return Evidence(style="concise", text=NO_FINDINGS_CONCISE, candidate_count=1, source=doc)
-    messages = [
-        ChatMessage("system", EVIDENCE_CONCISE_SYSTEM),
-        *shot_messages(),
-        ChatMessage("user", EVIDENCE_CONCISE_USER.format(workspace=_workspace(doc))),
-    ]
-    raw = llm.chat(
-        ChatRequest(
-            messages=messages,
-            temperature=EVIDENCE_TEMPERATURE,
-            response_format="free_text",
-        )
-    )
-    return _filtered("concise", raw, doc, catalog, 1, NO_FINDINGS_CONCISE)
+def _generate(style: str, doc: CoTFDocument, llm, catalog: SchemaCatalog) -> Evidence:
+    """One filtered candidate in the given style."""
+    row = STYLES[style]
+    history = shot_messages() if row.shots_first else ()
+    raw = llm.chat(row.stage.request(*history, workspace=_workspace(doc)))
+    return _filtered(style, raw, doc, catalog)
+
+
+# One public generator per row of STYLES, in table order; self_consistency
+# looks each up by name when it runs, so a wrapper set on this module is
+# the one that gets called.
+generate_long, generate_concise = (partial(_generate, style) for style in STYLES)
 
 
 def self_consistency(
-    doc: CoTFDocument,
-    llm,
-    n: int = 3,
-    style: str = "concise",
-    catalog: SchemaCatalog | None = None,
+    doc: CoTFDocument, llm, n: int, style: str, catalog: SchemaCatalog
 ) -> Evidence:
     """Generate n candidates and merge them with a union-of-facts pass.
 
-    Candidates are filtered before the merge sees them and the merged text is
-    filtered again, so ungrounded claims cannot survive either hop. n=1 is
-    plain single generation.
+    A workspace with no recorded facts gets the style's fixed no-findings
+    text without any model call. Candidates are filtered before the merge
+    sees them and the merged text is filtered again, so ungrounded claims
+    cannot survive either hop. n=1 is plain single generation.
     """
-    if style not in EVIDENCE_STYLES:
-        raise ValueError(f"unknown evidence style: {style!r}")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-
-    generate = generate_long if style == "long" else generate_concise
+    if not document_facts(doc):
+        return Evidence(style, STYLES[style].no_findings)
+    generate = globals()[f"generate_{style}"]
     candidates = [generate(doc, llm, catalog) for _ in range(n)]
     if n == 1:
         return candidates[0]
-
     body = json.dumps([c.text for c in candidates], ensure_ascii=False, indent=2)
-    raw = llm.chat(
-        ChatRequest(
-            messages=[
-                ChatMessage("system", MERGE_SYSTEM),
-                ChatMessage("user", MERGE_USER.format(candidates=body)),
-            ],
-            temperature=EVIDENCE_TEMPERATURE,
-            response_format="free_text",
-        )
-    )
-    fallback = NO_FINDINGS_LONG if style == "long" else NO_FINDINGS_CONCISE
-    return _filtered(style, raw, doc, catalog, n, fallback)
+    raw = llm.chat(prompts.MERGE.request(candidates=body))
+    return _filtered(style, raw, doc, catalog)

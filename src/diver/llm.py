@@ -57,8 +57,8 @@ class ChatMessage:
 @dataclass(frozen=True)
 class ChatRequest:
     messages: tuple[ChatMessage, ...] | list[ChatMessage]
-    temperature: float = 0.7
-    response_format: str = "free_text"
+    temperature: float
+    response_format: str
 
     def __post_init__(self) -> None:
         if not self.messages:

@@ -25,16 +25,8 @@ from .cotf import (
     turn_facts,
 )
 from .errors import LlmError, MalformedToolCall, SchemaViolation
-from .llm import ChatMessage, ChatRequest, extract_json, structured_tool_call
-from .prompts import (
-    HARVEST_SYSTEM,
-    HARVEST_TEMPERATURE,
-    HARVEST_USER,
-    LOOKUP_SYSTEM,
-    LOOKUP_TEMPERATURE,
-    LOOKUP_THOUGHT_USER,
-    LOOKUP_TOOL_USER,
-)
+from .llm import ChatMessage, extract_json, structured_tool_call
+from .prompts import HARVEST, LOOKUP_THOUGHT, LOOKUP_TOOL
 from .toolbox import TOOLS, ToolContext, dispatch, render_guidance
 
 logger = logging.getLogger(__name__)
@@ -77,7 +69,7 @@ def run_clause(
     the clause, keeping the partial trace.
     """
     clause = doc.clauses[clause_index]
-    system = ChatMessage("system", LOOKUP_SYSTEM.format(guidance=render_guidance()))
+    guidance = render_guidance()
 
     while True:
         column = doc.turns[clause_index]
@@ -86,36 +78,19 @@ def run_clause(
         if len(column) >= doc.max_turns:
             break
 
-        workspace = serialize(doc).decode("utf-8")
-        thought_messages = [
-            system,
-            ChatMessage(
-                "user",
-                LOOKUP_THOUGHT_USER.format(
-                    workspace=workspace,
-                    clause_index=clause.index,
-                    clause_text=clause.text,
-                ),
-            ),
-        ]
+        fields = dict(
+            guidance=guidance,
+            workspace=serialize(doc).decode("utf-8"),
+            clause_index=clause.index,
+            clause_text=clause.text,
+        )
+        ask_thought = LOOKUP_THOUGHT.request(**fields)
         try:
-            thought = llm.chat(
-                ChatRequest(
-                    messages=thought_messages,
-                    temperature=LOOKUP_TEMPERATURE,
-                    response_format="free_text",
-                )
-            )
+            thought = llm.chat(ask_thought)
             call = structured_tool_call(
                 llm,
-                ChatRequest(
-                    messages=thought_messages
-                    + [
-                        ChatMessage("assistant", thought),
-                        ChatMessage("user", LOOKUP_TOOL_USER),
-                    ],
-                    temperature=LOOKUP_TEMPERATURE,
-                    response_format="tool_call_schema",
+                LOOKUP_TOOL.request(
+                    *ask_thought.messages[1:], ChatMessage("assistant", thought), **fields
                 ),
             )
         except MalformedToolCall as exc:
@@ -148,17 +123,7 @@ def harvest_linkings(doc: CoTFDocument, llm) -> list[VerifiedLinking]:
     literal) verbatim; a proposal whose cited source_turn does not ground it
     is re-pointed at the first turn that does, or dropped.
     """
-    request = ChatRequest(
-        messages=[
-            ChatMessage("system", HARVEST_SYSTEM),
-            ChatMessage(
-                "user", HARVEST_USER.format(workspace=serialize(doc).decode("utf-8"))
-            ),
-        ],
-        temperature=HARVEST_TEMPERATURE,
-        response_format="free_text",
-    )
-    response = llm.chat(request)
+    response = llm.chat(HARVEST.request(workspace=serialize(doc).decode("utf-8")))
     proposals = extract_json(response, list)
     if proposals is None:
         logger.warning("linking harvest output was not a JSON array; keeping none")

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .breakup import segment, token_refine
-from .cotf import DEFAULT_MAX_TURNS, CoTFDocument, Evidence, Question
+from .cotf import DEFAULT_MAX_TURNS, CoTFDocument, Question
 from .database import catalog as build_catalog
 from .database import open_database
-from .evidence import self_consistency
+from .evidence import STYLES, Evidence, self_consistency
 from .lookup import harvest_linkings, run_lookup
 from .toolbox import ToolContext
 
@@ -22,14 +22,20 @@ DEFAULT_CANDIDATES = 3
 
 @dataclass
 class PipelineConfig:
-    style: str = "concise"  # long | concise | both
+    style: str  # a key of evidence.STYLES, or "both" for all of them
     max_turns: int = DEFAULT_MAX_TURNS
     candidates: int = DEFAULT_CANDIDATES
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.style != "both" and self.style not in STYLES:
+            raise ValueError(f"unknown evidence style: {self.style!r}")
+        if self.candidates < 1:
+            raise ValueError("candidates must be at least 1")
+
     def styles(self) -> tuple[str, ...]:
         if self.style == "both":
-            return ("long", "concise")
+            return tuple(STYLES)
         return (self.style,)
 
 
@@ -60,9 +66,7 @@ def run_question(
         for link in harvest_linkings(doc, llm):
             doc.add_verified(link)
         evidences = {
-            style: self_consistency(
-                doc, llm, n=config.candidates, style=style, catalog=cat
-            )
+            style: self_consistency(doc, llm, config.candidates, style, cat)
             for style in config.styles()
         }
         return doc, evidences

@@ -1,17 +1,16 @@
-"""Prompt templates for every LLM-facing stage.
+"""Prompt templates for every LLM-facing stage, and the stage table that
+turns them into requests.
 
 These strings are golden-filed under docs/ and pinned by tests; edit them
-there and here together. Placeholders use str.format names.
+there and here together. Placeholders use str.format names, so a literal
+brace is written twice.
 """
 
 from __future__ import annotations
 
-# default sampling temperatures per stage
-SEGMENTATION_TEMPERATURE = 0.2
-LOOKUP_TEMPERATURE = 0.7
-EVIDENCE_TEMPERATURE = 0.7
-# linking extraction is a parsing task, keep it near-deterministic
-HARVEST_TEMPERATURE = 0.2
+from dataclasses import dataclass
+
+from .llm import ChatMessage, ChatRequest
 
 SEGMENTATION_SYSTEM = """\
 You split natural-language database questions into minimal clauses. Each \
@@ -46,7 +45,7 @@ and what you will probe next. Reply with the thought only."""
 
 LOOKUP_TOOL_USER = """\
 Now make the probe you just described. Reply with exactly one JSON object \
-of the form {"tool": "<name>", "args": {...}} and nothing else."""
+of the form {{"tool": "<name>", "args": {{...}}}} and nothing else."""
 
 HARVEST_SYSTEM = """\
 You extract verified linkings from a completed probing workspace. A linking \
@@ -107,3 +106,37 @@ Candidate evidence texts (JSON):
 {candidates}
 
 Write the merged evidence text."""
+
+
+@dataclass(frozen=True)
+class Stage:
+    """How one stage asks the model: its system and user templates, the
+    sampling temperature and the response format."""
+
+    system: str
+    user: str
+    temperature: float
+    response_format: str
+
+    def request(self, *history: ChatMessage, **fields) -> ChatRequest:
+        """The system message, then history, then the user message; both
+        templates are filled from the same fields."""
+        return ChatRequest(
+            [
+                ChatMessage("system", self.system.format(**fields)),
+                *history,
+                ChatMessage("user", self.user.format(**fields)),
+            ],
+            self.temperature,
+            self.response_format,
+        )
+
+
+SEGMENTATION = Stage(SEGMENTATION_SYSTEM, SEGMENTATION_USER, 0.2, "free_text")
+LOOKUP_THOUGHT = Stage(LOOKUP_SYSTEM, LOOKUP_THOUGHT_USER, 0.7, "free_text")
+LOOKUP_TOOL = Stage(LOOKUP_SYSTEM, LOOKUP_TOOL_USER, 0.7, "tool_call_schema")
+# linking extraction is a parsing task, keep it near-deterministic
+HARVEST = Stage(HARVEST_SYSTEM, HARVEST_USER, 0.2, "free_text")
+EVIDENCE_LONG = Stage(EVIDENCE_LONG_SYSTEM, EVIDENCE_LONG_USER, 0.7, "free_text")
+EVIDENCE_CONCISE = Stage(EVIDENCE_CONCISE_SYSTEM, EVIDENCE_CONCISE_USER, 0.7, "free_text")
+MERGE = Stage(MERGE_SYSTEM, MERGE_USER, 0.7, "free_text")

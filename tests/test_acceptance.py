@@ -31,7 +31,7 @@ from diver.embedding import LexicalEmbedder
 from diver.errors import DiverError
 from diver.eval import LinkingSets, linking_f1
 from diver.evidence import (
-    NO_FINDINGS_CONCISE,
+    STYLES,
     generate_concise,
     generate_long,
     grounding_filter,
@@ -387,7 +387,7 @@ def test_grounding(schools):
     good = "Grade K refers to `Low Grade` = 'K'."
     bad = "The `Phantom Column` field controls this. " + good
     llm = ScriptedSession([good, bad, good, "`Phantom Column` matters. " + good])
-    ev = self_consistency(doc, llm, n=3, style="concise", catalog=cat)
+    ev = self_consistency(doc, llm, 3, "concise", cat)
     assert "Phantom Column" not in ev.text
     assert "Low Grade" in ev.text
 
@@ -456,7 +456,7 @@ def test_style_length_ordering(schools):
         concise_text = f"Kindergarten refers to `Low Grade` = '{literal}'. Note {i}."
         llm = ScriptedSession([long_text, concise_text])
         long_ev = generate_long(doc, llm, cat)
-        concise_ev = generate_concise(doc, llm, catalog=cat)
+        concise_ev = generate_concise(doc, llm, cat)
         assert long_ev.text
         assert concise_ev.text
         long_lengths.append(len(long_ev.text))
@@ -526,7 +526,7 @@ def test_live_smoke():
             print(f"question {question.question_id} failed: {exc}")
             continue
         text = evidences["concise"].text
-        if text and text != NO_FINDINGS_CONCISE:
+        if text and text != STYLES["concise"].no_findings:
             grounded += 1
         turns = sum(len(column) for column in doc.turns)
         ratios.append(turns / len(doc.clauses))

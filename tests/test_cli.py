@@ -413,6 +413,25 @@ def test_eval_rejects_unknown_or_empty_metrics(tmp_path, db_root, capsys, metric
     assert f"error: unknown metrics {bad}; choose from ex, ves, f1, overlap\n" in captured.err
 
 
+@pytest.mark.parametrize("iterations, metrics", [("0", "ex"), ("2", "ex,ves")])
+def test_eval_rejects_iterations_below_three_before_any_work(
+    tmp_path, db_root, monkeypatch, capsys, iterations, metrics
+):
+    calls = []
+    monkeypatch.setattr(cli, "evaluate", lambda *args, **kwargs: calls.append(args))
+    dataset = write_dataset(tmp_path / "eval.json", EVAL_DATASET)
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps({}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = eval_args(dataset, pred_path, db_root, out, metrics=metrics)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--iterations", iterations])
+    assert exc.value.code == 2
+    assert calls == []
+    assert not out.exists()
+    assert f"argument --iterations: must be at least 3, got {iterations}" in capsys.readouterr().err
+
+
 def test_eval_missing_dataset_is_a_hard_failure(tmp_path, db_root):
     rc = cli.main(
         eval_args(tmp_path / "nope.json", tmp_path / "nope2.json", db_root, tmp_path / "r.json")

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from diver.database import DatabaseHandle, catalog as build_catalog, open_database
+from diver.database import DatabaseHandle, SchemaCatalog, catalog as build_catalog, open_database
 from diver.eval import (
     EvalSample,
     LinkingSets,
@@ -192,7 +192,7 @@ def test_extraction_is_total_on_garbage(cat):
 
 
 def test_extraction_without_catalog_still_handles_single_table():
-    out = extract_entities("SELECT School FROM frpm WHERE `Low Grade` = 'K'", None)
+    out = extract_entities("SELECT School FROM frpm WHERE `Low Grade` = 'K'", SchemaCatalog())
     assert out.schema_entities == {"frpm", "frpm.school", "frpm.low grade"}
 
 
@@ -386,7 +386,7 @@ def sample(eval_db, pred, gold, difficulty=None, evidence=None, qid="q"):
 def test_evaluate_all_correct(eval_db):
     q = "SELECT id FROM orders WHERE region = 'west'"
     samples = [sample(eval_db, q, q, qid=f"q{i}") for i in range(4)]
-    report = evaluate(samples, metrics=("ex",))
+    report = evaluate(samples, metrics=("ex",), iterations=10)
     assert report["count"] == 4
     assert report["ex"] == 1.0
 
@@ -399,7 +399,7 @@ def test_evaluate_half_correct_with_missing_pred(eval_db):
         sample(eval_db, "SELECT 1", good, qid="c"),
         sample(eval_db, None, good, qid="d"),
     ]
-    report = evaluate(samples, metrics=("ex",))
+    report = evaluate(samples, metrics=("ex",), iterations=10)
     assert report["ex"] == 0.5
     assert any("d" in w for w in report["warnings"])
 
@@ -410,7 +410,7 @@ def test_evaluate_skips_failing_gold_with_warning(eval_db):
         sample(eval_db, good, good, qid="ok"),
         sample(eval_db, good, "SELECT broken FROM nowhere", qid="bad"),
     ]
-    report = evaluate(samples, metrics=("ex",))
+    report = evaluate(samples, metrics=("ex",), iterations=10)
     assert report["count"] == 1
     assert report["ex"] == 1.0
     assert any("bad" in w for w in report["warnings"])
@@ -423,7 +423,7 @@ def test_evaluate_per_difficulty_breakdown(eval_db):
         sample(eval_db, good, good, difficulty="simple", qid="s2"),
         sample(eval_db, "SELECT 1", good, difficulty="challenging", qid="c1"),
     ]
-    report = evaluate(samples, metrics=("ex",))
+    report = evaluate(samples, metrics=("ex",), iterations=10)
     assert report["per_difficulty"]["simple"]["ex"] == 1.0
     assert report["per_difficulty"]["challenging"]["ex"] == 0.0
 
@@ -454,7 +454,7 @@ def test_evaluate_runs_each_statement_once_for_its_result(eval_db, monkeypatch):
 def test_evaluate_f1_only_report(eval_db):
     q = "SELECT id FROM orders WHERE region = 'west'"
     samples = [sample(eval_db, q, q, qid="f")]
-    report = evaluate(samples, metrics=("f1",))
+    report = evaluate(samples, metrics=("f1",), iterations=10)
     assert "ex" not in report
     assert report["schema_f1"]["f1"] == 1.0
     assert report["value_f1"]["f1"] == 1.0
@@ -467,5 +467,5 @@ def test_evaluate_overlap_summary(eval_db):
     samples = [
         sample(eval_db, gold, gold, evidence="West region orders have a name.", qid="o1"),
     ]
-    report = evaluate(samples, metrics=("overlap",))
+    report = evaluate(samples, metrics=("overlap",), iterations=10)
     assert report["overlap"]["mean"] == pytest.approx(4 / 7)

@@ -8,21 +8,17 @@ import pytest
 
 from diver.cotf import (
     CoTFDocument,
-    Evidence,
     Question,
     ToolCall,
     ToolFeedback,
     Turn,
-    VerifiedLinking,
     deserialize,
     document_facts,
 )
 from diver.breakup import token_refine
-from diver.database import catalog as build_catalog, open_database
-from diver.errors import SchemaViolation
+from diver.database import SchemaCatalog, catalog as build_catalog, open_database
 from diver.evidence import (
-    NO_FINDINGS_CONCISE,
-    NO_FINDINGS_LONG,
+    STYLES,
     generate_concise,
     generate_long,
     grounding_filter,
@@ -30,10 +26,11 @@ from diver.evidence import (
     self_consistency,
 )
 from diver.llm import ScriptedSession
+from diver.pipeline import PipelineConfig
 from diver.prompts import (
     EVIDENCE_CONCISE_SYSTEM,
+    EVIDENCE_LONG,
     EVIDENCE_LONG_SYSTEM,
-    EVIDENCE_TEMPERATURE,
     MERGE_SYSTEM,
 )
 
@@ -88,35 +85,6 @@ def test_document_facts_ignores_corrective_turns():
     assert "SecretCol" not in document_facts(doc)
 
 
-# --- Evidence type ---
-
-
-def test_evidence_validates_style_and_count():
-    doc = probe_doc()
-    with pytest.raises(SchemaViolation):
-        Evidence(style="verbose", text="x", candidate_count=1, source=doc)
-    with pytest.raises(SchemaViolation):
-        Evidence(style="long", text="x", candidate_count=0, source=doc)
-    with pytest.raises(SchemaViolation):
-        Evidence(style="long", text="x", candidate_count=True, source=doc)
-
-
-def test_evidence_must_be_nonempty_when_linkings_exist():
-    doc = probe_doc()
-    doc.add_verified(
-        VerifiedLinking(
-            kind="value",
-            table="frpm",
-            column="Low Grade",
-            literal="K",
-            rationale="",
-            source_turn=(0, 0),
-        )
-    )
-    with pytest.raises(SchemaViolation):
-        Evidence(style="long", text="  ", candidate_count=1, source=doc)
-
-
 # --- grounding_filter ---
 
 
@@ -136,7 +104,7 @@ def test_hallucinated_column_sentence_is_removed(cat):
 def test_catalog_identifiers_match_case_insensitively(cat):
     text = "The span start is stored in 'low grade'."
     assert grounding_filter(text, probe_doc(), cat)["removed_claims"] == []
-    out = grounding_filter(text, probe_doc())
+    out = grounding_filter(text, probe_doc(), SchemaCatalog())
     assert out["text"] == ""
     assert out["removed_claims"] == ["low grade"]
 
@@ -212,22 +180,21 @@ def test_long_generation_filters_and_labels(cat):
     llm = RecordingSession([narrative])
     ev = generate_long(doc, llm, cat)
     assert ev.style == "long"
-    assert ev.candidate_count == 1
-    assert ev.source is doc
     assert "Phantom Column" not in ev.text
     assert "`Low Grade`" in ev.text
 
     req = llm.requests[0]
-    assert req.temperature == EVIDENCE_TEMPERATURE
+    assert req.temperature == EVIDENCE_LONG.temperature
     assert req.response_format == "free_text"
     assert req.messages[0].content == EVIDENCE_LONG_SYSTEM
     assert '"distinct_count"' in req.messages[1].content
 
 
-def test_long_generation_on_empty_doc_needs_no_model(cat):
-    llm = ScriptedSession([])
-    ev = generate_long(empty_doc(), llm, cat)
-    assert ev.text == NO_FINDINGS_LONG
+@pytest.mark.parametrize("style", sorted(STYLES))
+def test_empty_workspace_needs_no_model_call(cat, style):
+    llm = ScriptedSession(["Anything the model says here."])
+    ev = self_consistency(empty_doc(), llm, 3, style, cat)
+    assert ev.text == STYLES[style].no_findings
     assert llm.consumed == 0
 
 
@@ -235,7 +202,7 @@ def test_long_generation_falls_back_when_everything_is_filtered(cat):
     doc = probe_doc()
     llm = ScriptedSession(["`Fake One` is key. 'Zz' is the value."])
     ev = generate_long(doc, llm, cat)
-    assert ev.text == NO_FINDINGS_LONG
+    assert ev.text == STYLES["long"].no_findings
     assert "Fake One" not in ev.text
 
 
@@ -256,7 +223,7 @@ def test_shot_messages_are_five_validated_pairs():
 def test_concise_generation_uses_alternating_shot_messages(cat):
     doc = probe_doc()
     llm = RecordingSession(["Grade K refers to `Low Grade` = 'K'."])
-    ev = generate_concise(doc, llm, catalog=cat)
+    ev = generate_concise(doc, llm, cat)
     assert ev.style == "concise"
     assert ev.text == "Grade K refers to `Low Grade` = 'K'."
 
@@ -270,11 +237,8 @@ def test_concise_generation_uses_alternating_shot_messages(cat):
     assert '"Low Grade"' in req.messages[-1].content
 
 
-def test_concise_canned_line_is_shorter_than_long_one(cat):
-    llm = ScriptedSession([])
-    ev = generate_concise(empty_doc(), llm, catalog=cat)
-    assert ev.text == NO_FINDINGS_CONCISE
-    assert len(NO_FINDINGS_CONCISE) < len(NO_FINDINGS_LONG)
+def test_concise_canned_line_is_shorter_than_long_one():
+    assert len(STYLES["concise"].no_findings) < len(STYLES["long"].no_findings)
 
 
 # --- self_consistency ---
@@ -283,15 +247,20 @@ def test_concise_canned_line_is_shorter_than_long_one(cat):
 def test_single_candidate_skips_the_merge(cat):
     doc = probe_doc()
     llm = ScriptedSession(["Grade K refers to `Low Grade` = 'K'."])
-    ev = self_consistency(doc, llm, n=1, style="concise", catalog=cat)
-    assert ev.candidate_count == 1
+    ev = self_consistency(doc, llm, 1, "concise", cat)
     assert ev.text == "Grade K refers to `Low Grade` = 'K'."
     assert llm.consumed == 1
 
 
-def test_rejects_nonpositive_candidate_count(cat):
-    with pytest.raises(ValueError):
-        self_consistency(probe_doc(), ScriptedSession([]), n=0, catalog=cat)
+def test_rejects_nonpositive_candidate_count():
+    with pytest.raises(ValueError, match="candidates"):
+        PipelineConfig(style="concise", candidates=0)
+
+
+def test_pipeline_config_rejects_unknown_style():
+    with pytest.raises(ValueError, match="verbose"):
+        PipelineConfig(style="verbose")
+    assert PipelineConfig(style="both").styles() == tuple(STYLES)
 
 
 def test_merge_sees_filtered_candidates_and_result_is_filtered(cat):
@@ -301,9 +270,8 @@ def test_merge_sees_filtered_candidates_and_result_is_filtered(cat):
     c3 = "There are 4 distinct grades."
     merged = "'K' is stored in `Low Grade`; there are 4 distinct grades."
     llm = RecordingSession([c1, c2, c3, merged])
-    ev = self_consistency(doc, llm, n=3, style="concise", catalog=cat)
+    ev = self_consistency(doc, llm, 3, "concise", cat)
 
-    assert ev.candidate_count == 3
     assert ev.text == merged
     assert llm.consumed == 4
 
@@ -319,7 +287,7 @@ def test_merged_output_is_grounded_by_the_filter(cat):
     doc = probe_doc()
     merged = "'K' is the code. `Invented Col` seals it."
     llm = ScriptedSession(["'K' a.", "'K' b.", "'K' c.", merged])
-    ev = self_consistency(doc, llm, n=3, style="long", catalog=cat)
+    ev = self_consistency(doc, llm, 3, "long", cat)
     assert "Invented Col" not in ev.text
     assert "'K' is the code." in ev.text
 
@@ -330,7 +298,7 @@ def test_merge_union_keeps_candidate_claims(cat):
     c2 = "`Low Grade` is the span column."
     merged = "The value 'K' is stored in `Low Grade`."
     llm = ScriptedSession([c1, c2, merged])
-    ev = self_consistency(doc, llm, n=2, style="concise", catalog=cat)
+    ev = self_consistency(doc, llm, 2, "concise", cat)
 
     def claims(text):
         single = re.findall(r"(?<![\w])'([^']+)'(?![\w])", text)

@@ -42,9 +42,9 @@ def _req(user_text: str = "hello", temperature: float = 0.7, fmt: str = "free_te
 
 def test_chat_request_validation():
     with pytest.raises(ValueError):
-        ChatRequest(messages=[])
+        ChatRequest([], 0.7, "free_text")
     with pytest.raises(ValueError):
-        ChatRequest(messages=[ChatMessage("user", "no system first")])
+        ChatRequest([ChatMessage("user", "no system first")], 0.7, "free_text")
     with pytest.raises(ValueError):
         _req(temperature=2.5)
     with pytest.raises(ValueError):

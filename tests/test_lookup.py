@@ -26,7 +26,7 @@ from diver.lookup import (
     run_clause,
     run_lookup,
 )
-from diver.prompts import HARVEST_TEMPERATURE, LOOKUP_TEMPERATURE, LOOKUP_TOOL_USER
+from diver.prompts import HARVEST, LOOKUP_THOUGHT, LOOKUP_TOOL_USER
 from diver.toolbox import TOOL_NAMES, ToolContext
 
 from replay import RecordingSession
@@ -224,7 +224,7 @@ def test_prompts_carry_guidance_workspace_and_thought(ctx):
     run_clause(doc, 0, llm, ctx)
 
     first_thought = llm.requests[0]
-    assert first_thought.temperature == LOOKUP_TEMPERATURE
+    assert first_thought.temperature == LOOKUP_THOUGHT.temperature
     assert first_thought.response_format == "free_text"
     assert first_thought.messages[0].role == "system"
     assert "### value_in" in first_thought.messages[0].content
@@ -237,7 +237,7 @@ def test_prompts_carry_guidance_workspace_and_thought(ctx):
     assert first_tool.messages[:-2] == first_thought.messages
     assert first_tool.messages[-2].role == "assistant"
     assert first_tool.messages[-2].content == "probe the grade column"
-    assert first_tool.messages[-1].content == LOOKUP_TOOL_USER
+    assert first_tool.messages[-1].content == LOOKUP_TOOL_USER.format()
 
     second_thought = llm.requests[2]
     assert '"distinct_count": 4' in second_thought.messages[-1].content
@@ -340,7 +340,7 @@ def test_harvest_keeps_grounded_value_linking():
     )
     assert link.source_turn == (0, 0)
     req = llm.requests[0]
-    assert req.temperature == HARVEST_TEMPERATURE
+    assert req.temperature == HARVEST.temperature
     assert '"samples"' in req.messages[-1].content
 
 
