@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -68,8 +69,20 @@ def _read_sidecar(path: Path) -> dict:
     return texts if isinstance(texts, dict) else {}
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write through a temp file in the same directory, so that a killed run
+    leaves the old file or the new one, never a part of one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 def _already_done(trace_dir: Path, evidence_dir: Path, qid: str, styles) -> bool:
-    if not (trace_dir / f"{qid}.json").exists():
+    """True when the question's trace deserializes and its sidecar holds
+    every style."""
+    try:
+        deserialize((trace_dir / f"{qid}.json").read_bytes())
+    except (DiverError, OSError):
         return False
     texts = _read_sidecar(evidence_dir / f"{qid}.json")
     return all(s in texts for s in styles)
@@ -100,11 +113,11 @@ def _run_one(row: dict, qid: str, args, llm, embedder, config, trace_dir, eviden
         embedder,
         config,
     )
-    (trace_dir / f"{qid}.json").write_bytes(serialize(doc))
+    _write_atomic(trace_dir / f"{qid}.json", serialize(doc))
     sidecar_path = evidence_dir / f"{qid}.json"
     texts = _read_sidecar(sidecar_path)
     texts.update({style: ev.text for style, ev in evidences.items()})
-    sidecar_path.write_text(_dump_json(texts), encoding="utf-8")
+    _write_atomic(sidecar_path, _dump_json(texts).encode("utf-8"))
 
 
 def cmd_run(args) -> int:

@@ -6,11 +6,13 @@ the end. The whole document serializes to canonical JSON (sorted keys, UTF-8,
 two-space indent, trailing newline) so replayed runs are byte-identical.
 
 The workspace is re-serialized on every probing round and by every evidence
-candidate, so serialize encodes each turn once and keeps the text on the
-document, as turn_facts does with a turn's facts. Both caches assume a turn
-never changes after append_turn: nothing in this package assigns to a Turn,
-its ToolCall or its ToolFeedback once the turn is appended (the toolbox
-records a drawn random seed into the call's args before the turn is built).
+candidate, so serialize encodes the question, each clause, each turn and each
+verified linking once and keeps the text on the document, as turn_facts does
+with a turn's facts. These caches are keyed by object identity and assume an
+object never changes once it is in the document. Question, Clause and
+VerifiedLinking are frozen; nothing in this package assigns to a Turn, its
+ToolCall or its ToolFeedback once the turn is appended (the toolbox records a
+drawn random seed into the call's args before the turn is built).
 
 Tool names are not validated here: a call keeps whatever name the model gave,
 and the tool table toolbox.TOOLS judges it at dispatch time. The only tool
@@ -70,7 +72,7 @@ def jsonify(value: Any) -> Any:
     raise SchemaViolation(f"payload value is not JSON-representable: {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Question:
     question_id: str
     db_id: str
@@ -181,7 +183,7 @@ class Turn:
             raise SchemaViolation("turn.feedback must be a ToolFeedback")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifiedLinking:
     kind: str
     table: str | None
@@ -217,9 +219,9 @@ class CoTFDocument:
     max_turns: int = DEFAULT_MAX_TURNS
 
     def __post_init__(self) -> None:
-        # per-turn caches of serialize and turn_facts; plain attributes, not
+        # per-object caches of serialize and turn_facts; plain attributes, not
         # fields, so they take no part in equality, repr or the wire format
-        self._fragments: dict[int, tuple[Turn, str]] = {}
+        self._fragments: dict[int, tuple[Any, str]] = {}
         self._facts: dict[int, tuple[Turn, frozenset[str]]] = {}
         if not _is_int(self.max_turns) or self.max_turns < 1:
             raise SchemaViolation("max_turns must be a positive integer")
@@ -294,13 +296,13 @@ def _collect_strings(value: Any, into: set[str]) -> None:
             _collect_strings(v, into)
 
 
-def _memo(cache: dict[int, tuple[Turn, Any]], turn: Turn, compute) -> Any:
-    """compute(turn), computed once per turn object. The entry holds the turn
+def _memo(cache: dict[int, tuple[Any, Any]], obj: Any, compute) -> Any:
+    """compute(obj), computed once per object. The entry holds the object
     itself, so its id cannot be reused by another object while cached; a
-    different turn that happens to be equal is computed from its own fields."""
-    hit = cache.get(id(turn))
-    if hit is None or hit[0] is not turn:
-        hit = cache[id(turn)] = (turn, compute(turn))
+    different object that happens to be equal is computed from its own fields."""
+    hit = cache.get(id(obj))
+    if hit is None or hit[0] is not obj:
+        hit = cache[id(obj)] = (obj, compute(obj))
     return hit[1]
 
 
@@ -348,14 +350,43 @@ def detect_repeat(doc: CoTFDocument, clause_index: int, call: ToolCall) -> bool:
     return any(t.tool_call == call for t in doc.turns[clause_index])
 
 
-def _encode(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
+def _fragment(payload: dict, depth: int) -> str:
+    """payload as it appears depth levels deep in the document. A JSON string
+    never holds a raw newline, so every newline is a line break of the layout
+    and takes the extra indent."""
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _question_fragment(q: Question) -> str:
+    payload = {
+        "question_id": q.question_id,
+        "db_id": q.db_id,
+        "text": q.text,
+        "gold_sql": q.gold_sql,
+        "expert_evidence": q.expert_evidence,
+        "difficulty": q.difficulty,
+    }
+    return _fragment(payload, 1)
+
+
+def _clause_fragment(c: Clause) -> str:
+    return _fragment({"index": c.index, "text": c.text, "token_span": list(c.token_span)}, 2)
+
+
+def _linking_fragment(v: VerifiedLinking) -> str:
+    payload = {
+        "kind": v.kind,
+        "table": v.table,
+        "column": v.column,
+        "literal": v.literal,
+        "rationale": v.rationale,
+        "source_turn": list(v.source_turn),
+    }
+    return _fragment(payload, 2)
 
 
 def _turn_fragment(turn: Turn) -> str:
-    """The turn as it appears in the document, three levels deep. A JSON
-    string never holds a raw newline, so every newline is a line break of
-    the layout and takes the extra indent."""
     payload = {
         "thought": turn.thought,
         "tool_call": {"tool": turn.tool_call.tool, "args": turn.tool_call.args},
@@ -365,7 +396,7 @@ def _turn_fragment(turn: Turn) -> str:
             "result": turn.feedback.result,
         },
     }
-    return _encode(payload).replace("\n", "\n      ")
+    return _fragment(payload, 3)
 
 
 def _layout_array(items: list[str], indent: str) -> str:
@@ -381,48 +412,26 @@ def serialize(doc: CoTFDocument) -> bytes:
     """Canonical JSON bytes: sorted keys, UTF-8, indent 2, trailing newline.
 
     Byte-identical to json.dumps(payload, sort_keys=True, ensure_ascii=False,
-    indent=2) of the whole document, but each turn is encoded once per
-    document; only the small rest is encoded on every call."""
-    q = doc.question
-    head = {
-        "schema_version": SCHEMA_VERSION,
-        "question": {
-            "question_id": q.question_id,
-            "db_id": q.db_id,
-            "text": q.text,
-            "gold_sql": q.gold_sql,
-            "expert_evidence": q.expert_evidence,
-            "difficulty": q.difficulty,
-        },
-        "clauses": [
-            {"index": c.index, "text": c.text, "token_span": list(c.token_span)}
-            for c in doc.clauses
-        ],
-        "verified": [
-            {
-                "kind": v.kind,
-                "table": v.table,
-                "column": v.column,
-                "literal": v.literal,
-                "rationale": v.rationale,
-                "source_turn": list(v.source_turn),
-            }
-            for v in doc.verified
-        ],
-        "max_turns": doc.max_turns,
+    indent=2) of the whole document, but the question, each clause, each turn
+    and each verified linking is encoded once per document; a call only lays
+    out the encoded pieces."""
+    memo = doc._fragments
+    members = {
+        "schema_version": json.dumps(SCHEMA_VERSION),
+        "question": _memo(memo, doc.question, _question_fragment),
+        "clauses": _layout_array([_memo(memo, c, _clause_fragment) for c in doc.clauses], "  "),
+        "turns": _layout_array(
+            [
+                _layout_array([_memo(memo, t, _turn_fragment) for t in column], "    ")
+                for column in doc.turns
+            ],
+            "  ",
+        ),
+        "verified": _layout_array([_memo(memo, v, _linking_fragment) for v in doc.verified], "  "),
+        "max_turns": json.dumps(doc.max_turns),
     }
-    turns = _layout_array(
-        [
-            _layout_array([_memo(doc._fragments, t, _turn_fragment) for t in column], "    ")
-            for column in doc.turns
-        ],
-        "  ",
-    )
-    text = _encode(head)
-    # "turns" sorts between "schema_version" and "verified", the last key; a
-    # top-level key is the only line that starts with two spaces and a quote
-    cut = text.index('\n  "verified": ')
-    return (text[:cut] + '\n  "turns": ' + turns + "," + text[cut:] + "\n").encode("utf-8")
+    body = ",\n  ".join(f'"{key}": {members[key]}' for key in sorted(members))
+    return ("{\n  " + body + "\n}\n").encode("utf-8")
 
 
 def _build(cls, obj: dict, **parsed: Any) -> Any:

@@ -16,7 +16,6 @@ import math
 from collections import Counter
 
 import numpy as np
-import requests
 
 from .errors import EmbedderUnavailable, EmptyInput
 
@@ -96,6 +95,8 @@ class RemoteEmbedder:
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise EmptyInput("embed() needs at least one text")
+        import requests  # only a remote embedder needs it; a lexical run skips its import
+
         texts = [_truncate(t) for t in texts]
         headers = {"Content-Type": "application/json"}
         if self.api_key:

@@ -11,6 +11,7 @@ client, with exactly one repair round-trip for malformed output.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -20,7 +21,6 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-import requests
 
 from .cotf import ToolCall
 from .errors import (
@@ -40,6 +40,7 @@ LLM_ATTEMPTS = 3  # total tries of one chat request
 LLM_BACKOFF = 1.0  # seconds before the first retry, doubled for each later one
 LLM_TIMEOUT = 120.0  # seconds per HTTP request
 LLM_MAX_IN_FLIGHT = 4  # concurrent requests one client sends
+FINGERPRINT_CACHE_SIZE = 16  # encoded message texts fingerprint keeps
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,34 @@ class ChatRequest:
         object.__setattr__(self, "messages", tuple(self.messages))
 
 
+@functools.lru_cache(maxsize=FINGERPRINT_CACHE_SIZE)
+def _message_json(role: str, content: str) -> bytes:
+    """One message object as the canonical request JSON writes it, in UTF-8."""
+    text = json.dumps(content, ensure_ascii=False)
+    return f'{{"content": {text}, "role": {json.dumps(role)}}}'.encode("utf-8")
+
+
 def fingerprint(request: ChatRequest) -> str:
-    """Stable identity of a request: sha256 over its canonical JSON."""
-    payload = {
-        "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-        "temperature": request.temperature,
-        "response_format": request.response_format,
-    }
-    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """Stable identity of a request: sha256 over its canonical JSON, the UTF-8
+    of json.dumps({"messages": [{"role", "content"}, ...], "temperature",
+    "response_format"}, sort_keys=True, ensure_ascii=False).
+
+    The same bytes are fed to sha256 piece by piece. Consecutive requests
+    resend the same system prompt, conversation and workspace, so each
+    message's piece comes from a small cache keyed by its text."""
+    digest = hashlib.sha256(b'{"messages": [')
+    for i, m in enumerate(request.messages):
+        if i:
+            digest.update(b", ")
+        digest.update(_message_json(m.role, m.content))
+    # the keys after "messages", sorted, with the object's closing brace
+    tail = json.dumps(
+        {"response_format": request.response_format, "temperature": request.temperature},
+        sort_keys=True,
+        ensure_ascii=False,
+    )
+    digest.update(b"], " + tail[1:].encode("utf-8"))
+    return digest.hexdigest()
 
 
 class ScriptedSession:
@@ -155,6 +175,8 @@ class LiveClient:
         self._gate = threading.BoundedSemaphore(LLM_MAX_IN_FLIGHT)
 
     def chat(self, request: ChatRequest) -> str:
+        import requests  # only a live client needs it; a replayed run skips its import
+
         payload = {
             "model": self.model,
             "messages": [

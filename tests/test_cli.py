@@ -1,6 +1,8 @@
 """Command-line surface: runs, resume, evaluation, trace statistics."""
 
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -174,6 +176,41 @@ def test_rerun_without_force_makes_no_llm_calls(happy_run, tmp_path):
     assert report["failed"] == {}
     evidence = json.loads((out / "evidence_concise.json").read_text())
     assert len(evidence) == 3
+
+
+def test_rerun_redoes_a_truncated_trace(happy_run, tmp_path, db_root):
+    rc, dataset, _, out = happy_run
+    assert rc == 0
+    trace = out / "traces" / "12.json"
+    whole = trace.read_bytes()
+    trace.write_bytes(whole[: len(whole) // 2])
+    b = ScriptBuilder()
+    b.responses = build_happy_script().build()[14:-10]  # q2's block alone
+    rc = cli.main(run_args(dataset, db_root, out, b.write(tmp_path / "q2.json")))
+    assert rc == 0
+    report = json.loads((out / "run_report.json").read_text())
+    assert set(report["skipped"]) == {"11", "13"}
+    assert report["completed"] == ["12"]
+    assert trace.read_bytes() == whole
+    assert sorted(p.name for p in out.rglob("*.tmp")) == []
+
+
+def test_replayed_run_never_imports_requests(happy_run, tmp_path, db_root):
+    _, dataset, _, _ = happy_run
+    script = build_happy_script().write(tmp_path / "again.json")
+    argv = run_args(dataset, db_root, tmp_path / "again", script)
+    code = (
+        "import sys\n"
+        "import diver.cli\n"
+        "assert 'requests' not in sys.modules, 'import'\n"
+        f"assert diver.cli.main({argv!r}) == 0\n"
+        "assert 'requests' not in sys.modules, 'run'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_force_reruns_every_question(happy_run, tmp_path, db_root):

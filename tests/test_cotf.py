@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -411,6 +411,12 @@ def test_serialize_equals_one_shot_encoding_as_the_document_grows(case):
             )
         )
         check()
+    # a question or a linking put in place of a cached one is encoded, not looked up
+    doc.question = replace(doc.question, question_id=doc.question.question_id + "!", gold_sql="é")
+    check()
+    if doc.verified:
+        doc.verified[0] = replace(doc.verified[0], rationale=doc.verified[0].rationale + "\u2028")
+        check()
     # a turn put in place of a cached one is encoded, not looked up, also
     # once the turns it replaced are freed and their ids come round again
     for suffix in "!?!?":
@@ -418,6 +424,14 @@ def test_serialize_equals_one_shot_encoding_as_the_document_grows(case):
             for ti, turn in enumerate(column):
                 column[ti] = replace(turn, thought=turn.thought + suffix)
         check()
+
+
+def test_question_and_linking_cannot_change_once_built():
+    doc = golden_doc()
+    with pytest.raises(FrozenInstanceError):
+        doc.question.text = "Another question"
+    with pytest.raises(FrozenInstanceError):
+        doc.verified[0].rationale = "another rationale"
 
 
 # paths to one object of each kind in a serialized golden_doc()

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diver import llm
 from diver.cotf import ToolCall
@@ -61,6 +64,77 @@ def test_fingerprint_deterministic_and_sensitive():
     assert fingerprint(_req("same")) != fingerprint(_req("different"))
     assert fingerprint(_req("same", temperature=0.2)) != fingerprint(_req("same"))
     assert fingerprint(_req("same", fmt="tool_call_schema")) != fingerprint(_req("same"))
+
+
+def one_shot_fingerprint(request: ChatRequest) -> str:
+    """Reference: sha256 over the whole request's canonical JSON at once."""
+    payload = {
+        "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+        "temperature": request.temperature,
+        "response_format": request.response_format,
+    }
+    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# quotes, backslashes, control characters, a JSON-legal line separator and
+# non-ASCII letters up to the astral plane, mixed into arbitrary text
+TRICKY = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "数", "\u2028", "😀"])
+TEXT = st.text(TRICKY | st.characters(exclude_categories=("Cs",)), max_size=12)
+
+
+def copy_of(text: str) -> str:
+    """An equal string that is another object (where Python does not share
+    one- and zero-character strings)."""
+    return (text + "x")[:-1]
+
+
+@st.composite
+def conversations(draw):
+    """Requests that resend texts the way a run does: each message picks a
+    text from a shared pool, as the same object or as an equal copy."""
+    pool = draw(st.lists(TEXT, min_size=1, max_size=6))
+    requests = []
+    for _ in range(draw(st.integers(1, 6))):
+        picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()), max_size=4))
+        texts = [copy_of(pool[i]) if copy else pool[i] for i, copy in picks]
+        messages = [ChatMessage("system", texts[0] if texts else "")]
+        messages += [
+            ChatMessage(("user", "assistant")[i % 2], text) for i, text in enumerate(texts[1:])
+        ]
+        requests.append(
+            ChatRequest(
+                messages=messages,
+                temperature=draw(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 2.0)),
+                response_format=draw(st.sampled_from(llm.RESPONSE_FORMATS)),
+            )
+        )
+    return requests
+
+
+@settings(max_examples=150, deadline=None)
+@given(conversations())
+def test_fingerprint_equals_one_shot_encoding(requests):
+    for request in requests:
+        assert fingerprint(request) == one_shot_fingerprint(request)
+
+
+def test_fingerprint_equals_one_shot_encoding_past_the_cache_bound():
+    texts = [f"workspace {i}: \"é\u2028😀\\" * (i + 1) for i in range(3 * llm.FINGERPRINT_CACHE_SIZE)]
+    # twice round, so the second pass finds every early text evicted
+    for text in texts + texts[::-1] + texts:
+        request = _req(text, fmt="tool_call_schema")
+        assert fingerprint(request) == one_shot_fingerprint(request)
+    assert llm._message_json.cache_info().currsize == llm.FINGERPRINT_CACHE_SIZE
+
+
+@pytest.mark.parametrize("text", ["\ud800", "a\udfffb", "😀\ud83d"])
+def test_fingerprint_raises_like_one_shot_on_a_lone_surrogate(text):
+    request = _req(text)
+    with pytest.raises(Exception) as expected:
+        one_shot_fingerprint(request)
+    with pytest.raises(expected.type):
+        fingerprint(request)
 
 
 def test_scripted_sequence_order_and_exhaustion():
