@@ -17,7 +17,7 @@ from pathlib import Path
 from .cotf import DEFAULT_MAX_TURNS, FEEDBACK_KINDS, Question, deserialize, serialize
 from .database import db_path_for, description_dir_for
 from .embedding import LexicalEmbedder, RemoteEmbedder
-from .errors import ConfigurationError, DiverError
+from .errors import DiverError
 from .eval import VES_MIN_ITERATIONS, EvalSample, evaluate, format_report
 from .evidence import STYLES
 from .llm import LiveClient, ScriptedSession
@@ -36,7 +36,7 @@ def _load_json(path: str | Path, what: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot load {what} from {path}: {exc}") from exc
+        raise DiverError(f"cannot load {what} from {path}: {exc}") from exc
 
 
 def _build_llm(args):
@@ -44,7 +44,7 @@ def _build_llm(args):
         session = ScriptedSession.from_file(args.mock_llm)
         return session, session.is_sequential
     if not args.llm_endpoint:
-        raise ConfigurationError("need --mock-llm SCRIPT or --llm-endpoint URL")
+        raise DiverError("need --mock-llm SCRIPT or --llm-endpoint URL")
     return LiveClient(base_url=args.llm_endpoint, model=args.llm_model), False
 
 
@@ -52,7 +52,7 @@ def _build_embedder(args):
     if args.embedder == "lexical":
         return LexicalEmbedder()
     if not args.embedder_endpoint:
-        raise ConfigurationError("--embedder remote needs --embedder-endpoint URL")
+        raise DiverError("--embedder remote needs --embedder-endpoint URL")
     return RemoteEmbedder(endpoint=args.embedder_endpoint)
 
 
@@ -91,10 +91,10 @@ def _already_done(trace_dir: Path, evidence_dir: Path, qid: str, styles) -> bool
 def _run_one(row: dict, qid: str, args, llm, embedder, config, trace_dir, evidence_dir):
     text = row.get("question")
     if not isinstance(text, str) or not text:
-        raise ConfigurationError("question text missing")
+        raise DiverError("question text missing")
     db_id = row.get("db_id")
     if not isinstance(db_id, str) or not db_id:
-        raise ConfigurationError("db_id missing")
+        raise DiverError("db_id missing")
     db_path = db_path_for(args.db_root, db_id)
     desc = description_dir_for(args.db_root, db_id)
     question = Question(
@@ -124,7 +124,7 @@ def cmd_run(args) -> int:
     try:
         rows = _load_json(args.dataset, "dataset")
         if not isinstance(rows, list):
-            raise ConfigurationError(f"dataset {args.dataset} must be a JSON list")
+            raise DiverError(f"dataset {args.dataset} must be a JSON list")
         llm, sequential = _build_llm(args)
         embedder = _build_embedder(args)
     except DiverError as exc:
@@ -187,9 +187,7 @@ def cmd_run(args) -> int:
     sidecars = {qid: _read_sidecar(evidence_dir / f"{qid}.json") for qid, _ in ordered}
     for style in styles:
         mapping = {qid: texts[style] for qid, texts in sidecars.items() if style in texts}
-        (out_dir / f"evidence_{style}.json").write_text(
-            _dump_json(mapping), encoding="utf-8"
-        )
+        _write_atomic(out_dir / f"evidence_{style}.json", _dump_json(mapping).encode("utf-8"))
 
     report = {
         "completed": completed,
@@ -197,7 +195,7 @@ def cmd_run(args) -> int:
         "failed": failed,
         "styles": list(styles),
     }
-    (out_dir / "run_report.json").write_text(_dump_json(report), encoding="utf-8")
+    _write_atomic(out_dir / "run_report.json", _dump_json(report).encode("utf-8"))
 
     for qid, _ in ordered:
         if qid in failed:
@@ -218,7 +216,7 @@ def cmd_eval(args) -> int:
         rows = _load_json(args.dataset, "dataset")
         predictions = _load_json(args.predictions, "predictions")
         if not isinstance(rows, list) or not isinstance(predictions, dict):
-            raise ConfigurationError("dataset must be a list and predictions a map")
+            raise DiverError("dataset must be a list and predictions a map")
     except DiverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,12 +25,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any
 
-from .errors import (
-    ClauseTerminated,
-    IndexOutOfBounds,
-    SchemaViolation,
-    TurnBudgetExceeded,
-)
+from .errors import SchemaViolation
 from .tokens import tokenize
 
 SCHEMA_VERSION = 1
@@ -327,18 +322,30 @@ def document_facts(doc: CoTFDocument) -> frozenset[str]:
     return frozenset().union(*(turn_facts(doc, t) for column in doc.turns for t in column))
 
 
-def append_turn(doc: CoTFDocument, clause_index: int, turn: Turn) -> CoTFDocument:
-    """Append a turn to one clause, enforcing termination and budget rules."""
-    if not 0 <= clause_index < len(doc.clauses):
-        raise IndexOutOfBounds(f"clause index {clause_index} out of range")
+def _closed_reason(doc: CoTFDocument, clause_index: int) -> str | None:
     column = doc.turns[clause_index]
     if column and column[-1].tool_call.tool == "none":
-        raise ClauseTerminated(f"clause {clause_index} already ended with none")
+        return f"clause {clause_index} already ended with none"
     if len(column) >= doc.max_turns:
-        raise TurnBudgetExceeded(
-            f"clause {clause_index} already holds {doc.max_turns} turns"
-        )
-    column.append(turn)
+        return f"clause {clause_index} already holds {doc.max_turns} turns"
+    return None
+
+
+def clause_open(doc: CoTFDocument, clause_index: int) -> bool:
+    """True while the clause can take another turn: its last call is not the
+    stop signal and it holds fewer than max_turns turns."""
+    return _closed_reason(doc, clause_index) is None
+
+
+def append_turn(doc: CoTFDocument, clause_index: int, turn: Turn) -> CoTFDocument:
+    """Append a turn to one clause; SchemaViolation when the index is out of
+    range or the clause is no longer open."""
+    if not 0 <= clause_index < len(doc.clauses):
+        raise SchemaViolation(f"clause index {clause_index} out of range")
+    reason = _closed_reason(doc, clause_index)
+    if reason is not None:
+        raise SchemaViolation(reason)
+    doc.turns[clause_index].append(turn)
     return doc
 
 
@@ -346,7 +353,7 @@ def detect_repeat(doc: CoTFDocument, clause_index: int, call: ToolCall) -> bool:
     """True when an earlier turn in the same clause made the identical call
     (same tool, identical args)."""
     if not 0 <= clause_index < len(doc.clauses):
-        raise IndexOutOfBounds(f"clause index {clause_index} out of range")
+        raise SchemaViolation(f"clause index {clause_index} out of range")
     return any(t.tool_call == call for t in doc.turns[clause_index])
 
 

@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import (
-    DescriptionParseError,
-    NotFound,
-    NotReadable,
-    ReadOnlyViolation,
-    SqlError,
-)
+from .errors import DescriptionParseError, DiverError, SqlError
 
 logger = logging.getLogger(__name__)
 
@@ -151,13 +145,13 @@ class DatabaseHandle:
         try:
             self._conn = sqlite3.connect(uri, uri=True, check_same_thread=False)
         except sqlite3.Error as exc:
-            raise NotReadable(f"cannot open {self.path}: {exc}") from exc
+            raise DiverError(f"cannot open {self.path}: {exc}") from exc
         self._conn.set_progress_handler(self._tick, 2000)
         try:
             self._conn.execute("SELECT 1 FROM sqlite_master LIMIT 1").fetchall()
         except sqlite3.DatabaseError as exc:
             self._conn.close()
-            raise NotReadable(f"cannot read {self.path}: {exc}") from exc
+            raise DiverError(f"cannot read {self.path}: {exc}") from exc
         self._memo = _memo_for(self.path)
 
     def _tick(self) -> int:
@@ -185,7 +179,7 @@ class DatabaseHandle:
     def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         keyword = _first_keyword(sql)
         if keyword not in READ_KEYWORDS:
-            raise ReadOnlyViolation(
+            raise SqlError(
                 f"only read statements are allowed, got {keyword or 'empty statement'!r}"
             )
         started = time.perf_counter()
@@ -222,7 +216,7 @@ def _first_keyword(sql: str) -> str:
 def open_database(path: str | Path) -> DatabaseHandle:
     p = Path(path)
     if not p.exists():
-        raise NotFound(f"database file does not exist: {p}")
+        raise DiverError(f"database file does not exist: {p}")
     return DatabaseHandle(p)
 
 

@@ -17,7 +17,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import EmbedderUnavailable, EmptyInput
+from .errors import EmbedderUnavailable
 
 logger = logging.getLogger(__name__)
 
@@ -65,7 +65,7 @@ class LexicalEmbedder:
 
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
-            raise EmptyInput("embed() needs at least one text")
+            raise ValueError("embed() needs at least one text")
         texts = [_truncate(t) for t in texts]
         counts = [Counter(_grams(t)) for t in texts]
         df: Counter = Counter()
@@ -94,7 +94,7 @@ class RemoteEmbedder:
 
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
-            raise EmptyInput("embed() needs at least one text")
+            raise ValueError("embed() needs at least one text")
         import requests  # only a remote embedder needs it; a lexical run skips its import
 
         texts = [_truncate(t) for t in texts]

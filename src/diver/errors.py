@@ -1,7 +1,11 @@
 """Exception hierarchy shared across the package.
 
-Grouped by the layer that raises them. Everything inherits from DiverError so
-callers can fence off library failures with a single except clause.
+One class per decision a caller makes. The probing loop never sees an
+exception: the toolbox turns every probe failure into feedback. A class below
+DiverError exists only because some caller in the package catches it apart
+from its base; the rest of the package raises DiverError itself (a missing
+database file, a bad dataset, missing credentials), and the command line and
+the evaluator catch exactly that.
 """
 
 from __future__ import annotations
@@ -11,84 +15,29 @@ class DiverError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-# --- workspace / document layer ---
-
-
 class SchemaViolation(DiverError):
-    """A serialized document (or part of one) does not match the trace schema."""
-
-
-class IndexOutOfBounds(DiverError):
-    """A clause or turn index points outside the document."""
-
-
-class ClauseTerminated(DiverError):
-    """A turn was appended to a clause that already ended with `none`."""
-
-
-class TurnBudgetExceeded(DiverError):
-    """A turn was appended to a clause that already holds max_turns turns."""
-
-
-# --- database adapter ---
-
-
-class NotFound(DiverError):
-    """Database file does not exist."""
-
-
-class NotReadable(DiverError):
-    """Database file exists but cannot be opened for reading."""
-
-
-class ReadOnlyViolation(DiverError):
-    """A statement that could write reached a read-only handle."""
+    """A document, or part of one, breaks the trace schema or its rules.
+    Callers drop the rejected linking or tool call."""
 
 
 class SqlError(DiverError):
-    """Statement failed; message carries the engine's own text verbatim."""
-
-
-class UnknownTable(DiverError):
-    """Named table is not in the catalog."""
-
-
-class UnknownColumn(DiverError):
-    """Named column is not in the named table."""
+    """A statement failed (the message is the engine's own text verbatim),
+    a statement that is not a read was refused, or a probe named an unknown
+    table or column. dispatch passes the message to the model as corrective
+    feedback."""
 
 
 class DescriptionParseError(DiverError):
     """A description CSV could not be parsed. Non-fatal: callers warn and skip."""
 
 
-# --- embedder ---
-
-
 class EmbedderUnavailable(DiverError):
     """Embedding provider cannot be reached; callers fall back to lexical scoring."""
 
 
-class EmptyInput(DiverError):
-    """embed() was called with an empty list of texts."""
-
-
-# --- llm client ---
-
-
 class LlmError(DiverError):
-    """Base class for chat-client failures."""
-
-
-class ConfigurationError(LlmError):
-    """Client is not configured (missing credentials, bad endpoint)."""
-
-
-class ProviderError(LlmError):
-    """Remote chat endpoint kept failing after retries."""
-
-
-class ScriptExhausted(LlmError):
-    """A scripted session ran out of canned responses."""
+    """A chat client failed: the endpoint kept failing or a replay script ran
+    out. The probing loop aborts the clause and keeps the partial trace."""
 
 
 class MalformedToolCall(LlmError):
@@ -102,4 +51,4 @@ class MalformedToolCall(LlmError):
 
 class ParseFailure(DiverError):
     """SQL could not be tokenized/parsed. extract_entities never raises this;
-    it sets a flag instead. Kept as a class so callers can share the name."""
+    it sets a flag instead."""

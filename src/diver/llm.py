@@ -23,13 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cotf import ToolCall
-from .errors import (
-    ConfigurationError,
-    MalformedToolCall,
-    ProviderError,
-    SchemaViolation,
-    ScriptExhausted,
-)
+from .errors import DiverError, LlmError, MalformedToolCall, SchemaViolation
 
 logger = logging.getLogger(__name__)
 
@@ -117,7 +111,7 @@ class ScriptedSession:
         elif isinstance(script, dict) and "by_fingerprint" in script:
             self._by_fingerprint = {k: list(v) for k, v in script["by_fingerprint"].items()}
         else:
-            raise ConfigurationError(
+            raise DiverError(
                 "script must be a list, {'responses': [...]}, or {'by_fingerprint': {...}}"
             )
         self.consumed = 0
@@ -130,7 +124,7 @@ class ScriptedSession:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"cannot load replay script {path}: {exc}") from exc
+            raise DiverError(f"cannot load replay script {path}: {exc}") from exc
 
     @property
     def is_sequential(self) -> bool:
@@ -149,10 +143,8 @@ class ScriptedSession:
                 self.consumed += 1
                 return queue.pop(0)
             if fp is None:
-                raise ScriptExhausted(
-                    f"replay script exhausted after {self.consumed} responses"
-                )
-            raise ScriptExhausted(f"no scripted response for request {fp[:12]}…")
+                raise LlmError(f"replay script exhausted after {self.consumed} responses")
+            raise LlmError(f"no scripted response for request {fp[:12]}…")
 
 
 @dataclass
@@ -167,11 +159,9 @@ class LiveClient:
         if self.api_key is None:
             self.api_key = os.environ.get(API_KEY_ENV)
         if not self.api_key:
-            raise ConfigurationError(
-                f"no API key: set {API_KEY_ENV} or pass api_key explicitly"
-            )
+            raise DiverError(f"no API key: set {API_KEY_ENV} or pass api_key explicitly")
         if not self.base_url:
-            raise ConfigurationError("base_url must be set")
+            raise DiverError("base_url must be set")
         self._gate = threading.BoundedSemaphore(LLM_MAX_IN_FLIGHT)
 
     def chat(self, request: ChatRequest) -> str:
@@ -198,12 +188,12 @@ class LiveClient:
                 resp.raise_for_status()
                 text = resp.json()["choices"][0]["message"]["content"]
                 if not isinstance(text, str):
-                    raise ProviderError(f"endpoint returned non-text content: {text!r}")
+                    raise LlmError(f"endpoint returned non-text content: {text!r}")
                 return text
             except (requests.RequestException, KeyError, ValueError, IndexError) as exc:
                 last_error = exc
                 logger.warning("chat attempt %d/%d failed: %s", attempt + 1, LLM_ATTEMPTS, exc)
-        raise ProviderError(f"chat endpoint failed after {LLM_ATTEMPTS} attempts: {last_error}")
+        raise LlmError(f"chat endpoint failed after {LLM_ATTEMPTS} attempts: {last_error}")
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)

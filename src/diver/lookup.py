@@ -20,6 +20,7 @@ from .cotf import (
     Turn,
     VerifiedLinking,
     append_turn,
+    clause_open,
     detect_repeat,
     serialize,
     turn_facts,
@@ -71,13 +72,7 @@ def run_clause(
     clause = doc.clauses[clause_index]
     guidance = render_guidance()
 
-    while True:
-        column = doc.turns[clause_index]
-        if column and column[-1].tool_call.tool == "none":
-            break
-        if len(column) >= doc.max_turns:
-            break
-
+    while clause_open(doc, clause_index):
         fields = dict(
             guidance=guidance,
             workspace=serialize(doc).decode("utf-8"),

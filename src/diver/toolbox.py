@@ -18,7 +18,7 @@ from typing import Any, Callable
 from .cotf import ToolCall, ToolFeedback
 from .database import DatabaseHandle, SchemaCatalog, quote_identifier
 from .embedding import rank_lexical, top_k, trigrams
-from .errors import DiverError, EmbedderUnavailable, SqlError, UnknownColumn, UnknownTable
+from .errors import DiverError, EmbedderUnavailable, SqlError
 
 POOL_CAP = 10_000  # embed the whole distinct-value pool up to this size
 PREFILTER_SIZE = 1_000  # larger pools are cut down by trigram overlap first
@@ -50,7 +50,9 @@ class Tool:
     reroute: str | None
     # run(context, args) names its handler inside a lambda, so the handler is
     # looked up at call time and a wrapper installed on e.g. toolbox.value_in
-    # still sees every dispatched call
+    # still sees every dispatched call. The validated args are passed by
+    # name: required and optional are the handler's parameter names, and an
+    # optional parameter's default lives only in the handler's signature.
     run: Callable[[ToolContext, dict[str, Any]], dict[str, Any]]
 
 
@@ -66,7 +68,7 @@ TOOLS: dict[str, Tool] = {
             " stores it exactly as written, including case."
         ),
         reroute="sim_value_in for a fuzzy search",
-        run=lambda c, a: value_in(c.handle, a["table"], a["column"], a["value"]),
+        run=lambda c, a: value_in(c.handle, **a),
     ),
     "sim_value_in": Tool(
         description="Fuzzy search: rank the column's stored values by similarity to a query string.",
@@ -77,10 +79,7 @@ TOOLS: dict[str, Tool] = {
             " stored spelling differs from the question's wording."
         ),
         reroute="uniq_value to list the column's distinct values instead",
-        run=lambda c, a: sim_value_in(
-            c.handle, c.embedder, a["table"], a["column"], a["query_text"],
-            k=a.get("k", DEFAULT_K),
-        ),
+        run=lambda c, a: sim_value_in(c.handle, c.embedder, **a),
     ),
     "uniq_value": Tool(
         description="Count distinct values in a column and list a sorted sample of them.",
@@ -91,9 +90,7 @@ TOOLS: dict[str, Tool] = {
             " of its distinct entries to see how values are written."
         ),
         reroute="info to read the column's metadata and description instead",
-        run=lambda c, a: uniq_value(
-            c.handle, a["table"], a["column"], limit=a.get("limit", DEFAULT_SAMPLE_LIMIT)
-        ),
+        run=lambda c, a: uniq_value(c.handle, **a),
     ),
     "head": Tool(
         description="Fetch the first n rows of a table in storage order.",
@@ -104,7 +101,7 @@ TOOLS: dict[str, Tool] = {
             " specific columns."
         ),
         reroute="uniq_value to study one column's distinct values instead",
-        run=lambda c, a: head(c.handle, a["table"], a["n"]),
+        run=lambda c, a: head(c.handle, **a),
     ),
     "random": Tool(
         description="Fetch n rows sampled without replacement, reproducibly by seed.",
@@ -115,7 +112,7 @@ TOOLS: dict[str, Tool] = {
             " possibly unrepresentative leading block."
         ),
         reroute="uniq_value to study one column's distinct values instead",
-        run=lambda c, a: random_rows(c.handle, a["table"], a["n"], a["seed"]),
+        run=lambda c, a: random_rows(c.handle, **a),
     ),
     "if_null": Tool(
         description="Count NULL entries in a column and report the missing fraction.",
@@ -126,7 +123,7 @@ TOOLS: dict[str, Tool] = {
             " how sparse the column is first."
         ),
         reroute="info to read the column's metadata and description instead",
-        run=lambda c, a: if_null(c.handle, a["table"], a["column"]),
+        run=lambda c, a: if_null(c.handle, **a),
     ),
     "info": Tool(
         description=(
@@ -140,7 +137,7 @@ TOOLS: dict[str, Tool] = {
             " to decode an abbreviation the question uses."
         ),
         reroute="sim_columns to search the whole schema for related columns instead",
-        run=lambda c, a: info(c.handle, c.catalog, a["table"], a.get("column")),
+        run=lambda c, a: info(c.handle, c.catalog, **a),
     ),
     "sim_columns": Tool(
         description="Rank every catalog column by similarity to a query string.",
@@ -151,9 +148,7 @@ TOOLS: dict[str, Tool] = {
             " schema by meaning for better candidates."
         ),
         reroute="head to inspect real rows of a candidate table instead",
-        run=lambda c, a: sim_columns(
-            c.catalog, c.embedder, a["query_text"], k=a.get("k", DEFAULT_K)
-        ),
+        run=lambda c, a: sim_columns(c.catalog, c.embedder, **a),
     ),
     "none": Tool(
         description="Finish the current clause: no further probing is needed.",
@@ -288,12 +283,12 @@ def info(
     """Metadata for one column, or a per-column summary of a whole table."""
     t = catalog.table(table)
     if t is None:
-        raise UnknownTable(f"unknown table: {table}")
+        raise SqlError(f"unknown table: {table}")
     fractions = _null_fractions(handle, t)
     if column is not None:
         c = t.column(column)
         if c is None:
-            raise UnknownColumn(f"unknown column: {table}.{column}")
+            raise SqlError(f"unknown column: {table}.{column}")
         return {
             "table": t.name,
             "column": c.name,
@@ -476,7 +471,7 @@ def dispatch(call: ToolCall, context: ToolContext) -> ToolFeedback:
         call.args["seed"] = context.rng.randrange(2**32)
     try:
         result = TOOLS[call.tool].run(context, call.args)
-    except (SqlError, UnknownTable, UnknownColumn) as exc:
+    except SqlError as exc:
         return ToolFeedback.corrective(str(exc))
     except DiverError as exc:
         return ToolFeedback.corrective(f"{type(exc).__name__}: {exc}")

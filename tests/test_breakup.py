@@ -6,7 +6,7 @@ import pytest
 
 from corpus import build_refinement_corpus, verify_partition
 from diver.breakup import segment, token_refine
-from diver.errors import ScriptExhausted
+from diver.errors import LlmError
 from diver.llm import ScriptedSession
 from diver.tokens import Token, tokenize
 
@@ -124,7 +124,7 @@ def test_segment_tolerates_fences_and_garbage():
 
 def test_segment_propagates_client_errors():
     session = ScriptedSession([])
-    with pytest.raises(ScriptExhausted):
+    with pytest.raises(LlmError, match=r"^replay script exhausted after 0 responses$"):
         segment("q", session)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +194,24 @@ def test_rerun_redoes_a_truncated_trace(happy_run, tmp_path, db_root):
     assert report["completed"] == ["12"]
     assert trace.read_bytes() == whole
     assert sorted(p.name for p in out.rglob("*.tmp")) == []
+
+
+def test_run_writes_every_output_file_atomically(tmp_path, db_root, monkeypatch):
+    dataset = write_dataset(tmp_path / "dataset.json", DATASET)
+    script = build_happy_script().write(tmp_path / "script.json")
+    out = tmp_path / "out"
+    replaced = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        replaced.append(Path(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    assert cli.main(run_args(dataset, db_root, out, script)) == 0
+    written = {p for p in out.rglob("*") if p.is_file()}
+    assert written == set(replaced)
+    assert {out / "evidence_concise.json", out / "run_report.json"} <= written
 
 
 def test_replayed_run_never_imports_requests(happy_run, tmp_path, db_root):

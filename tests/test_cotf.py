@@ -23,12 +23,7 @@ from diver.cotf import (
     detect_repeat,
     serialize,
 )
-from diver.errors import (
-    ClauseTerminated,
-    IndexOutOfBounds,
-    SchemaViolation,
-    TurnBudgetExceeded,
-)
+from diver.errors import SchemaViolation
 from diver.tokens import tokenize
 from diver.toolbox import TOOL_NAMES
 
@@ -72,9 +67,9 @@ def test_append_records_turn():
 def test_append_to_bad_clause_index():
     doc = small_doc()
     turn = Turn("t", ToolCall("none", {}), ToolFeedback.standard({}))
-    with pytest.raises(IndexOutOfBounds):
+    with pytest.raises(SchemaViolation, match=r"^clause index 1 out of range$"):
         append_turn(doc, 1, turn)
-    with pytest.raises(IndexOutOfBounds):
+    with pytest.raises(SchemaViolation, match=r"^clause index -1 out of range$"):
         append_turn(doc, -1, turn)
 
 
@@ -87,14 +82,14 @@ def test_append_past_budget_raises():
     )
     append_turn(doc, 0, mk(0))
     append_turn(doc, 0, mk(1))
-    with pytest.raises(TurnBudgetExceeded):
+    with pytest.raises(SchemaViolation, match=r"^clause 0 already holds 2 turns$"):
         append_turn(doc, 0, mk(2))
 
 
 def test_append_after_none_raises():
     doc = small_doc()
     append_turn(doc, 0, Turn("done", ToolCall("none", {}), ToolFeedback.standard({})))
-    with pytest.raises(ClauseTerminated):
+    with pytest.raises(SchemaViolation, match=r"^clause 0 already ended with none$"):
         append_turn(doc, 0, Turn("again", ToolCall("none", {}), ToolFeedback.standard({})))
 
 

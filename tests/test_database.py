@@ -18,13 +18,7 @@ from diver.database import (
     open_database,
     parse_description_file,
 )
-from diver.errors import (
-    DescriptionParseError,
-    NotFound,
-    NotReadable,
-    ReadOnlyViolation,
-    SqlError,
-)
+from diver.errors import DescriptionParseError, DiverError, SqlError
 
 
 def _oracle_catalog(path: Path) -> dict[str, tuple[list[tuple[str, str]], int]]:
@@ -52,14 +46,14 @@ def _oracle_catalog(path: Path) -> dict[str, tuple[list[tuple[str, str]], int]]:
 
 
 def test_open_missing_file(tmp_path):
-    with pytest.raises(NotFound):
+    with pytest.raises(DiverError, match=r"^database file does not exist: .*nope\.sqlite$"):
         open_database(tmp_path / "nope.sqlite")
 
 
 def test_open_garbage_file(tmp_path):
     bad = tmp_path / "garbage.sqlite"
     bad.write_bytes(b"this is not a database at all" * 10)
-    with pytest.raises(NotReadable):
+    with pytest.raises(DiverError, match=r"^cannot read .*garbage\.sqlite: "):
         open_database(bad)
 
 
@@ -88,16 +82,17 @@ def test_query_binds_parameters_not_interpolates(schools_db):
 
 def test_write_statements_rejected(schools_db):
     handle = open_database(schools_db)
-    for sql in [
-        "INSERT INTO schools (CDSCode) VALUES ('x')",
-        "UPDATE schools SET City = 'nowhere'",
-        "DELETE FROM schools",
-        "DROP TABLE schools",
-        "CREATE TABLE t (x)",
-        "PRAGMA user_version = 7",
-        "  -- sneaky comment\n  UPDATE schools SET City = 'x'",
+    for sql, keyword in [
+        ("INSERT INTO schools (CDSCode) VALUES ('x')", "insert"),
+        ("UPDATE schools SET City = 'nowhere'", "update"),
+        ("DELETE FROM schools", "delete"),
+        ("DROP TABLE schools", "drop"),
+        ("CREATE TABLE t (x)", "create"),
+        ("PRAGMA user_version = 7", "pragma"),
+        ("  -- sneaky comment\n  UPDATE schools SET City = 'x'", "update"),
     ]:
-        with pytest.raises(ReadOnlyViolation):
+        refused = rf"^only read statements are allowed, got '{keyword}'$"
+        with pytest.raises(SqlError, match=refused):
             handle.query(sql)
 
 
@@ -197,7 +192,7 @@ def test_probing_leaves_file_bytes_untouched(schools_db):
     catalog(handle)
     handle.query("SELECT * FROM frpm")
     handle.query('SELECT DISTINCT "Low Grade" FROM frpm')
-    with pytest.raises(ReadOnlyViolation):
+    with pytest.raises(SqlError, match=r"^only read statements are allowed, got 'delete'$"):
         handle.query("DELETE FROM frpm")
     after = hashlib.sha256(Path(schools_db).read_bytes()).hexdigest()
     assert before == after

@@ -20,7 +20,7 @@ from diver.embedding import (
     trigram_jaccard,
     trigrams,
 )
-from diver.errors import EmbedderUnavailable, EmptyInput
+from diver.errors import EmbedderUnavailable
 
 
 def similarity_score(a: np.ndarray, b: np.ndarray) -> float:
@@ -73,7 +73,7 @@ def test_scores_live_in_unit_interval():
 
 
 def test_embed_empty_list_raises():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValueError, match=r"^embed\(\) needs at least one text$"):
         LexicalEmbedder().embed([])
 
 

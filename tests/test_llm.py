@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 
 from diver import llm
 from diver.cotf import ToolCall
-from diver.errors import (
-    ConfigurationError,
-    MalformedToolCall,
-    ProviderError,
-    ScriptExhausted,
-)
+from diver.errors import DiverError, LlmError, MalformedToolCall
 from diver.llm import (
     ChatMessage,
     ChatRequest,
@@ -141,7 +136,7 @@ def test_scripted_sequence_order_and_exhaustion():
     session = ScriptedSession(["first", "second"])
     assert session.chat(_req("a")) == "first"
     assert session.chat(_req("b")) == "second"
-    with pytest.raises(ScriptExhausted):
+    with pytest.raises(LlmError, match=r"^replay script exhausted after 2 responses$"):
         session.chat(_req("c"))
 
 
@@ -150,7 +145,7 @@ def test_scripted_from_dict_and_file(tmp_path):
     p.write_text(json.dumps({"responses": ["only"]}), encoding="utf-8")
     session = ScriptedSession.from_file(p)
     assert session.chat(_req()) == "only"
-    with pytest.raises(ScriptExhausted):
+    with pytest.raises(LlmError, match=r"^replay script exhausted after 1 responses$"):
         session.chat(_req())
 
 
@@ -166,9 +161,10 @@ def test_scripted_by_fingerprint():
     assert session.chat(req_b) == "b1"
     assert session.chat(req_a) == "a1"
     assert session.chat(req_a) == "a2"
-    with pytest.raises(ScriptExhausted):
+    exhausted = rf"^no scripted response for request {fingerprint(req_a)[:12]}…$"
+    with pytest.raises(LlmError, match=exhausted):
         session.chat(req_a)
-    with pytest.raises(ScriptExhausted):
+    with pytest.raises(LlmError, match=r"^no scripted response for request [0-9a-f]{12}…$"):
         session.chat(_req("never scripted"))
 
 
@@ -283,7 +279,8 @@ def chat_stub():
 
 def test_live_client_requires_key(monkeypatch):
     monkeypatch.delenv("DIVER_LLM_API_KEY", raising=False)
-    with pytest.raises(ConfigurationError):
+    no_key = r"^no API key: set DIVER_LLM_API_KEY or pass api_key explicitly$"
+    with pytest.raises(DiverError, match=no_key):
         LiveClient(base_url="http://127.0.0.1:1/v1", model="m")
 
 
@@ -314,7 +311,7 @@ def test_live_client_gives_up_after_three_attempts(chat_stub, monkeypatch):
     monkeypatch.setattr(llm, "LLM_BACKOFF", 0.01)
     _ChatStub.fail_remaining = 99
     client = LiveClient(base_url=chat_stub, model="m")
-    with pytest.raises(ProviderError):
+    with pytest.raises(LlmError, match=r"^chat endpoint failed after 3 attempts: "):
         client.chat(_req())
     assert len(_ChatStub.seen) == 3
 

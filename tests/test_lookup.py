@@ -17,7 +17,7 @@ from diver.cotf import (
 from diver.breakup import token_refine
 from diver.database import catalog, open_database
 from diver.embedding import LexicalEmbedder
-from diver.errors import ScriptExhausted
+from diver.errors import LlmError
 from diver.llm import ScriptedSession
 from diver.lookup import (
     ROUTE_RULES,
@@ -444,5 +444,5 @@ def test_harvest_parse_failure_yields_empty_list():
 
 def test_harvest_propagates_exhausted_script():
     doc = probe_doc()
-    with pytest.raises(ScriptExhausted):
+    with pytest.raises(LlmError, match=r"^replay script exhausted after 0 responses$"):
         harvest_linkings(doc, ScriptedSession([]))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 import re
 import sqlite3
@@ -11,7 +12,8 @@ import pytest
 from diver.cotf import ToolCall
 from diver.database import catalog, open_database
 from diver.embedding import LexicalEmbedder, trigrams
-from diver.errors import EmbedderUnavailable, UnknownColumn, UnknownTable
+from diver import toolbox
+from diver.errors import EmbedderUnavailable, SqlError
 from diver.toolbox import (
     POOL_CAP,
     TOOL_NAMES,
@@ -194,9 +196,9 @@ def test_info_table_mode_one_record_per_column(handle, cat):
 
 
 def test_info_unknown_names_raise(handle, cat):
-    with pytest.raises(UnknownTable):
+    with pytest.raises(SqlError, match=r"^unknown table: ghost$"):
         info(handle, cat, "ghost")
-    with pytest.raises(UnknownColumn):
+    with pytest.raises(SqlError, match=r"^unknown column: frpm\.ghost$"):
         info(handle, cat, "frpm", "ghost")
 
 
@@ -415,6 +417,13 @@ def test_registry_covers_all_nine_tools():
         else:
             assert tool.required, name
             assert tool.reroute and tool.reroute.split()[0] in TOOLS, name
+            # run passes the validated args by name, so the table's parameter
+            # names are the handler's, and no required one has a default
+            handler = getattr(toolbox, "random_rows" if name == "random" else name)
+            params = inspect.signature(handler).parameters
+            probe_params = [p for p in params if p not in ("handle", "catalog", "embedder")]
+            assert probe_params == [*tool.required, *tool.optional], name
+            assert all(params[p].default is inspect.Parameter.empty for p in tool.required)
 
 
 def test_guidance_is_deterministic_and_complete():
