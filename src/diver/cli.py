@@ -248,7 +248,7 @@ def cmd_eval(args) -> int:
         return 2
     print(_dump_json(report) if args.json else format_report(report), end="")
     if args.out:
-        Path(args.out).write_text(_dump_json(report), encoding="utf-8")
+        _write_atomic(Path(args.out), _dump_json(report).encode("utf-8"))
     return 0
 
 

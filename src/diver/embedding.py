@@ -1,10 +1,13 @@
-"""Embedding providers and similarity ranking.
+"""Embedding providers and similarity ranking, in plain Python.
 
-Two backends: RemoteEmbedder posts {"input": [...]} to a vector endpoint in
+A vector is a sparse dict from index to non-zero weight. Two backends return
+one per input: RemoteEmbedder posts {"input": [...]} to a vector endpoint in
 batches of 64; LexicalEmbedder is the offline fallback, hashing character
-trigrams into a fixed-width TF-IDF vector. Both return one row per input.
-Scores are cosine mapped onto [0, 1]; rank_lexical is the last-resort scorer
-(trigram Jaccard) for when no vectors can be produced at all.
+trigrams into DEFAULT_DIMENSION buckets of TF-IDF weight. top_k scores cosine
+mapped onto [0, 1], summing with math.fsum so that every norm and dot product
+is exactly rounded whatever the order of its terms, and equal scores tie
+exactly. rank_lexical is the last-resort scorer (trigram Jaccard) for when no
+vectors can be produced at all.
 """
 
 from __future__ import annotations
@@ -13,15 +16,16 @@ import functools
 import hashlib
 import logging
 import math
+import reprlib
 from collections import Counter
-
-import numpy as np
 
 from .errors import EmbedderUnavailable
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_DIMENSION = 512  # width of a lexical vector
+Vector = dict[int, float]  # index -> non-zero weight
+
+DEFAULT_DIMENSION = 512  # hash buckets of a lexical vector
 DEFAULT_MAX_LENGTH = 8192  # characters of a text kept for embedding
 REMOTE_BATCH_SIZE = 64  # texts per request to a remote endpoint
 REMOTE_TIMEOUT = 30.0  # seconds per request to a remote endpoint
@@ -63,7 +67,7 @@ class LexicalEmbedder:
     vectors.
     """
 
-    def embed(self, texts: list[str]) -> np.ndarray:
+    def embed(self, texts: list[str]) -> list[Vector]:
         if not texts:
             raise ValueError("embed() needs at least one text")
         texts = [_truncate(t) for t in texts]
@@ -73,14 +77,13 @@ class LexicalEmbedder:
             df.update(set(c))
         n = len(texts)
         idf = {g: math.log((1 + n) / (1 + d)) + 1.0 for g, d in df.items()}
-        out = np.zeros((n, DEFAULT_DIMENSION), dtype=np.float64)
-        for row, c in enumerate(counts):
+        out = []
+        for c in counts:
+            row: Vector = {}
             for gram, tf in c.items():
                 bucket, sign = _bucket(gram)
-                out[row, bucket] += sign * (1.0 + math.log(tf)) * idf[gram]
-            norm = np.linalg.norm(out[row])
-            if norm > 0:
-                out[row] /= norm
+                row[bucket] = row.get(bucket, 0.0) + sign * (1.0 + math.log(tf)) * idf[gram]
+            out.append({bucket: w for bucket, w in row.items() if w})
         return out
 
 
@@ -92,7 +95,7 @@ class RemoteEmbedder:
         self.endpoint = endpoint
         self.api_key = api_key
 
-    def embed(self, texts: list[str]) -> np.ndarray:
+    def embed(self, texts: list[str]) -> list[Vector]:
         if not texts:
             raise ValueError("embed() needs at least one text")
         import requests  # only a remote embedder needs it; a lexical run skips its import
@@ -112,18 +115,57 @@ class RemoteEmbedder:
                     timeout=REMOTE_TIMEOUT,
                 )
                 resp.raise_for_status()
-                data = resp.json()["data"]
-            except (requests.RequestException, KeyError, ValueError) as exc:
+                body = resp.json()
+            except (requests.RequestException, ValueError) as exc:
                 raise EmbedderUnavailable(f"embedding endpoint failed: {exc}") from exc
-            if len(data) != len(batch):
-                raise EmbedderUnavailable(
-                    f"endpoint returned {len(data)} vectors for {len(batch)} texts"
-                )
-            rows.extend(item["embedding"] for item in data)
+            rows.extend(_remote_rows(body, len(batch)))
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise EmbedderUnavailable(f"inconsistent vector widths from endpoint: {widths}")
-        return np.asarray(rows, dtype=np.float64)
+        return [{i: w for i, w in enumerate(r) if w} for r in rows]
+
+
+def _remote_rows(body, count: int) -> list[list[float]]:
+    """The `count` embeddings of one endpoint response as lists of floats;
+    EmbedderUnavailable says what is malformed."""
+    if not isinstance(body, dict):
+        raise EmbedderUnavailable(f"endpoint response is not a JSON object: {reprlib.repr(body)}")
+    data = body.get("data")
+    if not isinstance(data, list):
+        raise EmbedderUnavailable(f'endpoint response "data" is not a list: {reprlib.repr(data)}')
+    if len(data) != count:
+        raise EmbedderUnavailable(f"endpoint returned {len(data)} vectors for {count} texts")
+    rows = []
+    for n, item in enumerate(data):
+        if not isinstance(item, dict) or "embedding" not in item:
+            raise EmbedderUnavailable(
+                f'endpoint item {n} has no "embedding": {reprlib.repr(item)}'
+            )
+        values = item["embedding"]
+        if not isinstance(values, list):
+            raise EmbedderUnavailable(
+                f'endpoint item {n} "embedding" is not a list: {reprlib.repr(values)}'
+            )
+        row = [_finite(x) for x in values]
+        if None in row:
+            bad = values[row.index(None)]
+            raise EmbedderUnavailable(
+                f'endpoint item {n} "embedding" has an entry that is not a finite number: '
+                f"{reprlib.repr(bad)}"
+            )
+        rows.append(row)
+    return rows
+
+
+def _finite(x) -> float | None:
+    """x as a float if it is a finite JSON number (not a boolean), else None."""
+    if type(x) not in (int, float):
+        return None
+    try:
+        w = float(x)
+    except OverflowError:  # an integer literal too long for a float
+        return None
+    return w if math.isfinite(w) else None
 
 
 def _truncate(text: str) -> str:
@@ -135,11 +177,18 @@ def _truncate(text: str) -> str:
     return text
 
 
-def _cosine_score(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
+def _norm(v: Vector) -> float:
+    return math.sqrt(math.fsum(w * w for w in v.values()))
+
+
+def _dot(a: Vector, b: Vector) -> float:
+    return math.fsum(w * b[i] for i, w in a.items() if i in b)
+
+
+def _cosine_score(dot: float, na: float, nb: float) -> float:
     if na == 0 or nb == 0:
         return 0.0
-    cos = float(np.dot(a, b) / (na * nb))
-    cos = max(-1.0, min(1.0, cos))
+    cos = max(-1.0, min(1.0, dot / (na * nb)))
     return (1.0 + cos) / 2.0
 
 
@@ -155,15 +204,12 @@ def top_k(embedder, query: str, candidates: list[str], k: int) -> list[tuple[int
         raise ValueError("k must be at least 1")
     if not candidates:
         return []
-    matrix = embedder.embed([query] + candidates)
-    # np.linalg.norm of a 1-D float vector is np.sqrt(x.dot(x)) bit for bit;
-    # computing that directly skips its overhead, and the query's is taken once
-    q = matrix[0]
-    nq = np.sqrt(q.dot(q))
-    scored = []
-    for i in range(len(candidates)):
-        row = matrix[i + 1]
-        scored.append((i, _cosine_score(q, row, nq, np.sqrt(row.dot(row)))))
+    vectors = embedder.embed([query] + candidates)
+    q = vectors[0]
+    nq = _norm(q)
+    scored = [
+        (i, _cosine_score(_dot(q, v), nq, _norm(v))) for i, v in enumerate(vectors[1:])
+    ]
     return _ranked(scored, candidates, k)
 
 

@@ -32,7 +32,8 @@ class DescriptionParseError(DiverError):
 
 
 class EmbedderUnavailable(DiverError):
-    """Embedding provider cannot be reached; callers fall back to lexical scoring."""
+    """Embedding provider cannot be reached or sent a malformed response;
+    callers fall back to lexical scoring."""
 
 
 class LlmError(DiverError):

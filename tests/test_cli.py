@@ -19,11 +19,14 @@ Q2_EVIDENCE = "Fresno refers to City = 'Fresno'."
 Q3_EVIDENCE = "Charter schools refers to `Charter School (Y/N)` = 1."
 
 
-def build_happy_script():
-    """Three questions against california_schools, all ending cleanly."""
+def build_happy_script(probes=()):
+    """Three questions against california_schools, all ending cleanly; the
+    tool calls in probes open q1's first clause."""
     b = ScriptBuilder()
     # q1: Which schools serve grade K?
     b.segmentation(["Which schools", "serve grade K"])
+    for call in probes:
+        b.turn(call)
     b.turn(tool("uniq_value", table="frpm", column="Low Grade"))
     b.stop_clause()
     b.turn(tool("value_in", table="frpm", column="Low Grade", value="K"))
@@ -196,18 +199,24 @@ def test_rerun_redoes_a_truncated_trace(happy_run, tmp_path, db_root):
     assert sorted(p.name for p in out.rglob("*.tmp")) == []
 
 
-def test_run_writes_every_output_file_atomically(tmp_path, db_root, monkeypatch):
-    dataset = write_dataset(tmp_path / "dataset.json", DATASET)
-    script = build_happy_script().write(tmp_path / "script.json")
-    out = tmp_path / "out"
-    replaced = []
+@pytest.fixture()
+def replaced(monkeypatch):
+    """Destinations of every os.replace call, in order."""
+    seen = []
     real_replace = os.replace
 
     def spy(src, dst):
-        replaced.append(Path(dst))
+        seen.append(Path(dst))
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", spy)
+    return seen
+
+
+def test_run_writes_every_output_file_atomically(tmp_path, db_root, replaced):
+    dataset = write_dataset(tmp_path / "dataset.json", DATASET)
+    script = build_happy_script().write(tmp_path / "script.json")
+    out = tmp_path / "out"
     assert cli.main(run_args(dataset, db_root, out, script)) == 0
     written = {p for p in out.rglob("*") if p.is_file()}
     assert written == set(replaced)
@@ -216,20 +225,31 @@ def test_run_writes_every_output_file_atomically(tmp_path, db_root, monkeypatch)
 
 def test_replayed_run_never_imports_requests(happy_run, tmp_path, db_root):
     _, dataset, _, _ = happy_run
-    script = build_happy_script().write(tmp_path / "again.json")
-    argv = run_args(dataset, db_root, tmp_path / "again", script)
+    probes = [
+        tool("sim_value_in", table="schools", column="City", query_text="fresno"),
+        tool("sim_columns", query_text="charter school"),
+    ]
+    script = build_happy_script(probes).write(tmp_path / "again.json")
+    out = tmp_path / "again"
+    argv = run_args(dataset, db_root, out, script)
     code = (
         "import sys\n"
         "import diver.cli\n"
         "assert 'requests' not in sys.modules, 'import'\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
         f"assert diver.cli.main({argv!r}) == 0\n"
         "assert 'requests' not in sys.modules, 'run'\n"
+        "assert 'numpy' not in sys.modules, 'run'\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+    doc = deserialize((out / "traces" / "11.json").read_bytes())
+    ranked = [t.feedback.result for t in doc.turns[0][:2]]
+    assert [r["scoring"] for r in ranked] == ["embedding", "embedding"]
+    assert all(r["matches"] for r in ranked)
 
 
 def test_force_reruns_every_question(happy_run, tmp_path, db_root):
@@ -414,6 +434,16 @@ def test_eval_all_correct(tmp_path, db_root, capsys):
     assert report["count"] == 4
     text = capsys.readouterr().out
     assert "1.000" in text
+
+
+def test_eval_writes_its_report_atomically(tmp_path, db_root, replaced):
+    dataset = write_dataset(tmp_path / "eval.json", EVAL_DATASET)
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps({"1": EVAL_DATASET[0]["SQL"]}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cli.main(eval_args(dataset, pred_path, db_root, out)) == 0
+    assert replaced == [out]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.json", "preds.json", "report.json"]
 
 
 def test_eval_half_correct_with_missing_prediction(tmp_path, db_root):

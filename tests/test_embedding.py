@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import string
 import threading
+from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
-import numpy as np
 import pytest
 
 from diver import embedding
@@ -23,13 +24,21 @@ from diver.embedding import (
 from diver.errors import EmbedderUnavailable
 
 
-def similarity_score(a: np.ndarray, b: np.ndarray) -> float:
-    """Oracle: cosine mapped onto [0, 1], a zero vector scoring 0."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+def signed_cosine_squared(a: dict, b: dict) -> Fraction:
+    """Oracle: cos * |cos| of two sparse vectors in exact arithmetic over their
+    float weights, -1 when either is zero. It orders pairs as the cosine does."""
+    dot = sum(Fraction(w) * Fraction(b[i]) for i, w in a.items() if i in b)
+    na = sum(Fraction(w) ** 2 for w in a.values())
+    nb = sum(Fraction(w) ** 2 for w in b.values())
     if na == 0 or nb == 0:
-        return 0.0
-    cos = max(-1.0, min(1.0, float(np.dot(a, b) / (na * nb))))
-    return (1.0 + cos) / 2.0
+        return Fraction(-1)
+    return dot * abs(dot) / (na * nb)
+
+
+def similarity_score(a: dict, b: dict) -> float:
+    """Oracle: cosine mapped onto [0, 1], a zero vector scoring 0."""
+    s = signed_cosine_squared(a, b)
+    return (1.0 + math.copysign(math.sqrt(abs(s)), s)) / 2.0
 
 
 def test_trigrams_and_jaccard_hand_computed():
@@ -45,11 +54,11 @@ def test_trigrams_and_jaccard_hand_computed():
 def test_lexical_embed_identical_texts_identical_vectors():
     emb = LexicalEmbedder()
     m = emb.embed(["magnet school", "magnet school"])
-    assert m.shape[0] == 2
-    assert np.array_equal(m[0], m[1])
+    assert len(m) == 2
+    assert m[0] == m[1]
     # and across calls
     again = emb.embed(["magnet school", "magnet school"])
-    assert np.array_equal(m, again)
+    assert m == again
 
 
 def test_lexical_self_similarity_is_max():
@@ -82,23 +91,25 @@ def test_embed_truncates_overlong_text_with_warning(caplog, monkeypatch):
     emb = LexicalEmbedder()
     with caplog.at_level("WARNING"):
         m = emb.embed(["x" * 50, "x" * 10])
-    assert np.array_equal(m[0], m[1])
+    assert m[0] == m[1]
     assert any("truncat" in r.message.lower() for r in caplog.records)
 
 
 def test_all_vectors_share_dimension():
     m = LexicalEmbedder().embed(["a", "bb", "ccc", "dddd"])
-    assert m.shape == (4, embedding.DEFAULT_DIMENSION)
+    assert len(m) == 4
+    for row in m:
+        assert row and set(row) <= set(range(embedding.DEFAULT_DIMENSION))
+        assert all(w != 0 for w in row.values())
 
 
 def _oracle_rank(emb: LexicalEmbedder, query: str, candidates: list[str], k: int):
-    """Exhaustive O(n) score-sort, independent of top_k's implementation."""
-    mat = emb.embed([query] + candidates)
-    scored = [
-        (i, similarity_score(mat[0], mat[i + 1])) for i in range(len(candidates))
-    ]
-    scored.sort(key=lambda p: (-p[1], candidates[p[0]], p[0]))
-    return scored[:k]
+    """Exhaustive exact score-sort, independent of top_k's implementation:
+    (index, score) pairs in exact cosine order, ties by text then index."""
+    vectors = emb.embed([query] + candidates)
+    keys = [signed_cosine_squared(vectors[0], v) for v in vectors[1:]]
+    order = sorted(range(len(candidates)), key=lambda i: (-keys[i], candidates[i], i))
+    return [(i, similarity_score(vectors[0], vectors[i + 1])) for i in order[:k]]
 
 
 def test_top_k_matches_brute_force_oracle():
@@ -114,7 +125,32 @@ def test_top_k_matches_brute_force_oracle():
         k = rng.randint(1, len(candidates) + 2)
         got = top_k(emb, query, candidates, k)
         want = _oracle_rank(emb, query, candidates, k)
-        assert got == want
+        assert got == [(i, pytest.approx(s, abs=1e-12)) for i, s in want]
+
+
+def test_top_k_follows_exact_order_and_text_rule_on_codes():
+    emb = LexicalEmbedder()
+    # the three middle codes score exactly alike against the query, so only
+    # the text rule orders them; a sum whose rounding depends on the order of
+    # its terms can put one of them an ulp behind the others
+    codes = ["LX0000421", "LX0007802", "LX0010131", "LX0018516", "LX0022312"]
+    ranked = top_k(emb, "lx0022312", codes, 5)
+    assert [codes[i] for i, _ in ranked] == [
+        "LX0022312",
+        "LX0007802",
+        "LX0010131",
+        "LX0018516",
+        "LX0000421",
+    ]
+    assert ranked[1][1] == ranked[2][1] == ranked[3][1]
+    rng = random.Random(20261018)
+    for _ in range(40):
+        codes = sorted({f"LX{rng.randrange(30_000):07d}" for _ in range(rng.randint(2, 40))})
+        query = rng.choice(codes) if rng.random() < 0.5 else f"LX{rng.randrange(30_000):07d}"
+        query = query.lower()
+        k = rng.randint(1, len(codes))
+        got = top_k(emb, query, codes, k)
+        assert [i for i, _ in got] == [i for i, _ in _oracle_rank(emb, query, codes, k)]
 
 
 def test_top_k_exact_match_scores_one():
@@ -162,20 +198,22 @@ def test_rank_lexical_matches_jaccard_sort():
 class _StubHandler(BaseHTTPRequestHandler):
     batches: list[int] = []
     fail_first = 0
+    reply = None  # when set, the JSON body of every response
 
     def do_POST(self):
         n = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(n))
         texts = payload["input"]
         _StubHandler.batches.append(len(texts))
-        body = json.dumps(
-            {
+        reply = _StubHandler.reply
+        if reply is None:
+            reply = {
                 "data": [
                     {"embedding": [float(len(t)), float(sum(map(ord, t)) % 97), 1.0]}
                     for t in texts
                 ]
             }
-        ).encode()
+        body = json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -189,8 +227,12 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def stub_server():
     _StubHandler.batches = []
+    _StubHandler.reply = None
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval lets shutdown() return promptly at teardown
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/embed"
     server.shutdown()
@@ -202,11 +244,32 @@ def test_remote_embedder_batches_of_64(stub_server):
     emb = RemoteEmbedder(endpoint=stub_server)
     texts = [f"text {i}" for i in range(130)]
     m = emb.embed(texts)
-    assert m.shape == (130, 3)
+    assert len(m) == 130
+    assert all(set(row) <= {0, 1, 2} and row[2] == 1.0 for row in m)
     assert _StubHandler.batches == [64, 64, 2]
     # row order matches input order
     assert m[0][0] == len("text 0")
     assert m[129][0] == len("text 129")
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        ([{"embedding": [1.0]}], r"^endpoint response is not a JSON object: "),
+        ({"data": None}, r'^endpoint response "data" is not a list: None$'),
+        ({"data": [{"vector": [1.0]}]}, r'^endpoint item 0 has no "embedding": '),
+        ({"data": [{"embedding": 0.5}]}, r'^endpoint item 0 "embedding" is not a list: '),
+        (
+            {"data": [{"embedding": [1.0, "x"]}]},
+            r'^endpoint item 0 "embedding" has an entry that is not a finite number: \'x\'$',
+        ),
+    ],
+    ids=["top-level-list", "data-null", "no-embedding", "embedding-not-list", "non-numeric"],
+)
+def test_remote_embedder_malformed_response_raises_unavailable(stub_server, reply, message):
+    _StubHandler.reply = reply
+    with pytest.raises(EmbedderUnavailable, match=message):
+        RemoteEmbedder(endpoint=stub_server).embed(["hello"])
 
 
 def test_remote_embedder_unreachable_raises(monkeypatch):
@@ -223,5 +286,5 @@ def test_bucket_memo_leaves_vectors_bit_identical(monkeypatch):
     warm = LexicalEmbedder().embed(texts)
     monkeypatch.setattr(embedding, "_bucket", embedding._bucket.__wrapped__)
     reference = LexicalEmbedder().embed(texts)
-    assert np.array_equal(cold, reference)
-    assert np.array_equal(warm, reference)
+    assert cold == reference
+    assert warm == reference
