@@ -1,17 +1,3 @@
 """Evidence generation for text-to-SQL via database probing, plus evaluation."""
 
 __version__ = "0.1.0"
-
-from .cotf import (  # noqa: F401
-    CoTFDocument,
-    Clause,
-    Question,
-    ToolCall,
-    ToolFeedback,
-    Turn,
-    VerifiedLinking,
-    append_turn,
-    deserialize,
-    detect_repeat,
-    serialize,
-)

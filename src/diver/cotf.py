@@ -22,8 +22,8 @@ this module knows is the stop signal "none", which ends a clause.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
-from typing import Any
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Callable
 
 from .errors import SchemaViolation
 from .tokens import tokenize
@@ -365,45 +365,18 @@ def _fragment(payload: dict, depth: int) -> str:
     return text.replace("\n", "\n" + "  " * depth)
 
 
-def _question_fragment(q: Question) -> str:
-    payload = {
-        "question_id": q.question_id,
-        "db_id": q.db_id,
-        "text": q.text,
-        "gold_sql": q.gold_sql,
-        "expert_evidence": q.expert_evidence,
-        "difficulty": q.difficulty,
+def _wire(obj: Any) -> dict:
+    """obj's fields as its wire object, a field holding a dataclass as that
+    object's own. Tuples stay tuples, which json.dumps writes as arrays, and
+    payloads are not copied."""
+    return {
+        f.name: _wire(v) if is_dataclass(v := getattr(obj, f.name)) else v for f in fields(obj)
     }
-    return _fragment(payload, 1)
 
 
-def _clause_fragment(c: Clause) -> str:
-    return _fragment({"index": c.index, "text": c.text, "token_span": list(c.token_span)}, 2)
-
-
-def _linking_fragment(v: VerifiedLinking) -> str:
-    payload = {
-        "kind": v.kind,
-        "table": v.table,
-        "column": v.column,
-        "literal": v.literal,
-        "rationale": v.rationale,
-        "source_turn": list(v.source_turn),
-    }
-    return _fragment(payload, 2)
-
-
-def _turn_fragment(turn: Turn) -> str:
-    payload = {
-        "thought": turn.thought,
-        "tool_call": {"tool": turn.tool_call.tool, "args": turn.tool_call.args},
-        "feedback": {
-            "kind": turn.feedback.kind,
-            "message": turn.feedback.message,
-            "result": turn.feedback.result,
-        },
-    }
-    return _fragment(payload, 3)
+def _encoder(depth: int) -> Callable[[Any], str]:
+    """The compute function _memo takes for an object depth levels deep."""
+    return lambda obj: _fragment(_wire(obj), depth)
 
 
 def _layout_array(items: list[str], indent: str) -> str:
@@ -423,18 +396,19 @@ def serialize(doc: CoTFDocument) -> bytes:
     and each verified linking is encoded once per document; a call only lays
     out the encoded pieces."""
     memo = doc._fragments
+    item, turn = _encoder(2), _encoder(3)
     members = {
         "schema_version": json.dumps(SCHEMA_VERSION),
-        "question": _memo(memo, doc.question, _question_fragment),
-        "clauses": _layout_array([_memo(memo, c, _clause_fragment) for c in doc.clauses], "  "),
+        "question": _memo(memo, doc.question, _encoder(1)),
+        "clauses": _layout_array([_memo(memo, c, item) for c in doc.clauses], "  "),
         "turns": _layout_array(
             [
-                _layout_array([_memo(memo, t, _turn_fragment) for t in column], "    ")
+                _layout_array([_memo(memo, t, turn) for t in column], "    ")
                 for column in doc.turns
             ],
             "  ",
         ),
-        "verified": _layout_array([_memo(memo, v, _linking_fragment) for v in doc.verified], "  "),
+        "verified": _layout_array([_memo(memo, v, item) for v in doc.verified], "  "),
         "max_turns": json.dumps(doc.max_turns),
     }
     body = ",\n  ".join(f'"{key}": {members[key]}' for key in sorted(members))

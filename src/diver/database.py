@@ -168,8 +168,9 @@ class DatabaseHandle:
         try:
             cursor = self._conn.execute(sql, tuple(params))
             rows = cursor.fetchall()
-        except sqlite3.Error as exc:
-            # the engine's own message travels verbatim into corrective feedback
+        except (sqlite3.Error, OverflowError) as exc:
+            # the engine's own message travels verbatim into corrective feedback;
+            # sqlite3 raises OverflowError binding an int outside 64 bits
             raise SqlError(str(exc)) from exc
         finally:
             self._deadline = None

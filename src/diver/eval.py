@@ -68,7 +68,6 @@ class LinkingSets:
 
     schema_entities: set[str]
     value_entities: set[str]
-    parse_failed: bool = False
 
 
 @dataclass
@@ -477,15 +476,15 @@ class _Extractor:
 def extract_entities(sql: str, catalog: SchemaCatalog) -> LinkingSets:
     """Schema and value entities referenced by sql. Total: never raises."""
     if not isinstance(sql, str):
-        return LinkingSets(set(), set(), parse_failed=True)
+        return LinkingSets(set(), set())
     try:
         toks = _tokenize_sql(sql)
         return _Extractor(toks, catalog).run()
     except ParseFailure:
-        return LinkingSets(set(), set(), parse_failed=True)
+        return LinkingSets(set(), set())
     except Exception:  # defensive: extraction must be total
         log.exception("entity extraction failed on %r", sql[:80])
-        return LinkingSets(set(), set(), parse_failed=True)
+        return LinkingSets(set(), set())
 
 
 # --- F1 ---

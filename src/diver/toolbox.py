@@ -18,7 +18,7 @@ from typing import Any, Callable
 from .cotf import ToolCall, ToolFeedback
 from .database import DatabaseHandle, SchemaCatalog, quote_identifier
 from .embedding import rank_lexical, top_k, trigrams
-from .errors import DiverError, EmbedderUnavailable, SqlError
+from .errors import EmbedderUnavailable, SqlError
 
 POOL_CAP = 10_000  # embed the whole distinct-value pool up to this size
 PREFILTER_SIZE = 1_000  # larger pools are cut down by trigram overlap first
@@ -473,6 +473,4 @@ def dispatch(call: ToolCall, context: ToolContext) -> ToolFeedback:
         result = TOOLS[call.tool].run(context, call.args)
     except SqlError as exc:
         return ToolFeedback.corrective(str(exc))
-    except DiverError as exc:
-        return ToolFeedback.corrective(f"{type(exc).__name__}: {exc}")
     return ToolFeedback.standard(result)

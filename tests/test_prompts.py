@@ -1,14 +1,18 @@
-"""Generated files are golden copies of their generators' output: docs/ of
-scripts/gen_docs.py, src/diver/data/concise_shots.json of
-scripts/gen_shots.py."""
+"""docs/ is the golden copy of scripts/gen_docs.py's output. The concise-style
+examples in src/diver/data/concise_shots.json have no generator: the JSON is
+their one source, so it must stay canonical and every workspace in it must
+round-trip through the trace codec."""
 
 import importlib.util
+import json
 from pathlib import Path
 
+from diver.cotf import deserialize, serialize
 from diver.toolbox import render_guidance
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ROOT / "docs"
+SHOTS = ROOT / "src" / "diver" / "data" / "concise_shots.json"
 
 
 def _script(name: str):
@@ -19,7 +23,6 @@ def _script(name: str):
 
 
 gen_docs = _script("gen_docs")
-gen_shots = _script("gen_shots")
 
 
 def _read(name: str) -> str:
@@ -53,5 +56,12 @@ def test_lookup_golden_file_names_every_tool():
         assert f"### {name}" in text
 
 
-def test_concise_shots_match_generator():
-    assert gen_shots.OUT.read_bytes() == gen_shots.render().encode("utf-8")
+def test_concise_shots_are_canonical_round_tripping_workspaces():
+    text = SHOTS.read_text(encoding="utf-8")
+    shots = json.loads(text)
+    assert text == json.dumps(shots, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    assert len(shots) == 5
+    for shot in shots:
+        # deserialize enforces the clause partition and the turn rules
+        assert json.loads(serialize(deserialize(json.dumps(shot["cotf"])))) == shot["cotf"]
+        assert shot["evidence"].strip()

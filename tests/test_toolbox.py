@@ -362,6 +362,22 @@ def test_dispatch_sql_error_carries_engine_text(ctx, schools_db):
     assert "no such column" in fb.message
 
 
+@pytest.mark.parametrize(
+    "tool, args",
+    [
+        ("value_in", {"table": "frpm", "column": "CDSCode", "value": 2**63}),
+        ("value_in", {"table": "frpm", "column": "CDSCode", "value": -(2**63) - 1}),
+        ("head", {"table": "frpm", "n": 2**63}),
+        ("uniq_value", {"table": "frpm", "column": "CDSCode", "limit": 2**63}),
+    ],
+)
+def test_dispatch_integer_beyond_64_bits_is_corrective(ctx, tool, args):
+    # a model may copy a 20-digit ID from a question; sqlite3 cannot bind it
+    fb = dispatch(ToolCall(tool, args), ctx)
+    assert fb.kind == "corrective"
+    assert "too large" in fb.message
+
+
 def test_dispatch_unknown_table_is_corrective(ctx):
     fb = dispatch(ToolCall("info", {"table": "ghost"}), ctx)
     assert fb.kind == "corrective"
