@@ -46,6 +46,17 @@ def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_utf8(text: str) -> bool:
+    """False for a string holding a lone surrogate: a JSON escape such as
+    "\\ud800" decodes to one, and UTF-8, which SQLite and the trace need,
+    cannot encode it."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def jsonify(value: Any) -> Any:
     """Normalize a payload to JSON-native types (tuples become lists).
 
@@ -118,6 +129,8 @@ class ToolCall:
         # replayed; the tool table is checked at dispatch time
         if not isinstance(self.tool, str):
             raise SchemaViolation("tool_call.tool must be a string")
+        if not _is_utf8(self.tool):
+            raise SchemaViolation(f"tool_call.tool is not valid UTF-8: {self.tool!r}")
         if not isinstance(self.args, dict):
             raise SchemaViolation("tool_call.args must be a mapping")
         for k, v in self.args.items():
@@ -125,6 +138,8 @@ class ToolCall:
                 raise SchemaViolation("tool_call arg names must be strings")
             if not _is_scalar(v):
                 raise SchemaViolation(f"tool_call arg {k!r} must be a scalar, got {v!r}")
+            if not _is_utf8(k) or isinstance(v, str) and not _is_utf8(v):
+                raise SchemaViolation(f"tool_call arg {k!r} is not valid UTF-8: {v!r}")
 
 
 @dataclass

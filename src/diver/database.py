@@ -300,7 +300,8 @@ def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -
                     description=table_desc.get(col_name.lower()),
                 )
             )
-        _, [(count,)] = handle._execute(f"SELECT COUNT(*) FROM {quote_identifier(table_name)}")
+        rs = handle.memo_query(f"SELECT COUNT(*) FROM {quote_identifier(table_name)}")
+        [(count,)] = rs.rows
         tables.append(TableInfo(name=table_name, columns=columns, row_count=count))
     return SchemaCatalog(tables=tables)
 

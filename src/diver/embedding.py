@@ -65,6 +65,12 @@ class LexicalEmbedder:
     compared must be embedded together (top_k does this). Identical inputs in
     one batch, and identical batches across calls, always produce identical
     vectors.
+
+    A gram's weight is sign * (1 + log tf) * idf. Its bucket and sign * idf
+    are worked out once per distinct gram of the batch, and the tf factor is
+    applied only when tf is not 1. The sign is +-1 and a tf of 1 gives a
+    factor of exactly 1.0, so the one rounded product is the same, and each
+    row sums its terms in the order of the grams' first occurrence.
     """
 
     def embed(self, texts: list[str]) -> list[Vector]:
@@ -74,15 +80,20 @@ class LexicalEmbedder:
         counts = [Counter(_grams(t)) for t in texts]
         df: Counter = Counter()
         for c in counts:
-            df.update(set(c))
+            df.update(c.keys())
         n = len(texts)
-        idf = {g: math.log((1 + n) / (1 + d)) + 1.0 for g, d in df.items()}
+        weights = {}  # gram -> (bucket, sign * idf), worked out once per batch
+        for gram, d in df.items():
+            bucket, sign = _bucket(gram)
+            weights[gram] = bucket, sign * (math.log((1 + n) / (1 + d)) + 1.0)
         out = []
         for c in counts:
             row: Vector = {}
             for gram, tf in c.items():
-                bucket, sign = _bucket(gram)
-                row[bucket] = row.get(bucket, 0.0) + sign * (1.0 + math.log(tf)) * idf[gram]
+                bucket, w = weights[gram]
+                if tf != 1:
+                    w *= 1.0 + math.log(tf)
+                row[bucket] = row.get(bucket, 0.0) + w
             out.append({bucket: w for bucket, w in row.items() if w})
         return out
 

@@ -11,6 +11,8 @@ never an exception into the loop.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random as _random_mod
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -240,10 +242,10 @@ def random_rows(handle: DatabaseHandle, table: str, n: int, seed: int) -> dict[s
     The sample is of row positions in scan order; each chosen row is fetched
     on its own, in ascending position, so only n rows ever reach Python."""
     q_table = quote_identifier(table)
-    total = handle.query(f"SELECT COUNT(*) FROM {q_table}").rows[0][0]
+    total = handle.memo_query(f"SELECT COUNT(*) FROM {q_table}").rows[0][0]
     k = min(n, total)
     chosen = sorted(_random_mod.Random(seed).sample(range(total), k)) if k else []
-    columns = handle.query(f"SELECT * FROM {q_table} LIMIT 0").columns
+    columns = handle.memo_query(f"SELECT * FROM {q_table} LIMIT 0").columns
     picked = [
         row
         for i in chosen
@@ -324,25 +326,30 @@ def _rank(embedder, query_text: str, candidates: list[str], k: int):
 def _prefilter(query_text: str, pool: list[str]) -> list[str]:
     """pool sorted by (-trigram overlap with query_text, text).
 
-    A value shares a trigram with the query only if one of the query's
-    grams occurs in its lowercased text, so only values passing that
-    substring test get a trigram set; every other value has overlap 0."""
-    query_grams = trigrams(query_text)
-    overlapping, disjoint = [], []
-    for value in pool:
-        low = value.lower()
-        overlap = (
-            len(query_grams & trigrams(value))
-            if any(g in low for g in query_grams)
-            else 0
-        )
-        if overlap:
-            overlapping.append((-overlap, value))
-        else:
-            disjoint.append(value)
-    overlapping.sort()
-    disjoint.sort()
-    return [value for _, value in overlapping] + disjoint
+    Each query gram is searched with str.find in the newline-joined
+    lowercased pool, and bisect over the values' start offsets names the
+    value a hit falls in. A hit that runs into a separator is dropped, and
+    the search resumes at the next value, so a gram counts at most once per
+    value. A query shorter than 3 characters is one gram, which only a value
+    equal to it shares."""
+    lows = [value.lower() for value in pool]
+    low_query = query_text.lower()
+    if len(low_query) < 3:
+        overlap = {j: 1 for j, low in enumerate(lows) if low_query and low == low_query}
+    else:
+        overlap = {}
+        text = "\n".join(lows)
+        next_start = list(itertools.accumulate(len(low) + 1 for low in lows))
+        for gram in trigrams(query_text):
+            i = text.find(gram)
+            while i != -1:
+                j = bisect.bisect_right(next_start, i)
+                if i + 4 <= next_start[j]:  # ends before value j's separator
+                    overlap[j] = overlap.get(j, 0) + 1
+                i = text.find(gram, next_start[j])
+    ranked = sorted(overlap, key=lambda j: (-overlap[j], pool[j]))
+    rest = sorted(value for j, value in enumerate(pool) if j not in overlap)
+    return [pool[j] for j in ranked] + rest
 
 
 def sim_value_in(

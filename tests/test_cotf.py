@@ -514,6 +514,21 @@ def test_hallucinated_tool_name_survives_round_trip():
     assert deserialize(serialize(doc)) == doc
 
 
+@pytest.mark.parametrize(
+    "tool, args",
+    [
+        ("\ud800", {}),
+        ("head", {"table\udfff": "t"}),
+        ("sim_value_in", {"query_text": "\ud800abc"}),
+    ],
+)
+def test_tool_call_rejects_a_lone_surrogate(tool, args):
+    # json.loads turns the escape "\ud800" into a lone surrogate, which
+    # neither SQLite nor the UTF-8 trace can take
+    with pytest.raises(SchemaViolation, match="is not valid UTF-8"):
+        ToolCall(tool, args)
+
+
 OTHER_VALUES = [None, True, 0, 7, -1, 2.5, "", "x", [], [0, 1], {}, {"x": 1}]
 
 

@@ -7,13 +7,17 @@ import math
 import random
 import string
 import threading
+from collections import Counter
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diver import embedding
 from diver.embedding import (
+    DEFAULT_MAX_LENGTH,
     LexicalEmbedder,
     RemoteEmbedder,
     rank_lexical,
@@ -39,6 +43,45 @@ def similarity_score(a: dict, b: dict) -> float:
     """Oracle: cosine mapped onto [0, 1], a zero vector scoring 0."""
     s = signed_cosine_squared(a, b)
     return (1.0 + math.copysign(math.sqrt(abs(s)), s)) / 2.0
+
+
+def reference_embed(texts: list[str]) -> list[dict]:
+    """Oracle: the lexical embedder written as the formula, one bucket lookup
+    and one sign * (1 + log tf) * idf product per gram of each text."""
+    texts = [embedding._truncate(t) for t in texts]
+    counts = [Counter(embedding._grams(t)) for t in texts]
+    df: Counter = Counter()
+    for c in counts:
+        df.update(set(c))
+    n = len(texts)
+    idf = {g: math.log((1 + n) / (1 + d)) + 1.0 for g, d in df.items()}
+    out = []
+    for c in counts:
+        row: dict = {}
+        for gram, tf in c.items():
+            bucket, sign = embedding._bucket(gram)
+            row[bucket] = row.get(bucket, 0.0) + sign * (1.0 + math.log(tf)) * idf[gram]
+        out.append({bucket: w for bucket, w in row.items() if w})
+    return out
+
+
+# a small alphabet makes grams repeat within a text (tf > 1) and across texts
+EMBED_TEXT = st.text(st.sampled_from(["a", "b", "A", " ", "\n", "ß", "İ"]), max_size=12)
+# repetitions of a short text that run past DEFAULT_MAX_LENGTH, so they are truncated
+LONG_TEXT = st.builds(
+    lambda unit, extra: unit * (DEFAULT_MAX_LENGTH // len(unit) + extra),
+    st.text(st.sampled_from(["a", "b", "c", "İ"]), min_size=1, max_size=4),
+    st.integers(1, 3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(EMBED_TEXT | st.just("") | LONG_TEXT, min_size=1, max_size=6))
+def test_lexical_embed_equals_the_formula_bit_for_bit(texts):
+    got = LexicalEmbedder().embed(texts)
+    want = reference_embed(texts)
+    # same weights, and each row's buckets in the same insertion order
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
 
 
 def test_trigrams_and_jaccard_hand_computed():

@@ -217,6 +217,24 @@ def test_structured_tool_call_rejects_non_scalar_args_then_repairs():
     assert call == ToolCall("head", {"table": "frpm", "n": 2})
 
 
+def test_structured_tool_call_repairs_a_lone_surrogate():
+    # a JSON-legal escape for a lone surrogate used to reach the tool and fail
+    # the question with UnicodeEncodeError; now it costs one repair round-trip
+    args = '"table": "ledger", "column": "party", "query_text": '
+    session = RecordingSession(
+        [
+            '{"tool": "sim_value_in", "args": {' + args + '"\\ud800abc"}}',
+            '{"tool": "sim_value_in", "args": {' + args + '"abc"}}',
+        ]
+    )
+    call = structured_tool_call(session, _req(fmt="tool_call_schema"))
+    assert call == ToolCall(
+        "sim_value_in", {"table": "ledger", "column": "party", "query_text": "abc"}
+    )
+    assert session.consumed == 2
+    assert "is not valid UTF-8" in session.requests[1].messages[-1].content
+
+
 # --- live backend against a stub ---
 
 
