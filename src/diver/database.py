@@ -10,6 +10,20 @@ Because the files are read-only, the answer to a deterministic statement
 depends only on the file. memo_query() keeps such answers in a per-file memo
 shared by every handle on the same file, keyed by the file's identity
 (resolved path, size, mtime_ns) and bounded to MEMO_ROWS result rows per file.
+
+Every handle memory-maps its file (PRAGMA mmap_size = MMAP_BYTES). A full
+scan of a fact table is larger than SQLite's default 2 MB page cache, so
+without the mapping each scan evicts its own pages and reads every one again
+through a read() call; mapped, the engine reads the pages where the kernel
+already holds them. What that costs:
+- the mapped pages a process touches count in its resident memory (RSS) as
+  file pages, while its private memory falls, since SQLite's page cache no
+  longer copies them; the bound is MMAP_BYTES of address space per open
+  handle, and a larger file maps its first MMAP_BYTES and reads the rest
+  as before;
+- a mapped file that a non-SQLite writer truncates in place makes a read of
+  the lost pages raise SIGBUS, which ends the process, instead of an engine
+  error. SQLite's own writers resize the file safely.
 """
 
 from __future__ import annotations
@@ -36,6 +50,7 @@ DESCRIPTION_ENCODINGS = ("utf-8-sig", "cp1252", "latin-1")
 STATEMENT_TIMEOUT = 30.0  # seconds one statement may run before it is interrupted
 MEMO_ROWS = 200_000  # result rows one database file's memo may hold
 MEMO_FILES = 32  # database files whose memo is kept at once
+MMAP_BYTES = 256 * 1024 * 1024  # bytes of its file one handle maps into memory
 
 
 @dataclass
@@ -148,6 +163,7 @@ class DatabaseHandle:
             raise DiverError(f"cannot open {self.path}: {exc}") from exc
         self._conn.set_progress_handler(self._tick, 2000)
         try:
+            self._conn.execute(f"PRAGMA mmap_size = {MMAP_BYTES}")
             self._conn.execute("SELECT 1 FROM sqlite_master LIMIT 1").fetchall()
         except sqlite3.DatabaseError as exc:
             self._conn.close()

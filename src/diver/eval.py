@@ -554,7 +554,7 @@ VES_MIN_ITERATIONS = 3  # the trimmed mean drops the fastest and slowest run
 
 def _trimmed_mean(samples: list[float]) -> float:
     keep = sorted(samples)[1:-1]
-    return sum(keep) / len(keep)
+    return math.fsum(keep) / len(keep)
 
 
 def ves_reward(
@@ -622,7 +622,9 @@ def format_report(report: dict) -> str:
 
 
 def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+    # fsum is exactly rounded, so the mean depends neither on the order of
+    # the values nor on the Python version (sum() compensates from 3.12 on)
+    return math.fsum(values) / len(values) if values else 0.0
 
 
 def _aggregate(records: list[dict], metrics: tuple[str, ...]) -> dict:
@@ -662,20 +664,24 @@ def evaluate(
         raise ValueError(f"unknown metrics {bad}; choose from {', '.join(KNOWN_METRICS)}")
     needs_execution = "ex" in metrics or "ves" in metrics
 
-    handles: dict[Path, DatabaseHandle] = {}
+    # one handle at a time: each maps its file (database.MMAP_BYTES), so
+    # keeping one per database open would hold every file in memory at once
+    handle: DatabaseHandle | None = None
     catalogs: dict[Path, SchemaCatalog] = {}
     warnings: list[str] = []
     records: list[dict] = []
     try:
         for sample in samples:
             path = Path(sample.db_path)
-            try:
-                if path not in handles:
-                    handles[path] = open_database(path)
-                handle = handles[path]
-            except DiverError as exc:
-                warnings.append(f"{sample.question_id}: cannot open database ({exc})")
-                continue
+            if handle is None or handle.path != path:
+                if handle is not None:
+                    handle.close()
+                    handle = None
+                try:
+                    handle = open_database(path)
+                except DiverError as exc:
+                    warnings.append(f"{sample.question_id}: cannot open database ({exc})")
+                    continue
             if needs_execution:
                 try:
                     gold = handle.query(sample.gold_sql)
@@ -712,7 +718,7 @@ def evaluate(
                 )
             records.append(record)
     finally:
-        for handle in handles.values():
+        if handle is not None:
             handle.close()
 
     report = _aggregate(records, metrics)

@@ -19,7 +19,7 @@ from importlib import resources
 from . import prompts
 from .cotf import CoTFDocument, deserialize, document_facts, serialize
 from .database import SchemaCatalog
-from .llm import ChatMessage
+from .llm import ChatMessage, replace_surrogates
 
 logger = logging.getLogger(__name__)
 
@@ -179,7 +179,7 @@ def _generate(style: str, doc: CoTFDocument, llm, catalog: SchemaCatalog) -> Evi
     """One filtered candidate in the given style."""
     row = STYLES[style]
     history = shot_messages() if row.shots_first else ()
-    raw = llm.chat(row.stage.request(*history, workspace=_workspace(doc)))
+    raw = replace_surrogates(llm.chat(row.stage.request(*history, workspace=_workspace(doc))))
     return _filtered(style, raw, doc, catalog)
 
 
@@ -206,5 +206,5 @@ def self_consistency(
     if n == 1:
         return candidates[0]
     body = json.dumps([c.text for c in candidates], ensure_ascii=False, indent=2)
-    raw = llm.chat(prompts.MERGE.request(candidates=body))
+    raw = replace_surrogates(llm.chat(prompts.MERGE.request(candidates=body)))
     return _filtered(style, raw, doc, catalog)

@@ -7,6 +7,7 @@ out of script is always an error, never a silent repetition.
 
 structured_tool_call() layers the tool-call wire schema on top of either
 client, with exactly one repair round-trip for malformed output.
+replace_surrogates() makes a free-text reply safe to encode as UTF-8.
 """
 
 from __future__ import annotations
@@ -194,6 +195,17 @@ class LiveClient:
                 last_error = exc
                 logger.warning("chat attempt %d/%d failed: %s", attempt + 1, LLM_ATTEMPTS, exc)
         raise LlmError(f"chat endpoint failed after {LLM_ATTEMPTS} attempts: {last_error}")
+
+
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def replace_surrogates(text: str) -> str:
+    """text with each lone surrogate replaced by U+FFFD. JSON can carry one
+    ("\\ud800"), so a reply can hold it, but UTF-8 cannot: left in, it fails
+    the next request fingerprint or trace write. Free-text replies (thought,
+    harvest rationale, evidence, merge) pass through here as they arrive."""
+    return _SURROGATE_RE.sub("\ufffd", text)
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)

@@ -26,7 +26,7 @@ from .cotf import (
     turn_facts,
 )
 from .errors import LlmError, MalformedToolCall, SchemaViolation
-from .llm import ChatMessage, extract_json, structured_tool_call
+from .llm import ChatMessage, extract_json, replace_surrogates, structured_tool_call
 from .prompts import HARVEST, LOOKUP_THOUGHT, LOOKUP_TOOL
 from .toolbox import TOOLS, ToolContext, dispatch, render_guidance
 
@@ -81,7 +81,7 @@ def run_clause(
         )
         ask_thought = LOOKUP_THOUGHT.request(**fields)
         try:
-            thought = llm.chat(ask_thought)
+            thought = replace_surrogates(llm.chat(ask_thought))
             call = structured_tool_call(
                 llm,
                 LOOKUP_TOOL.request(
@@ -167,7 +167,7 @@ def harvest_linkings(doc: CoTFDocument, llm) -> list[VerifiedLinking]:
                 table=table,
                 column=column,
                 literal=literal,
-                rationale=rationale if isinstance(rationale, str) else "",
+                rationale=replace_surrogates(rationale) if isinstance(rationale, str) else "",
                 source_turn=source,
             )
         except SchemaViolation:

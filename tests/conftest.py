@@ -11,13 +11,14 @@ table whose self-join makes deliberately slow queries for timing tests.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import sqlite3
 from pathlib import Path
 
 import pytest
 
-from diver.database import DatabaseHandle
+from diver.database import DatabaseHandle, open_database
 
 FRPM_COLUMNS = [
     ("CDSCode", "TEXT"),
@@ -204,3 +205,11 @@ def counted(monkeypatch):
 
     monkeypatch.setattr(DatabaseHandle, "query", counting)
     return calls
+
+
+@pytest.fixture()
+def open_db():
+    """open_database for one test: every handle it opens is closed when the
+    test ends, so no connection is left to garbage collection."""
+    with contextlib.ExitStack() as stack:
+        yield lambda path: stack.enter_context(contextlib.closing(open_database(path)))

@@ -1,4 +1,5 @@
-"""Read-only SQLite adapter: open/catalog/query contracts."""
+"""Read-only SQLite adapter: open/catalog/query contracts, and the mapped
+read path: a handle maps its file and still sees every committed change."""
 
 from __future__ import annotations
 
@@ -19,6 +20,24 @@ from diver.database import (
     parse_description_file,
 )
 from diver.errors import DescriptionParseError, DiverError, SqlError
+
+
+@pytest.fixture(autouse=True)
+def _close_opened_handles(monkeypatch):
+    """The tests here open handles the way a caller does and drop them; each
+    one is closed when its test ends instead of waiting, with its file
+    mapped, for garbage collection."""
+    opened = []
+    real_init = DatabaseHandle.__init__
+
+    def tracking_init(self, path):
+        real_init(self, path)
+        opened.append(self)
+
+    monkeypatch.setattr(DatabaseHandle, "__init__", tracking_init)
+    yield
+    for handle in opened:
+        handle.close()
 
 
 def _oracle_catalog(path: Path) -> dict[str, tuple[list[tuple[str, str]], int]]:
@@ -290,3 +309,53 @@ def test_memo_query_row_bound_evicts_least_recent(tmp_path, counted, monkeypatch
     handle.memo_query(everything)
     assert counted[-2:] == [everything, everything]
     assert handle._memo.rows <= 5
+
+
+def test_handle_maps_its_file(schools_db):
+    handle = open_database(schools_db)
+    _, [(mapped,)] = handle._execute("PRAGMA mmap_size")
+    # SQLite clamps the request to its build limit, which may be lower
+    assert 0 < mapped <= database.MMAP_BYTES
+
+
+def _padded_db(path: Path, n: int) -> Path:
+    # each row fills about a tenth of a 4 KiB page, so n rows span many pages
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT, pad TEXT)")
+    conn.executemany(
+        "INSERT INTO t VALUES (?, ?, ?)", [(i, f"v{i}", "x" * 400) for i in range(n)]
+    )
+    conn.commit()
+    conn.close()
+    return path
+
+
+def test_mapped_handle_sees_a_change_committed_between_statements(tmp_path):
+    db = _padded_db(tmp_path / "w.sqlite", 2000)
+    handle = open_database(db)
+    sql = "SELECT v FROM t WHERE id IN (0, 1999) ORDER BY id"
+    assert handle.query(sql).rows == [("v0",), ("v1999",)]
+    writer = sqlite3.connect(db)
+    try:
+        writer.execute("UPDATE t SET v = 'changed' WHERE id = 1999")
+        writer.commit()
+    finally:
+        writer.close()
+    assert handle.query(sql).rows == [("v0",), ("changed",)]
+
+
+def test_mapped_handle_reads_a_file_shrunk_between_statements(tmp_path):
+    db = _padded_db(tmp_path / "s.sqlite", 5000)
+    handle = open_database(db)
+    assert handle.query("SELECT COUNT(*), SUM(LENGTH(pad)) FROM t").rows == [(5000, 2_000_000)]
+    size = db.stat().st_size
+    writer = sqlite3.connect(db)
+    try:
+        writer.execute("DELETE FROM t WHERE id >= 100")
+        writer.commit()
+        writer.execute("VACUUM")
+    finally:
+        writer.close()
+    assert db.stat().st_size < size // 10
+    assert handle.query("SELECT COUNT(*), SUM(LENGTH(pad)) FROM t").rows == [(100, 40_000)]
+    assert handle.query("SELECT id FROM t ORDER BY id DESC LIMIT 1").rows == [(99,)]

@@ -8,13 +8,17 @@ against brute-force set arithmetic.
 import random
 import string
 from collections import Counter
+from contextlib import closing
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diver.database import DatabaseHandle, SchemaCatalog, catalog as build_catalog, open_database
 from diver.eval import (
     EvalSample,
     LinkingSets,
+    _mean,
     evaluate,
     ex_match,
     extract_entities,
@@ -27,17 +31,20 @@ from diver.eval import (
 
 @pytest.fixture(scope="module")
 def handle(eval_db):
-    return open_database(eval_db)
+    with closing(open_database(eval_db)) as h:
+        yield h
 
 
 @pytest.fixture(scope="module")
 def cat(schools_db, schools_desc_dir):
-    return build_catalog(open_database(schools_db), schools_desc_dir)
+    with closing(open_database(schools_db)) as h:
+        return build_catalog(h, schools_desc_dir)
 
 
 @pytest.fixture(scope="module")
 def eval_cat(eval_db):
-    return build_catalog(open_database(eval_db), None)
+    with closing(open_database(eval_db)) as h:
+        return build_catalog(h, None)
 
 
 # --- extract_entities ---
@@ -345,6 +352,19 @@ def test_ves_identity_pairs_close_to_ex(handle):
     assert 0.95 <= v <= 1.05
 
 
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30).flatmap(
+        lambda values: st.tuples(st.just(values), st.permutations(values))
+    )
+)
+def test_mean_is_the_same_for_every_order_of_its_values(case):
+    # scores in [0, 1], as the report averages them; a plain left-to-right
+    # sum rounds differently for some orders, and differently across Python
+    # versions
+    values, permuted = case
+    assert _mean(permuted) == _mean(values)
+
+
 def test_ves_zero_on_mismatches(handle):
     pairs = [
         ("SELECT 1", "SELECT 2"),
@@ -446,6 +466,34 @@ def test_evaluate_runs_each_statement_once_for_its_result(eval_db, monkeypatch):
     report = evaluate([sample(eval_db, miss, gold)], metrics=("ex", "ves"), iterations=10)
     assert report["ex"] == 0.0 and report["ves"] == 0.0
     assert runs == {gold: 1, miss: 1}
+
+
+def test_evaluate_keeps_one_database_open_at_a_time(eval_db, schools_db, monkeypatch):
+    open_now, most = set(), 0
+    real_init, real_close = DatabaseHandle.__init__, DatabaseHandle.close
+
+    def tracking_init(self, path):
+        nonlocal most
+        real_init(self, path)
+        open_now.add(self)
+        most = max(most, len(open_now))
+
+    def tracking_close(self):
+        open_now.discard(self)
+        real_close(self)
+
+    monkeypatch.setattr(DatabaseHandle, "__init__", tracking_init)
+    monkeypatch.setattr(DatabaseHandle, "close", tracking_close)
+    orders, schools = "SELECT id FROM orders", "SELECT COUNT(*) FROM frpm"
+    samples = [
+        sample(eval_db, orders, orders, qid="o1"),
+        sample(schools_db, schools, schools, qid="s1"),
+        sample(eval_db, orders, orders, qid="o2"),
+    ]
+    report = evaluate(samples, metrics=("ex",), iterations=10)
+    assert report["ex"] == 1.0 and report["count"] == 3
+    # every mapped file stays in memory while its handle is open
+    assert most == 1 and not open_now
 
 
 def test_evaluate_f1_only_report(eval_db):

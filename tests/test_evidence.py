@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from contextlib import closing
 
 import pytest
 
@@ -39,7 +40,8 @@ from replay import RecordingSession
 
 @pytest.fixture(scope="module")
 def cat(schools_db, schools_desc_dir):
-    return build_catalog(open_database(schools_db), schools_desc_dir)
+    with closing(open_database(schools_db)) as h:
+        return build_catalog(h, schools_desc_dir)
 
 
 def probe_doc():
@@ -237,6 +239,13 @@ def test_concise_generation_uses_alternating_shot_messages(cat):
     assert '"Low Grade"' in req.messages[-1].content
 
 
+def test_evidence_replaces_a_lone_surrogate(cat):
+    llm = ScriptedSession(["Grade K\ud800 refers to `Low Grade` = 'K'."])
+    ev = generate_concise(probe_doc(), llm, cat)
+    assert ev.text == "Grade K\ufffd refers to `Low Grade` = 'K'."
+    ev.text.encode("utf-8")
+
+
 def test_concise_canned_line_is_shorter_than_long_one():
     assert len(STYLES["concise"].no_findings) < len(STYLES["long"].no_findings)
 
@@ -281,6 +290,14 @@ def test_merge_sees_filtered_candidates_and_result_is_filtered(cat):
     assert c1 in body and c3 in body
     assert "Ghost Col" not in body
     assert "`Low Grade` is the span column." in body
+
+
+def test_merge_replaces_a_lone_surrogate(cat):
+    merged = "'K' is \udfff stored in `Low Grade`."
+    llm = ScriptedSession(["'K' a.", "'K' b.", "'K' c.", merged])
+    ev = self_consistency(probe_doc(), llm, 3, "concise", cat)
+    assert ev.text == "'K' is \ufffd stored in `Low Grade`."
+    ev.text.encode("utf-8")
 
 
 def test_merged_output_is_grounded_by_the_filter(cat):

@@ -4,6 +4,7 @@ and grounded linking harvest."""
 import json
 import random
 import re
+from contextlib import closing
 
 import pytest
 
@@ -13,6 +14,7 @@ from diver.cotf import (
     ToolCall,
     ToolFeedback,
     Turn,
+    serialize,
 )
 from diver.breakup import token_refine
 from diver.database import catalog, open_database
@@ -34,13 +36,13 @@ from replay import RecordingSession
 
 @pytest.fixture(scope="module")
 def ctx(schools_db, schools_desc_dir):
-    handle = open_database(schools_db)
-    return ToolContext(
-        handle=handle,
-        catalog=catalog(handle, schools_desc_dir),
-        embedder=LexicalEmbedder(),
-        rng=random.Random(7),
-    )
+    with closing(open_database(schools_db)) as handle:
+        yield ToolContext(
+            handle=handle,
+            catalog=catalog(handle, schools_desc_dir),
+            embedder=LexicalEmbedder(),
+            rng=random.Random(7),
+        )
 
 
 def one_clause_doc(text="Which schools serve grade K?", max_turns=5):
@@ -157,13 +159,28 @@ def test_scripted_clause_probes_then_stops(ctx):
     assert llm.consumed == 4
 
 
-def test_repeated_call_gets_guiding_feedback_without_query(ctx, schools_db, schools_desc_dir):
-    handle = open_database(schools_db)
+def test_lone_surrogate_in_a_thought_becomes_a_replacement_character(ctx):
+    doc = one_clause_doc()
+    llm = ScriptedSession(
+        [
+            "Grades \ud800 first.",
+            tc("uniq_value", table="frpm", column="Low Grade"),
+            "Done.",
+            tc("none"),
+        ]
+    )
+    run_clause(doc, 0, llm, ctx)
+    assert doc.turns[0][0].thought == "Grades \ufffd first."
+    assert "Grades \ufffd first." in serialize(doc).decode("utf-8")
+
+
+def test_repeated_call_gets_guiding_feedback_without_query(ctx, open_db, schools_db, schools_desc_dir):
+    handle = open_db(schools_db)
     counted = []
     real_query = handle.query
     handle.query = lambda *a, **k: (counted.append(a), real_query(*a, **k))[1]
     local_ctx = ToolContext(
-        handle=handle, catalog=catalog(open_database(schools_db), schools_desc_dir),
+        handle=handle, catalog=catalog(open_db(schools_db), schools_desc_dir),
         embedder=LexicalEmbedder(), rng=random.Random(7),
     )
 
@@ -342,6 +359,16 @@ def test_harvest_keeps_grounded_value_linking():
     req = llm.requests[0]
     assert req.temperature == HARVEST.temperature
     assert '"samples"' in req.messages[-1].content
+
+
+def test_harvest_replaces_a_lone_surrogate_in_the_rationale():
+    doc = probe_doc()
+    # json.dumps escapes the surrogate as \ud800, which is how JSON carries it
+    llm = ScriptedSession([json.dumps([proposal(rationale="K \ud800 appears")])])
+    [link] = harvest_linkings(doc, llm)
+    assert link.rationale == "K \ufffd appears"
+    doc.add_verified(link)
+    assert "K \ufffd appears" in serialize(doc).decode("utf-8")
 
 
 def test_harvest_drops_ungrounded_proposals():

@@ -6,6 +6,7 @@ import inspect
 import random
 import re
 import sqlite3
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -36,12 +37,13 @@ from diver.toolbox import (
 
 @pytest.fixture(scope="module")
 def handle(schools_db):
-    return open_database(schools_db)
+    with closing(open_database(schools_db)) as h:
+        yield h
 
 
 @pytest.fixture(scope="module")
-def cat(schools_db, schools_desc_dir):
-    return catalog(open_database(schools_db), schools_desc_dir)
+def cat(handle, schools_desc_dir):
+    return catalog(handle, schools_desc_dir)
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +245,7 @@ def test_sim_value_in_falls_back_to_lexical(handle):
     assert got["matches"][0]["score"] == pytest.approx(1.0)
 
 
-def test_sim_value_in_prefilters_huge_pools(tmp_path):
+def test_sim_value_in_prefilters_huge_pools(tmp_path, open_db):
     db = tmp_path / "big.sqlite"
     conn = sqlite3.connect(db)
     conn.execute("CREATE TABLE t (v TEXT)")
@@ -252,7 +254,7 @@ def test_sim_value_in_prefilters_huge_pools(tmp_path):
     )
     conn.commit()
     conn.close()
-    got = sim_value_in(open_database(db), LexicalEmbedder(), "t", "v", "entry number 00042", k=2)
+    got = sim_value_in(open_db(db), LexicalEmbedder(), "t", "v", "entry number 00042", k=2)
     assert got["pool_size"] == 10050
     assert got["prefiltered"] is True
     assert got["matches"][0]["value"] == "entry number 00042"
@@ -492,8 +494,8 @@ def sampling_db(tmp_path):
     return db
 
 
-def test_random_rows_matches_full_scan_oracle(sampling_db):
-    handle = open_database(sampling_db)
+def test_random_rows_matches_full_scan_oracle(sampling_db, open_db):
+    handle, oracle_handle = open_db(sampling_db), open_db(sampling_db)
     fetched = []
     query = handle.query
 
@@ -510,13 +512,13 @@ def test_random_rows_matches_full_scan_oracle(sampling_db):
                 n = max(n, 1)
                 fetched.clear()
                 got = random_rows(handle, table, n, seed)
-                assert got == _old_random_rows(open_database(sampling_db), table, n, seed)
+                assert got == _old_random_rows(oracle_handle, table, n, seed)
                 # the count, then at most n rows: no other row reaches Python
                 assert sum(fetched) <= 1 + min(n, total)
 
 
-def test_random_rows_empty_table_keeps_columns(sampling_db):
-    got = random_rows(open_database(sampling_db), "empty", 3, seed=4)
+def test_random_rows_empty_table_keeps_columns(sampling_db, open_db):
+    got = random_rows(open_db(sampling_db), "empty", 3, seed=4)
     assert got == {"columns": ["a", "b"], "rows": [], "seed": 4}
 
 
@@ -533,9 +535,9 @@ def _memo_db(tmp_path):
     return db
 
 
-def test_memoized_probes_issue_no_query_on_a_second_handle(tmp_path, counted):
+def test_memoized_probes_issue_no_query_on_a_second_handle(tmp_path, counted, open_db):
     db = _memo_db(tmp_path)
-    first = open_database(db)
+    first = open_db(db)
     cat_ = catalog(first)
     probes = [
         lambda h: uniq_value(h, "t", "name", limit=3),
@@ -546,7 +548,7 @@ def test_memoized_probes_issue_no_query_on_a_second_handle(tmp_path, counted):
     ]
     cold = [probe(first) for probe in probes]
     counted.clear()
-    second = open_database(db)
+    second = open_db(db)
     assert [probe(second) for probe in probes] == cold
     assert counted == []
     # the uncached tools still reach the engine
@@ -588,10 +590,10 @@ def test_prefilter_matches_the_overlap_sort_oracle(case):
     assert _prefilter(query, pool) == _old_prefilter(query, pool)
 
 
-def test_sim_value_in_six_decimal_tie_keeps_text_order(tmp_path):
+def test_sim_value_in_six_decimal_tie_keeps_text_order(tmp_path, open_db):
     db = _memo_db(tmp_path)
-    cold = sim_value_in(open_database(db), LexicalEmbedder(), "t", "name", "fresno", k=3)
+    cold = sim_value_in(open_db(db), LexicalEmbedder(), "t", "name", "fresno", k=3)
     assert [m["value"] for m in cold["matches"]] == ["FRESNO", "Fresno", "fresno"]
     assert len({m["score"] for m in cold["matches"]}) == 1
-    warm = sim_value_in(open_database(db), LexicalEmbedder(), "t", "name", "fresno", k=3)
+    warm = sim_value_in(open_db(db), LexicalEmbedder(), "t", "name", "fresno", k=3)
     assert warm == cold
