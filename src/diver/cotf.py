@@ -166,8 +166,8 @@ class ToolFeedback:
                 raise SchemaViolation(f"{self.kind} feedback requires a message")
 
     @classmethod
-    def standard(cls, result: dict[str, Any], message: str = "") -> "ToolFeedback":
-        return cls(kind="standard", message=message, result=result)
+    def standard(cls, result: dict[str, Any]) -> "ToolFeedback":
+        return cls(kind="standard", result=result)
 
     @classmethod
     def corrective(cls, message: str) -> "ToolFeedback":

@@ -7,9 +7,10 @@ connection is opened with mode=ro and query() additionally rejects any
 statement that is not SELECT/WITH/VALUES.
 
 Because the files are read-only, the answer to a deterministic statement
-depends only on the file. memo_query() keeps such answers in a per-file memo
-shared by every handle on the same file, keyed by the file's identity
-(resolved path, size, mtime_ns) and bounded to MEMO_ROWS result rows per file.
+depends only on the file. memo_query() keeps such answers, the catalog's
+among them, in one memo shared by every handle in the process, keyed by the
+file's identity (resolved path, size, mtime_ns), the statement and each
+parameter with its type, and bounded to MEMO_ROWS result rows over all files.
 
 Every handle memory-maps its file (PRAGMA mmap_size = MMAP_BYTES). A full
 scan of a fact table is larger than SQLite's default 2 MB page cache, so
@@ -48,8 +49,7 @@ READ_KEYWORDS = {"select", "with", "values"}
 DESCRIPTION_ENCODINGS = ("utf-8-sig", "cp1252", "latin-1")
 
 STATEMENT_TIMEOUT = 30.0  # seconds one statement may run before it is interrupted
-MEMO_ROWS = 200_000  # result rows one database file's memo may hold
-MEMO_FILES = 32  # database files whose memo is kept at once
+MEMO_ROWS = 200_000  # result rows the memo may hold over all database files
 MMAP_BYTES = 256 * 1024 * 1024  # bytes of its file one handle maps into memory
 
 
@@ -98,13 +98,13 @@ class SchemaCatalog:
 
 
 class _Memo:
-    """Results of deterministic statements on one database file, least
-    recently used first. A result counts as at least one row against
-    MEMO_ROWS, so the number of entries is bounded too."""
+    """Results of deterministic statements on database files, least recently
+    used first. A result counts as at least one row against MEMO_ROWS, so the
+    number of entries is bounded too."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # (sql, params) -> (column names, rows)
+        # (file identity, sql, typed params) -> (column names, rows)
         self._results: OrderedDict[tuple, tuple[tuple, tuple]] = OrderedDict()
         self.rows = 0
 
@@ -129,25 +129,7 @@ class _Memo:
                 self.rows -= max(len(old), 1)
 
 
-_memos: OrderedDict[tuple, _Memo] = OrderedDict()
-_memos_lock = threading.Lock()
-
-
-def _memo_for(path: Path) -> _Memo:
-    """The memo of the file at `path` as it is now; a rewritten file gets a
-    new one."""
-    resolved = path.resolve()
-    st = resolved.stat()
-    key = (str(resolved), st.st_size, st.st_mtime_ns)
-    with _memos_lock:
-        memo = _memos.get(key)
-        if memo is None:
-            memo = _memos[key] = _Memo()
-            while len(_memos) > MEMO_FILES:
-                _memos.popitem(last=False)
-        else:
-            _memos.move_to_end(key)
-        return memo
+_memo = _Memo()
 
 
 class DatabaseHandle:
@@ -156,9 +138,9 @@ class DatabaseHandle:
     def __init__(self, path: Path):
         self.path = Path(path)
         self._deadline: float | None = None
-        uri = self.path.resolve().as_uri() + "?mode=ro"
+        resolved = self.path.resolve()
         try:
-            self._conn = sqlite3.connect(uri, uri=True, check_same_thread=False)
+            self._conn = sqlite3.connect(resolved.as_uri() + "?mode=ro", uri=True)
         except sqlite3.Error as exc:
             raise DiverError(f"cannot open {self.path}: {exc}") from exc
         self._conn.set_progress_handler(self._tick, 2000)
@@ -168,7 +150,9 @@ class DatabaseHandle:
         except sqlite3.DatabaseError as exc:
             self._conn.close()
             raise DiverError(f"cannot read {self.path}: {exc}") from exc
-        self._memo = _memo_for(self.path)
+        # the file as it is now; a rewritten file misses every memo entry
+        st = resolved.stat()
+        self._file = (str(resolved), st.st_size, st.st_mtime_ns)
 
     def _tick(self) -> int:
         # nonzero return interrupts the running statement
@@ -176,11 +160,17 @@ class DatabaseHandle:
             return 1
         return 0
 
-    def _execute(self, sql: str, params: Sequence[Any] = ()) -> tuple[list[str], list[tuple]]:
-        """Run one statement and fetch its (column names, rows) while the
-        statement deadline still holds. No keyword filtering: catalog
-        PRAGMAs come through here."""
-        self._deadline = time.perf_counter() + STATEMENT_TIMEOUT
+    def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
+        """Run one read statement and fetch its rows while the statement
+        deadline still holds. Only the thread that opened the handle may use
+        it."""
+        keyword = _first_keyword(sql)
+        if keyword not in READ_KEYWORDS:
+            raise SqlError(
+                f"only read statements are allowed, got {keyword or 'empty statement'!r}"
+            )
+        started = time.perf_counter()
+        self._deadline = started + STATEMENT_TIMEOUT
         try:
             cursor = self._conn.execute(sql, tuple(params))
             rows = cursor.fetchall()
@@ -191,30 +181,22 @@ class DatabaseHandle:
         finally:
             self._deadline = None
         columns = [d[0] for d in cursor.description] if cursor.description else []
-        return columns, rows
-
-    def query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
-        keyword = _first_keyword(sql)
-        if keyword not in READ_KEYWORDS:
-            raise SqlError(
-                f"only read statements are allowed, got {keyword or 'empty statement'!r}"
-            )
-        started = time.perf_counter()
-        columns, rows = self._execute(sql, params)
         return ResultSet(columns=columns, rows=rows, elapsed=time.perf_counter() - started)
 
     def memo_query(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         """query() for a statement whose answer depends only on the file: the
         first call on a file runs it, later calls on any handle to the same
-        unchanged file reuse its rows (elapsed 0.0). Errors are never kept, so
-        a failing statement fails again with the engine's message."""
-        key = (sql, tuple(params))
-        hit = self._memo.get(key)
+        unchanged file reuse its rows (elapsed 0.0). Each parameter is keyed
+        with its type: 1 == 1.0 in Python, but SQLite compares 1 with the
+        text '1' and 1.0 with '1.0'. Errors are never kept, so a failing
+        statement fails again with the engine's message."""
+        key = (self._file, sql, tuple((type(p), p) for p in params))
+        hit = _memo.get(key)
         if hit is not None:
             columns, rows = hit
             return ResultSet(columns=list(columns), rows=list(rows), elapsed=0.0)
         rs = self.query(sql, params)
-        self._memo.put(key, tuple(rs.columns), tuple(rs.rows))
+        _memo.put(key, tuple(rs.columns), tuple(rs.rows))
         return rs
 
     def close(self) -> None:
@@ -282,8 +264,9 @@ def parse_description_file(path: Path) -> dict[str, str]:
 
 
 def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -> SchemaCatalog:
-    """Walk sqlite_master + PRAGMA table_info into a SchemaCatalog; join
-    description CSVs when a directory is given. Malformed CSVs only warn."""
+    """Walk sqlite_master + pragma_table_info into a SchemaCatalog, every
+    statement through the memo; join description CSVs when a directory is
+    given. Malformed CSVs only warn."""
     descriptions: dict[str, dict[str, str]] = {}
     if description_dir is not None:
         d = Path(description_dir)
@@ -299,25 +282,24 @@ def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -
             logger.warning("description directory missing: %s", d)
 
     tables = []
-    _, names = handle._execute(
+    names = handle.memo_query(
         "SELECT name FROM sqlite_master WHERE type = 'table'"
         " AND name NOT LIKE 'sqlite_%' ORDER BY name"
-    )
+    ).rows
     for (table_name,) in names:
         table_desc = descriptions.get(table_name.lower(), {})
-        columns = []
-        _, info = handle._execute(f"PRAGMA table_info({quote_identifier(table_name)})")
-        for row in info:
-            col_name, declared = row[1], row[2]
-            columns.append(
-                ColumnInfo(
-                    name=col_name,
-                    declared_type=declared or "",
-                    description=table_desc.get(col_name.lower()),
-                )
+        info = handle.memo_query(
+            "SELECT name, type FROM pragma_table_info(?)", (table_name,)
+        ).rows
+        columns = [
+            ColumnInfo(
+                name=col_name,
+                declared_type=declared or "",
+                description=table_desc.get(col_name.lower()),
             )
-        rs = handle.memo_query(f"SELECT COUNT(*) FROM {quote_identifier(table_name)}")
-        [(count,)] = rs.rows
+            for col_name, declared in info
+        ]
+        [(count,)] = handle.memo_query(f"SELECT COUNT(*) FROM {quote_identifier(table_name)}").rows
         tables.append(TableInfo(name=table_name, columns=columns, row_count=count))
     return SchemaCatalog(tables=tables)
 

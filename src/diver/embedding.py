@@ -102,9 +102,8 @@ class RemoteEmbedder:
     """HTTP embedding backend. POST {"input": [...]} per batch of 64, expects
     {"data": [{"embedding": [...]}, ...]} in input order."""
 
-    def __init__(self, endpoint: str, api_key: str | None = None):
+    def __init__(self, endpoint: str):
         self.endpoint = endpoint
-        self.api_key = api_key
 
     def embed(self, texts: list[str]) -> list[Vector]:
         if not texts:
@@ -112,9 +111,6 @@ class RemoteEmbedder:
         import requests  # only a remote embedder needs it; a lexical run skips its import
 
         texts = [_truncate(t) for t in texts]
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         rows: list[list[float]] = []
         for start in range(0, len(texts), REMOTE_BATCH_SIZE):
             batch = texts[start : start + REMOTE_BATCH_SIZE]
@@ -122,7 +118,6 @@ class RemoteEmbedder:
                 resp = requests.post(
                     self.endpoint,
                     json={"input": batch},
-                    headers=headers,
                     timeout=REMOTE_TIMEOUT,
                 )
                 resp.raise_for_status()

@@ -33,16 +33,6 @@ RESERVED_WORDS = frozenset(
     """.split()
 )
 
-# Words a bare identifier after a table name must not be mistaken for.
-_NOT_AN_ALIAS = frozenset(
-    w.upper()
-    for w in (
-        "on where group having order limit offset union except intersect"
-        " join inner left right full outer cross natural using as and or"
-        " set when then else end asc desc".split()
-    )
-)
-
 _FUNCTION_WORDS = frozenset(
     """
     count sum avg total min max group_concat abs round length substr
@@ -296,10 +286,9 @@ class _Extractor:
             self.consumed[j] = True
             j += 1
             t = self.tok(j)
+        # a bare keyword, or the SET of an UPDATE, ends the reference instead
         if t is not None and _ident(t):
-            if t.kind == "quoted" or t.value.upper() not in _NOT_AN_ALIAS:
-                if t.kind == "word" and t.value.lower() in RESERVED_WORDS:
-                    return j
+            if t.kind == "quoted" or t.value.lower() not in RESERVED_WORDS | {"set"}:
                 self.aliases[t.value.lower()] = target
                 self.consumed[j] = True
                 return j + 1
@@ -667,7 +656,6 @@ def evaluate(
     # one handle at a time: each maps its file (database.MMAP_BYTES), so
     # keeping one per database open would hold every file in memory at once
     handle: DatabaseHandle | None = None
-    catalogs: dict[Path, SchemaCatalog] = {}
     warnings: list[str] = []
     records: list[dict] = []
     try:
@@ -704,9 +692,8 @@ def evaluate(
                         handle, sample.pred_sql, sample.gold_sql, matched, iterations
                     )
             if "f1" in metrics:
-                if path not in catalogs:
-                    catalogs[path] = build_catalog(handle, None)
-                cat = catalogs[path]
+                # a reopened file's catalog comes from the database memo
+                cat = build_catalog(handle, None)
                 gold_sets = extract_entities(sample.gold_sql, cat)
                 pred_sets = extract_entities(sample.pred_sql or "", cat)
                 record.update(linking_f1(gold_sets, pred_sets))

@@ -154,13 +154,11 @@ class LiveClient:
 
     base_url: str
     model: str
-    api_key: str | None = None
 
     def __post_init__(self) -> None:
-        if self.api_key is None:
-            self.api_key = os.environ.get(API_KEY_ENV)
-        if not self.api_key:
-            raise DiverError(f"no API key: set {API_KEY_ENV} or pass api_key explicitly")
+        self._api_key = os.environ.get(API_KEY_ENV)
+        if not self._api_key:
+            raise DiverError(f"no API key: set {API_KEY_ENV}")
         if not self.base_url:
             raise DiverError("base_url must be set")
         self._gate = threading.BoundedSemaphore(LLM_MAX_IN_FLIGHT)
@@ -178,7 +176,7 @@ class LiveClient:
         if request.response_format == "tool_call_schema":
             payload["response_format"] = {"type": "json_object"}
         url = self.base_url.rstrip("/") + "/chat/completions"
-        headers = {"Authorization": f"Bearer {self.api_key}"}
+        headers = {"Authorization": f"Bearer {self._api_key}"}
         last_error: Exception | None = None
         for attempt in range(LLM_ATTEMPTS):
             if attempt:

@@ -327,7 +327,12 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 FEEDBACK = (
-    st.builds(ToolFeedback.standard, st.dictionaries(TEXT, JSON_VALUES, max_size=3), TEXT)
+    st.builds(
+        ToolFeedback,
+        kind=st.just("standard"),
+        message=TEXT,
+        result=st.dictionaries(TEXT, JSON_VALUES, max_size=3),
+    )
     | st.builds(ToolFeedback.corrective, TEXT.filter(bool))
     | st.builds(ToolFeedback.guiding, TEXT.filter(bool))
 )

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sqlite3
+import threading
 from pathlib import Path
 
 import pytest
@@ -53,11 +54,9 @@ def _oracle_catalog(path: Path) -> dict[str, tuple[list[tuple[str, str]], int]]:
             )
         ]
         for t in tables:
-            cols = [
-                (r[1], r[2])
-                for r in conn.execute(f'PRAGMA table_info("{t}")')
-            ]
-            n = conn.execute(f'SELECT COUNT(*) FROM "{t}"').fetchone()[0]
+            quoted = '"' + t.replace('"', '""') + '"'
+            cols = [(r[1], r[2]) for r in conn.execute(f"PRAGMA table_info({quoted})")]
+            n = conn.execute(f"SELECT COUNT(*) FROM {quoted}").fetchone()[0]
             out[t] = (cols, n)
     finally:
         conn.close()
@@ -133,8 +132,22 @@ def test_sql_error_carries_engine_message_verbatim(schools_db):
     assert "no such column" in str(err.value)
 
 
-def test_catalog_matches_pragma_oracle(schools_db, eval_db):
-    for path in (schools_db, eval_db):
+def _awkward_name_db(path: Path) -> Path:
+    # table and column names holding a space, a backtick, a double quote and é
+    conn = sqlite3.connect(path)
+    try:
+        conn.execute('CREATE TABLE "fee `tally"" é" ("a b" TEXT, `c"d` INTEGER, "é" REAL)')
+        conn.executemany('INSERT INTO "fee `tally"" é" VALUES (?, ?, ?)', [("x", 1, 2.0)] * 3)
+        conn.commit()
+    finally:
+        conn.close()
+    return path
+
+
+def test_catalog_matches_pragma_oracle(schools_db, eval_db, tmp_path):
+    awkward = _awkward_name_db(tmp_path / "awkward.sqlite")
+    assert list(_oracle_catalog(awkward)) == ['fee `tally" é']
+    for path in (schools_db, eval_db, awkward):
         handle = open_database(path)
         cat = catalog(handle)
         oracle = _oracle_catalog(path)
@@ -143,6 +156,15 @@ def test_catalog_matches_pragma_oracle(schools_db, eval_db):
             cols, count = oracle[table.name]
             assert [(c.name, c.declared_type) for c in table.columns] == cols
             assert table.row_count == count
+
+
+def test_catalog_of_an_unchanged_file_runs_no_statement(schools_db):
+    first = catalog(open_database(schools_db))
+    handle = open_database(schools_db)
+    ran = []
+    handle._conn.set_trace_callback(ran.append)
+    assert catalog(handle) == first
+    assert ran == []
 
 
 def test_catalog_descriptions_joined(schools_db, schools_desc_dir):
@@ -238,7 +260,7 @@ def test_execute_fetches_rows_under_the_statement_deadline(schools_db, monkeypat
     # the first row comes at once, the rest never end: only a deadline that
     # still holds while rows are fetched can stop it
     with pytest.raises(SqlError, match="interrupt"):
-        handle._execute(
+        handle.query(
             "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c)"
             " SELECT x FROM c WHERE x % 1000 = 1"
         )
@@ -299,7 +321,7 @@ def test_memo_query_row_bound_evicts_least_recent(tmp_path, counted, monkeypatch
     assert counted == [first, second]
     third = "SELECT v FROM t LIMIT 1 OFFSET 5"
     handle.memo_query(third)  # 6 rows: the least recent, `second`, goes
-    assert handle._memo.rows <= 5
+    assert database._memo.rows <= 5
     handle.memo_query(first)
     handle.memo_query(second)
     assert counted == [first, second, third, second]
@@ -308,12 +330,53 @@ def test_memo_query_row_bound_evicts_least_recent(tmp_path, counted, monkeypatch
     handle.memo_query(everything)
     handle.memo_query(everything)
     assert counted[-2:] == [everything, everything]
-    assert handle._memo.rows <= 5
+    assert database._memo.rows <= 5
+
+
+def test_memo_query_keys_each_parameter_with_its_type(tmp_path):
+    # SQLite compares 1 with the text '1' and 1.0 with '1.0', though 1 == 1.0
+    handle = open_database(_small_db(tmp_path / "m.sqlite", ["1", "1", "1.0"]))
+    sql = "SELECT COUNT(*) FROM t WHERE v = ?"
+    for value, count in ((1, 2), (1.0, 1), (True, 2), ("1.0", 1)):
+        assert handle.memo_query(sql, (value,)).rows == [(count,)]
+        assert handle.query(sql, (value,)).rows == [(count,)]
+
+
+def test_memo_query_row_bound_holds_over_every_file(tmp_path, counted, monkeypatch):
+    monkeypatch.setattr(database, "MEMO_ROWS", 5)
+    one = open_database(_small_db(tmp_path / "one.sqlite", ["a", "b", "c"]))
+    two = open_database(_small_db(tmp_path / "two.sqlite", ["d", "e", "f"]))
+    sql = "SELECT v FROM t ORDER BY v"
+    one.memo_query(sql)
+    two.memo_query(sql)  # 3 + 3 rows: the least recent, from the other file, goes
+    assert database._memo.rows <= 5
+    assert two.memo_query(sql).rows == [("d",), ("e",), ("f",)]
+    assert one.memo_query(sql).rows == [("a",), ("b",), ("c",)]
+    assert counted == [sql, sql, sql]
+
+
+def test_handle_answers_only_in_the_thread_that_opened_it(schools_db):
+    handle = open_database(schools_db)
+    sql = "SELECT COUNT(*) FROM frpm"
+    raised = []
+
+    def elsewhere():
+        try:
+            handle.query(sql)
+        except SqlError as exc:
+            raised.append(str(exc))
+
+    thread = threading.Thread(target=elsewhere)
+    thread.start()
+    thread.join()
+    assert len(raised) == 1
+    assert "can only be used in that same thread" in raised[0]
+    assert handle.query(sql).rows == [(12,)]
 
 
 def test_handle_maps_its_file(schools_db):
     handle = open_database(schools_db)
-    _, [(mapped,)] = handle._execute("PRAGMA mmap_size")
+    (mapped,) = handle._conn.execute("PRAGMA mmap_size").fetchone()
     # SQLite clamps the request to its build limit, which may be lower
     assert 0 < mapped <= database.MMAP_BYTES
 

@@ -195,6 +195,23 @@ def test_extraction_is_total_on_garbage(cat):
         assert isinstance(out, LinkingSets)
 
 
+# Words a table reference never takes for its alias. All but SET are in
+# RESERVED_WORDS; a bare `set` is read as a column instead.
+NOT_AN_ALIAS = (
+    "on where group having order limit offset union except intersect"
+    " join inner left right full outer cross natural using as and or"
+    " set when then else end asc desc"
+).split()
+
+
+@pytest.mark.parametrize("word", NOT_AN_ALIAS)
+def test_keyword_after_a_table_is_not_its_alias(cat, word):
+    out = extract_entities(f'SELECT "Low Grade" FROM frpm {word}', cat)
+    expected = {"frpm", "frpm.low grade"} | ({"frpm.set"} if word == "set" else set())
+    assert out.schema_entities == expected
+    assert out.value_entities == set()
+
+
 def test_extraction_without_catalog_still_handles_single_table():
     out = extract_entities("SELECT School FROM frpm WHERE `Low Grade` = 'K'", SchemaCatalog())
     assert out.schema_entities == {"frpm", "frpm.school", "frpm.low grade"}

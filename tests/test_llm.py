@@ -297,7 +297,7 @@ def chat_stub():
 
 def test_live_client_requires_key(monkeypatch):
     monkeypatch.delenv("DIVER_LLM_API_KEY", raising=False)
-    no_key = r"^no API key: set DIVER_LLM_API_KEY or pass api_key explicitly$"
+    no_key = r"^no API key: set DIVER_LLM_API_KEY$"
     with pytest.raises(DiverError, match=no_key):
         LiveClient(base_url="http://127.0.0.1:1/v1", model="m")
 
