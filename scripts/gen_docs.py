@@ -21,7 +21,7 @@ def segmentation_doc() -> str:
 
 def lookup_doc() -> str:
     return (
-        prompts.LOOKUP_SYSTEM.format(guidance=render_guidance())
+        prompts.LOOKUP_SYSTEM
         + SEPARATOR
         + prompts.LOOKUP_THOUGHT_USER
         + "\n\n--- tool call request (sent after the thought) ---\n\n"

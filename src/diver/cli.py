@@ -89,26 +89,18 @@ def _already_done(trace_dir: Path, evidence_dir: Path, qid: str, styles) -> bool
 
 
 def _run_one(row: dict, qid: str, args, llm, embedder, config, trace_dir, evidence_dir):
-    text = row.get("question")
-    if not isinstance(text, str) or not text:
-        raise DiverError("question text missing")
-    db_id = row.get("db_id")
-    if not isinstance(db_id, str) or not db_id:
-        raise DiverError("db_id missing")
-    db_path = db_path_for(args.db_root, db_id)
-    desc = description_dir_for(args.db_root, db_id)
     question = Question(
         question_id=qid,
-        db_id=db_id,
-        text=text,
+        db_id=row.get("db_id"),
+        text=row.get("question"),
         gold_sql=row.get("SQL"),
         expert_evidence=row.get("evidence"),
         difficulty=row.get("difficulty"),
     )
     doc, evidences = run_question(
         question,
-        db_path,
-        desc if desc.is_dir() else None,
+        db_path_for(args.db_root, question.db_id),
+        description_dir_for(args.db_root, question.db_id),
         llm,
         embedder,
         config,
@@ -226,7 +218,7 @@ def cmd_eval(args) -> int:
         qid = str(row.get("question_id", i))
         gold = row.get("SQL")
         db_id = row.get("db_id")
-        if not gold or not db_id:
+        if not (isinstance(gold, str) and gold and isinstance(db_id, str) and db_id):
             log.warning("question %s lacks SQL or db_id; skipped", qid)
             continue
         pred = predictions.get(qid)

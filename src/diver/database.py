@@ -73,28 +73,26 @@ class TableInfo:
     columns: list[ColumnInfo]
     row_count: int
 
+    def __post_init__(self) -> None:
+        # lowercased name -> column; the first of a case clash wins
+        self._columns = {c.name.lower(): c for c in reversed(self.columns)}
+
     def column(self, name: str) -> ColumnInfo | None:
-        if not isinstance(name, str):
-            return None
-        low = name.lower()
-        for c in self.columns:
-            if c.name.lower() == low:
-                return c
-        return None
+        return self._columns.get(name.lower()) if isinstance(name, str) else None
 
 
 @dataclass
 class SchemaCatalog:
     tables: list[TableInfo] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        # lowercased name -> table; the first of a case clash wins
+        self._tables = {t.name.lower(): t for t in reversed(self.tables)}
+        # every table and column name, lowercased
+        self.names = frozenset(self._tables).union(*(t._columns for t in self.tables))
+
     def table(self, name: str) -> TableInfo | None:
-        if not isinstance(name, str):
-            return None
-        low = name.lower()
-        for t in self.tables:
-            if t.name.lower() == low:
-                return t
-        return None
+        return self._tables.get(name.lower()) if isinstance(name, str) else None
 
 
 class _Memo:
@@ -174,9 +172,11 @@ class DatabaseHandle:
         try:
             cursor = self._conn.execute(sql, tuple(params))
             rows = cursor.fetchall()
-        except (sqlite3.Error, OverflowError) as exc:
+        except (sqlite3.Error, sqlite3.Warning, OverflowError, ValueError) as exc:
             # the engine's own message travels verbatim into corrective feedback;
-            # sqlite3 raises OverflowError binding an int outside 64 bits
+            # sqlite3 raises OverflowError binding an int outside 64 bits, and,
+            # by Python version, ValueError or Warning for a statement holding
+            # a NUL, a lone surrogate or a second statement
             raise SqlError(str(exc)) from exc
         finally:
             self._deadline = None
@@ -265,21 +265,18 @@ def parse_description_file(path: Path) -> dict[str, str]:
 
 def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -> SchemaCatalog:
     """Walk sqlite_master + pragma_table_info into a SchemaCatalog, every
-    statement through the memo; join description CSVs when a directory is
-    given. Malformed CSVs only warn."""
+    statement through the memo. When description_dir is a directory, join
+    its description CSVs (a malformed one only warns); otherwise, as for a
+    database that ships none, the columns have no descriptions."""
     descriptions: dict[str, dict[str, str]] = {}
-    if description_dir is not None:
-        d = Path(description_dir)
-        if d.is_dir():
-            for f in sorted(d.iterdir()):
-                if f.suffix.lower() != ".csv":
-                    continue
-                try:
-                    descriptions[f.stem.lower()] = parse_description_file(f)
-                except DescriptionParseError as exc:
-                    logger.warning("skipping description file: %s", exc)
-        else:
-            logger.warning("description directory missing: %s", d)
+    if description_dir is not None and Path(description_dir).is_dir():
+        for f in sorted(Path(description_dir).iterdir()):
+            if f.suffix.lower() != ".csv":
+                continue
+            try:
+                descriptions[f.stem.lower()] = parse_description_file(f)
+            except DescriptionParseError as exc:
+                logger.warning("skipping description file: %s", exc)
 
     tables = []
     names = handle.memo_query(

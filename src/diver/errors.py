@@ -43,13 +43,16 @@ class LlmError(DiverError):
 
 class MalformedToolCall(LlmError):
     """Model output could not be parsed into a valid tool call, even after the
-    single repair round-trip. Carries both raw outputs for the trace."""
+    single repair round-trip. Carries the call the probing loop records for
+    the corrective turn: ToolCall(<name>, {}), where <name> is the first
+    reply's tool name if ToolCall accepts it, else the second reply's, else
+    ""."""
 
-    def __init__(self, message: str, raw_outputs: list[str] | None = None):
+    def __init__(self, message: str, call):
         super().__init__(message)
-        self.raw_outputs = raw_outputs or []
+        self.call = call
 
 
 class ParseFailure(DiverError):
     """SQL could not be tokenized/parsed. extract_entities never raises this;
-    it sets a flag instead."""
+    it returns empty entity sets instead."""

@@ -126,9 +126,8 @@ def _tokenize_sql(sql: str) -> list[_Tok]:
             toks.append(_Tok("quoted", sql[i + 1 : j]))
             i = j + 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            m = _NUM_RE.match(sql, i)
-            assert m is not None
+        m = _NUM_RE.match(sql, i)
+        if m:
             toks.append(_Tok("number", m.group()))
             i = m.end()
             continue

@@ -90,16 +90,6 @@ def _sentence_claims(sentence: str) -> list[tuple[int, str, object]]:
     return sorted(claims, key=lambda c: c[0])
 
 
-def _catalog_index(catalog: SchemaCatalog):
-    names: set[str] = set()
-    tables: dict[str, set[str]] = {}
-    for t in catalog.tables:
-        names.add(t.name.lower())
-        tables[t.name.lower()] = {c.name.lower() for c in t.columns}
-        names.update(tables[t.name.lower()])
-    return names, tables
-
-
 def grounding_filter(text: str, doc: CoTFDocument, catalog: SchemaCatalog) -> dict:
     """Remove sentences whose quoted spans or table.column references are
     backed neither by the document's recorded facts nor by the catalog.
@@ -108,10 +98,9 @@ def grounding_filter(text: str, doc: CoTFDocument, catalog: SchemaCatalog) -> di
     case-insensitively. Returns {"text", "removed_claims"}; idempotent.
     """
     facts = document_facts(doc)
-    names, tables = _catalog_index(catalog)
 
     def span_ok(span: str) -> bool:
-        if span in facts or span.lower() in names:
+        if span in facts or span.lower() in catalog.names:
             return True
         m = _DOTTED_RE.fullmatch(span)
         return m is not None and dotted_ok(span, m.group(1), m.group(2))
@@ -119,7 +108,8 @@ def grounding_filter(text: str, doc: CoTFDocument, catalog: SchemaCatalog) -> di
     def dotted_ok(whole: str, table: str, column: str) -> bool:
         if whole in facts:
             return True
-        return column.lower() in tables.get(table.lower(), ())
+        info = catalog.table(table)
+        return info is not None and info.column(column) is not None
 
     kept: list[str] = []
     removed: list[str] = []

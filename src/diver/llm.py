@@ -237,6 +237,9 @@ def extract_json(text: str, kind: type) -> dict | list | None:
 
 
 def _parse_tool_call(text: str) -> tuple[ToolCall | None, str | None]:
+    """(call, None) for a valid tool call. Otherwise (named, error), where
+    named is ToolCall(<name>, {}) if the reply names a tool ToolCall accepts,
+    else None: the call to record should the reply stay malformed."""
     obj = extract_json(text, dict)
     if obj is None:
         return None, "response did not contain a JSON object"
@@ -244,24 +247,29 @@ def _parse_tool_call(text: str) -> tuple[ToolCall | None, str | None]:
         return None, 'response JSON lacks the "tool" key'
     args = obj.get("args", {})
     if not isinstance(args, dict):
-        return None, '"args" must be an object'
+        error = '"args" must be an object'
+    else:
+        try:
+            return ToolCall(tool=obj["tool"], args=args), None
+        except SchemaViolation as exc:
+            error = str(exc)
     try:
-        return ToolCall(tool=obj["tool"], args=args), None
-    except SchemaViolation as exc:
-        return None, str(exc)
+        return ToolCall(tool=obj["tool"], args={}), error
+    except SchemaViolation:
+        return None, error
 
 
 def structured_tool_call(client, request: ChatRequest) -> ToolCall:
     """Ask for a tool call and parse it, with exactly one repair round-trip.
 
     The repair prompt replays the model's own output plus the parse error.
-    If the second attempt is still malformed, MalformedToolCall carries both
-    raw outputs so the loop can record them.
+    If the second attempt is still malformed, MalformedToolCall carries the
+    call the loop records: the first named tool, else the second, else "".
     """
     first = client.chat(request)
-    call, error = _parse_tool_call(first)
-    if call is not None:
-        return call
+    first_call, error = _parse_tool_call(first)
+    if error is None:
+        return first_call
 
     repair = ChatRequest(
         messages=list(request.messages)
@@ -277,10 +285,9 @@ def structured_tool_call(client, request: ChatRequest) -> ToolCall:
         temperature=request.temperature,
         response_format=request.response_format,
     )
-    second = client.chat(repair)
-    call, error = _parse_tool_call(second)
-    if call is not None:
+    call, error = _parse_tool_call(client.chat(repair))
+    if error is None:
         return call
     raise MalformedToolCall(
-        f"tool call malformed after repair: {error}", raw_outputs=[first, second]
+        f"tool call malformed after repair: {error}", first_call or call or ToolCall("", {})
     )

@@ -28,7 +28,7 @@ from .cotf import (
 from .errors import LlmError, MalformedToolCall, SchemaViolation
 from .llm import ChatMessage, extract_json, replace_surrogates, structured_tool_call
 from .prompts import HARVEST, LOOKUP_THOUGHT, LOOKUP_TOOL
-from .toolbox import TOOLS, ToolContext, dispatch, render_guidance
+from .toolbox import TOOLS, ToolContext, dispatch
 
 logger = logging.getLogger(__name__)
 
@@ -49,14 +49,6 @@ def classify_feedback(call: ToolCall, repeat: bool, context: ToolContext) -> Too
     return dispatch(call, context)
 
 
-def _best_effort_tool(raw_outputs: list[str]) -> str:
-    for raw in raw_outputs:
-        obj = extract_json(raw, dict)
-        if obj is not None and isinstance(obj.get("tool"), str):
-            return obj["tool"]
-    return ""
-
-
 def run_clause(
     doc: CoTFDocument,
     clause_index: int,
@@ -70,35 +62,27 @@ def run_clause(
     the clause, keeping the partial trace.
     """
     clause = doc.clauses[clause_index]
-    guidance = render_guidance()
 
     while clause_open(doc, clause_index):
-        fields = dict(
-            guidance=guidance,
+        ask_thought = LOOKUP_THOUGHT.request(
             workspace=serialize(doc).decode("utf-8"),
             clause_index=clause.index,
             clause_text=clause.text,
         )
-        ask_thought = LOOKUP_THOUGHT.request(**fields)
         try:
             thought = replace_surrogates(llm.chat(ask_thought))
             call = structured_tool_call(
                 llm,
-                LOOKUP_TOOL.request(
-                    *ask_thought.messages[1:], ChatMessage("assistant", thought), **fields
-                ),
+                LOOKUP_TOOL.request(*ask_thought.messages[1:], ChatMessage("assistant", thought)),
             )
         except MalformedToolCall as exc:
-            call = ToolCall(_best_effort_tool(exc.raw_outputs), {})
-            turn = Turn(thought=thought, tool_call=call, feedback=ToolFeedback.corrective(str(exc)))
-            append_turn(doc, clause_index, turn)
-            continue
+            call, feedback = exc.call, ToolFeedback.corrective(str(exc))
         except LlmError as exc:
             logger.warning("clause %d aborted with a partial trace: %s", clause_index, exc)
             break
-
-        repeat = detect_repeat(doc, clause_index, call)
-        feedback = classify_feedback(call, repeat, context)
+        else:
+            repeat = detect_repeat(doc, clause_index, call)
+            feedback = classify_feedback(call, repeat, context)
         append_turn(doc, clause_index, Turn(thought=thought, tool_call=call, feedback=feedback))
     return doc
 

@@ -2,8 +2,9 @@
 turns them into requests.
 
 These strings are golden-filed under docs/ and pinned by tests; edit them
-there and here together. Placeholders use str.format names, so a literal
-brace is written twice.
+there and here together. System prompts are constants, sent as written; the
+lookup one ends with the rendered tool guidance. User templates use
+str.format placeholders, so a literal brace in one is written twice.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .llm import ChatMessage, ChatRequest
+from .toolbox import render_guidance
 
 SEGMENTATION_SYSTEM = """\
 You split natural-language database questions into minimal clauses. Each \
@@ -32,7 +34,7 @@ feedback before trusting it: check values exist as written, check how \
 columns are spelled, read column descriptions for abbreviations. When the \
 current clause is fully verified, call the stop tool.
 
-{guidance}"""
+""" + render_guidance()
 
 LOOKUP_THOUGHT_USER = """\
 Workspace so far (JSON):
@@ -110,8 +112,8 @@ Write the merged evidence text."""
 
 @dataclass(frozen=True)
 class Stage:
-    """How one stage asks the model: its system and user templates, the
-    sampling temperature and the response format."""
+    """How one stage asks the model: its system prompt and user template,
+    the sampling temperature and the response format."""
 
     system: str
     user: str
@@ -119,11 +121,11 @@ class Stage:
     response_format: str
 
     def request(self, *history: ChatMessage, **fields) -> ChatRequest:
-        """The system message, then history, then the user message; both
-        templates are filled from the same fields."""
+        """The system message, then history, then the user message filled
+        from fields."""
         return ChatRequest(
             [
-                ChatMessage("system", self.system.format(**fields)),
+                ChatMessage("system", self.system),
                 *history,
                 ChatMessage("user", self.user.format(**fields)),
             ],

@@ -167,6 +167,20 @@ def test_run_missing_db_fails_only_that_question(tmp_path, db_root):
     assert set(evidence) == {"11", "13"}
 
 
+def test_run_non_string_db_id_fails_only_that_question(tmp_path, db_root):
+    rows = [DATASET[0], dict(DATASET[1], db_id=5), DATASET[2]]
+    dataset = write_dataset(tmp_path / "dataset.json", rows)
+    b = ScriptBuilder()
+    full = build_happy_script().build()
+    b.responses = full[:14] + full[-10:]
+    script = b.write(tmp_path / "script.json")
+    out = tmp_path / "out"
+    assert cli.main(run_args(dataset, db_root, out, script)) == 1
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["completed"] == ["11", "13"]
+    assert report["failed"] == {"12": "question.db_id must be a non-empty string"}
+
+
 def test_rerun_without_force_makes_no_llm_calls(happy_run, tmp_path):
     rc, dataset, _, out = happy_run
     assert rc == 0
@@ -464,6 +478,34 @@ def test_eval_half_correct_with_missing_prediction(tmp_path, db_root):
     assert report["per_difficulty"]["simple"]["ex"] == 0.5
     assert report["per_difficulty"]["challenging"]["ex"] == 0.5
     assert any("missing prediction" in w for w in report["warnings"])
+
+
+def test_eval_skips_a_reference_query_the_engine_cannot_take(tmp_path, db_root):
+    # json.dumps writes the lone surrogate as the JSON escape \ud800
+    rows = [EVAL_DATASET[0], dict(EVAL_DATASET[1], SQL="SELECT '\ud800'")]
+    dataset = write_dataset(tmp_path / "eval.json", rows)
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps({"1": rows[0]["SQL"], "2": "SELECT 1"}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cli.main(eval_args(dataset, pred_path, db_root, out)) == 0
+    report = json.loads(out.read_text())
+    assert report["count"] == 1
+    assert report["ex"] == 1.0
+    assert any(w.startswith("2: reference query failed (") for w in report["warnings"])
+
+
+@pytest.mark.parametrize("field, value", [("SQL", 5), ("SQL", ["SELECT 1"]), ("db_id", 7)])
+def test_eval_skips_a_row_whose_sql_or_db_id_is_not_a_string(
+    tmp_path, db_root, caplog, field, value
+):
+    rows = [EVAL_DATASET[0], dict(EVAL_DATASET[1], **{field: value})]
+    dataset = write_dataset(tmp_path / "eval.json", rows)
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps({"1": rows[0]["SQL"]}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cli.main(eval_args(dataset, pred_path, db_root, out)) == 0
+    assert json.loads(out.read_text())["count"] == 1
+    assert "question 2 lacks SQL or db_id; skipped" in caplog.text
 
 
 def test_eval_f1_only_omits_execution_sections(tmp_path, db_root, capsys):

@@ -10,10 +10,15 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diver import database
 from diver.database import (
+    ColumnInfo,
     DatabaseHandle,
+    SchemaCatalog,
+    TableInfo,
     catalog,
     db_path_for,
     description_dir_for,
@@ -132,6 +137,12 @@ def test_sql_error_carries_engine_message_verbatim(schools_db):
     assert "no such column" in str(err.value)
 
 
+@pytest.mark.parametrize("sql", ["SELECT 1; SELECT 2", "SELECT 1\x00", "SELECT '\ud800'"])
+def test_every_failure_a_statement_can_cause_is_a_sql_error(schools_db, sql):
+    with pytest.raises(SqlError):
+        open_database(schools_db).query(sql)
+
+
 def _awkward_name_db(path: Path) -> Path:
     # table and column names holding a space, a backtick, a double quote and é
     conn = sqlite3.connect(path)
@@ -192,6 +203,52 @@ def test_catalog_lookup_is_case_insensitive(schools_db):
     assert cat.table("frpm").column("low grade").name == "Low Grade"
     assert cat.table("missing") is None
     assert cat.table("frpm").column("missing") is None
+
+
+def _scan_table(cat: SchemaCatalog, name):
+    # the linear scan SchemaCatalog.table used to make on every call
+    if not isinstance(name, str):
+        return None
+    return next((t for t in cat.tables if t.name.lower() == name.lower()), None)
+
+
+def _scan_column(table: TableInfo, name):
+    # the linear scan TableInfo.column used to make on every call
+    if not isinstance(name, str):
+        return None
+    return next((c for c in table.columns if c.name.lower() == name.lower()), None)
+
+
+# names that clash only in case, in ASCII and beyond it
+_NAMES = st.text(alphabet="aAbBéÉ", min_size=1, max_size=3)
+
+
+@given(
+    tables=st.lists(st.tuples(_NAMES, st.lists(_NAMES, max_size=4)), max_size=4),
+    data=st.data(),
+)
+def test_catalog_lookups_match_linear_scans(tables, data):
+    cat = SchemaCatalog(
+        [TableInfo(t, [ColumnInfo(c, "TEXT") for c in cols], 0) for t, cols in tables]
+    )
+    known = [t for t, _ in tables] + [c for _, cols in tables for c in cols]
+    probes = [data.draw(_NAMES), 7, None]
+    if known:
+        name = data.draw(st.sampled_from(known))
+        probes += [name, name.upper(), name.swapcase()]
+    for probe in probes:
+        assert cat.table(probe) is _scan_table(cat, probe)
+        for table in cat.tables:
+            assert table.column(probe) is _scan_column(table, probe)
+    assert cat.names == {n.lower() for n in known}
+
+
+def test_catalog_without_a_description_directory_logs_nothing(schools_db, tmp_path, caplog):
+    handle = open_database(schools_db)
+    with caplog.at_level("DEBUG"):
+        cat = catalog(handle, tmp_path / "database_description")
+    assert caplog.records == []
+    assert cat.table("frpm").column("Low Grade").description is None
 
 
 def test_malformed_description_csv_is_nonfatal(schools_db, tmp_path, caplog):

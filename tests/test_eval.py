@@ -5,6 +5,7 @@ extraction cases are hand-derived from the SQL grammar; F1 is cross-checked
 against brute-force set arithmetic.
 """
 
+import logging
 import random
 import string
 from collections import Counter
@@ -210,6 +211,15 @@ def test_keyword_after_a_table_is_not_its_alias(cat, word):
     expected = {"frpm", "frpm.low grade"} | ({"frpm.set"} if word == "set" else set())
     assert out.schema_entities == expected
     assert out.value_entities == set()
+
+
+@pytest.mark.parametrize("literal", ["\u00b2", ".\u00b2"])
+def test_a_digit_that_is_not_decimal_is_a_parse_failure(caplog, literal):
+    # "\u00b2" (superscript two) passes str.isdigit but not the \d of a number
+    with caplog.at_level("DEBUG"):
+        out = extract_entities(f"SELECT a FROM t WHERE b = {literal}", SchemaCatalog())
+    assert out == LinkingSets(set(), set())
+    assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
 
 
 def test_extraction_without_catalog_still_handles_single_table():

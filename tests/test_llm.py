@@ -202,8 +202,23 @@ def test_structured_tool_call_gives_up_after_one_repair():
     session = ScriptedSession(["not json at all", "still { not json"])
     with pytest.raises(MalformedToolCall) as err:
         structured_tool_call(session, _req(fmt="tool_call_schema"))
-    assert err.value.raw_outputs == ["not json at all", "still { not json"]
+    assert err.value.call == ToolCall("", {})
     assert session.consumed == 2
+
+
+@pytest.mark.parametrize(
+    "first, second, name",
+    [
+        ('{"tool": "value_in", "args": 1}', '{"tool": "head", "args": 1}', "value_in"),
+        ('{"tool": "\\ud800"}', '{"tool": "head", "args": 1}', "head"),
+        ('{"tool": 42}', '{"tool": "\\ud800"}', ""),
+    ],
+)
+def test_malformed_tool_call_carries_the_first_name_tool_call_accepts(first, second, name):
+    session = ScriptedSession([first, second])
+    with pytest.raises(MalformedToolCall) as err:
+        structured_tool_call(session, _req(fmt="tool_call_schema"))
+    assert err.value.call == ToolCall(name, {})
 
 
 def test_structured_tool_call_rejects_non_scalar_args_then_repairs():

@@ -20,7 +20,7 @@ from diver.breakup import token_refine
 from diver.database import catalog, open_database
 from diver.embedding import LexicalEmbedder
 from diver.errors import LlmError
-from diver.llm import ScriptedSession
+from diver.llm import ChatMessage, ScriptedSession
 from diver.lookup import (
     ROUTE_RULES,
     classify_feedback,
@@ -28,7 +28,7 @@ from diver.lookup import (
     run_clause,
     run_lookup,
 )
-from diver.prompts import HARVEST, LOOKUP_THOUGHT, LOOKUP_TOOL_USER
+from diver.prompts import HARVEST, LOOKUP_SYSTEM, LOOKUP_THOUGHT, LOOKUP_TOOL_USER
 from diver.toolbox import TOOL_NAMES, ToolContext
 
 from replay import RecordingSession
@@ -290,6 +290,24 @@ def test_malformed_call_keeps_best_effort_tool_name(ctx):
     assert doc.turns[0][0].tool_call.tool == "value_in"
     assert doc.turns[0][0].tool_call.args == {}
     assert doc.turns[0][0].feedback.kind == "corrective"
+
+
+def test_malformed_call_naming_a_lone_surrogate_records_an_empty_name(ctx):
+    doc = one_clause_doc()
+    llm = ScriptedSession(["t1", tc("\ud800"), tc("\ud800"), "t2", tc("none")])
+    run_clause(doc, 0, llm, ctx)
+    turns = doc.turns[0]
+    assert [t.tool_call for t in turns] == [ToolCall("", {}), ToolCall("none", {})]
+    assert turns[0].feedback.kind == "corrective"
+    assert llm.consumed == 5
+
+
+def test_both_lookup_stages_send_the_lookup_system_prompt(ctx):
+    doc = one_clause_doc()
+    llm = RecordingSession(["t1", tc("none")])
+    run_clause(doc, 0, llm, ctx)
+    system = ChatMessage("system", LOOKUP_SYSTEM)
+    assert [r.messages[0] for r in llm.requests] == [system, system]
 
 
 def test_exhausted_session_leaves_partial_trace(ctx):
