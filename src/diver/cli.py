@@ -39,6 +39,21 @@ def _load_json(path: str | Path, what: str):
         raise DiverError(f"cannot load {what} from {path}: {exc}") from exc
 
 
+def _load_dataset(path: str) -> list[tuple[str, dict | str]]:
+    """The dataset's rows in file order, each with its question id: the row's
+    question_id, else its index in the list. A row that is not a JSON object
+    comes as the text that refuses it, and its id is its index."""
+    rows = _load_json(path, "dataset")
+    if not isinstance(rows, list):
+        raise DiverError(f"dataset {path} must be a JSON list")
+    return [
+        (str(row.get("question_id", i)), row)
+        if isinstance(row, dict)
+        else (str(i), f"row {i} is not a JSON object")
+        for i, row in enumerate(rows)
+    ]
+
+
 def _build_llm(args):
     if args.mock_llm:
         session = ScriptedSession.from_file(args.mock_llm)
@@ -114,9 +129,7 @@ def _run_one(row: dict, qid: str, args, llm, embedder, config, trace_dir, eviden
 
 def cmd_run(args) -> int:
     try:
-        rows = _load_json(args.dataset, "dataset")
-        if not isinstance(rows, list):
-            raise DiverError(f"dataset {args.dataset} must be a JSON list")
+        ordered = _load_dataset(args.dataset)
         llm, sequential = _build_llm(args)
         embedder = _build_embedder(args)
     except DiverError as exc:
@@ -142,14 +155,15 @@ def cmd_run(args) -> int:
     )
     styles = config.styles()
 
-    ordered = [(str(row.get("question_id", i)), row) for i, row in enumerate(rows)]
     completed: list[str] = []
     skipped: list[str] = []
     failed: dict[str, str] = {}
 
     pending = []
     for qid, row in ordered:
-        if not args.force and _already_done(trace_dir, evidence_dir, qid, styles):
+        if isinstance(row, str):
+            failed[qid] = row
+        elif not args.force and _already_done(trace_dir, evidence_dir, qid, styles):
             skipped.append(qid)
         else:
             pending.append((qid, row))
@@ -165,11 +179,8 @@ def cmd_run(args) -> int:
             log.exception("question %s failed unexpectedly", qid)
             return qid, f"unexpected: {exc!r}"
 
-    if jobs == 1:
-        results = [work(item) for item in pending]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, pending))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(work, pending))
     for qid, error in results:
         if error is None:
             completed.append(qid)
@@ -205,17 +216,19 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     try:
-        rows = _load_json(args.dataset, "dataset")
+        rows = _load_dataset(args.dataset)
         predictions = _load_json(args.predictions, "predictions")
-        if not isinstance(rows, list) or not isinstance(predictions, dict):
-            raise DiverError("dataset must be a list and predictions a map")
+        if not isinstance(predictions, dict):
+            raise DiverError(f"predictions {args.predictions} must be a JSON object")
     except DiverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     samples = []
-    for i, row in enumerate(rows):
-        qid = str(row.get("question_id", i))
+    for qid, row in rows:
+        if isinstance(row, str):
+            log.warning("question %s: %s; skipped", qid, row)
+            continue
         gold = row.get("SQL")
         db_id = row.get("db_id")
         if not (isinstance(gold, str) and gold and isinstance(db_id, str) and db_id):

@@ -205,6 +205,10 @@ class VerifiedLinking:
     def __post_init__(self) -> None:
         if self.kind not in LINKING_KINDS:
             raise SchemaViolation(f"unknown linking kind: {self.kind!r}")
+        for name in ("table", "column", "literal"):
+            v = getattr(self, name)
+            if v is not None and not isinstance(v, str):
+                raise SchemaViolation(f"linking.{name} must be a string or null")
         if self.kind == "value" and not (self.table and self.column and self.literal is not None):
             raise SchemaViolation("value linking requires table, column and literal")
         if self.kind == "schema" and not self.table:

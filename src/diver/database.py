@@ -9,8 +9,13 @@ statement that is not SELECT/WITH/VALUES.
 Because the files are read-only, the answer to a deterministic statement
 depends only on the file. memo_query() keeps such answers, the catalog's
 among them, in one memo shared by every handle in the process, keyed by the
-file's identity (resolved path, size, mtime_ns), the statement and each
-parameter with its type, and bounded to MEMO_ROWS result rows over all files.
+file's identity (resolved path, size, mtime_ns and the header's change
+counter), the statement and each parameter with its type, and bounded to
+MEMO_ROWS result rows over all files. A file in WAL mode has no identity and
+memo_query() runs every statement on it: a WAL commit changes none of these.
+
+query() reads only the leading token of a statement to check its keyword;
+sql_tokens() is the one SQL tokenizer of the package.
 
 Every handle memory-maps its file (PRAGMA mmap_size = MMAP_BYTES). A full
 scan of a fact table is larger than SQLite's default 2 MB page cache, so
@@ -38,9 +43,9 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
-from .errors import DescriptionParseError, DiverError, SqlError
+from .errors import DescriptionParseError, DiverError, ParseFailure, SqlError
 
 logger = logging.getLogger(__name__)
 
@@ -145,12 +150,22 @@ class DatabaseHandle:
         try:
             self._conn.execute(f"PRAGMA mmap_size = {MMAP_BYTES}")
             self._conn.execute("SELECT 1 FROM sqlite_master LIMIT 1").fetchall()
-        except sqlite3.DatabaseError as exc:
+            with open(resolved, "rb") as fh:
+                header = fh.read(100)
+            st = resolved.stat()
+        except (sqlite3.DatabaseError, OSError) as exc:
             self._conn.close()
             raise DiverError(f"cannot read {self.path}: {exc}") from exc
-        # the file as it is now; a rewritten file misses every memo entry
-        st = resolved.stat()
-        self._file = (str(resolved), st.st_size, st.st_mtime_ns)
+        # The file as it is now, so a changed file misses every memo entry.
+        # A rollback-journal commit bumps the header's change counter (bytes
+        # 24-27) whatever the clock's granularity. A WAL commit (byte 18 is
+        # 2) leaves the main file as it was until a checkpoint, so a WAL file
+        # gets no identity and memo_query runs every statement.
+        self._file = (
+            None
+            if header[18:19] == b"\x02"
+            else (str(resolved), st.st_size, st.st_mtime_ns, header[24:28])
+        )
 
     def _tick(self) -> int:
         # nonzero return interrupts the running statement
@@ -162,7 +177,11 @@ class DatabaseHandle:
         """Run one read statement and fetch its rows while the statement
         deadline still holds. Only the thread that opened the handle may use
         it."""
-        keyword = _first_keyword(sql)
+        try:
+            first = next(sql_tokens(sql or ""), SqlToken("", ""))
+        except ParseFailure as exc:
+            raise SqlError(str(exc)) from exc
+        keyword = first.value.lower() if first.kind == "word" else ""
         if keyword not in READ_KEYWORDS:
             raise SqlError(
                 f"only read statements are allowed, got {keyword or 'empty statement'!r}"
@@ -190,6 +209,8 @@ class DatabaseHandle:
         with its type: 1 == 1.0 in Python, but SQLite compares 1 with the
         text '1' and 1.0 with '1.0'. Errors are never kept, so a failing
         statement fails again with the engine's message."""
+        if self._file is None:
+            return self.query(sql, params)
         key = (self._file, sql, tuple((type(p), p) for p in params))
         hit = _memo.get(key)
         if hit is not None:
@@ -201,15 +222,6 @@ class DatabaseHandle:
 
     def close(self) -> None:
         self._conn.close()
-
-
-_COMMENT_RE = re.compile(r"^(?:\s+|--[^\n]*\n?|/\*.*?\*/)*", re.DOTALL)
-
-
-def _first_keyword(sql: str) -> str:
-    rest = _COMMENT_RE.sub("", sql or "")
-    m = re.match(r"[A-Za-z_]+", rest)
-    return m.group(0).lower() if m else ""
 
 
 def open_database(path: str | Path) -> DatabaseHandle:
@@ -224,6 +236,43 @@ def quote_identifier(name: str) -> str:
     # double-quoted identifier as a string literal, which would swallow the
     # engine's "no such column" error the probing loop depends on
     return "`" + name.replace("`", "``") + "`"
+
+
+# One alternative per token kind; whitespace and comments match no group.
+# A `/` opening an unterminated block comment, an opening quote or bracket
+# with no closer, and any character no alternative takes are `bad`.
+_SQL_TOKEN_RE = re.compile(
+    r"""\s+|--[^\n]*|/\*.*?\*/
+    |(?P<string>'(?:[^']|'')*')
+    |(?P<quoted>"[^"]*"|`[^`]*`|\[[^\]]*\])
+    |(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+    |(?P<word>[A-Za-z_][A-Za-z0-9_$]*)
+    |(?P<op><=|>=|<>|!=|\|\||/(?!\*)|[-=<>+*%,().;?:&|~])
+    |(?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
+class SqlToken(NamedTuple):
+    kind: str  # word | quoted | string | number | op
+    value: str  # a quoted identifier or a string without its quotes
+
+
+def sql_tokens(sql: str) -> Iterator[SqlToken]:
+    """The tokens of sql, read lazily from the left; '' in a string reads as
+    '. Raises ParseFailure at the first character no token kind takes, which
+    includes an unterminated string, quoted identifier or block comment."""
+    for m in _SQL_TOKEN_RE.finditer(sql):
+        kind, text = m.lastgroup, m.group()
+        if kind == "bad":
+            at = m.start()
+            raise ParseFailure(f"cannot read SQL at offset {at}: {sql[at:at + 20]!r}")
+        if kind == "string":
+            yield SqlToken(kind, text[1:-1].replace("''", "'"))
+        elif kind == "quoted":
+            yield SqlToken(kind, text[1:-1])
+        elif kind is not None:
+            yield SqlToken(kind, text)
 
 
 def parse_description_file(path: Path) -> dict[str, str]:

@@ -54,5 +54,8 @@ class MalformedToolCall(LlmError):
 
 
 class ParseFailure(DiverError):
-    """SQL could not be tokenized/parsed. extract_entities never raises this;
-    it returns empty entity sets instead."""
+    """database.sql_tokens met SQL it cannot read: a character no token kind
+    takes, or an unterminated string, quoted identifier or block comment.
+    extract_entities returns empty entity sets instead, query refuses the
+    statement with SqlError, and EX compares the rows of such gold SQL as a
+    multiset."""

@@ -1,8 +1,9 @@
 """Metrics for generated SQL and evidence.
 
 Covers execution accuracy (row multisets, order-sensitive only when the
-reference query orders), a timing-weighted efficiency score, schema/value
-entity extraction with F1, and evidence-to-SQL token overlap.
+reference query's outermost statement orders), a timing-weighted efficiency
+score, schema/value entity extraction with F1, and evidence-to-SQL token
+overlap. SQL is read through database.sql_tokens.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .database import DatabaseHandle, ResultSet, SchemaCatalog
+from .database import DatabaseHandle, ResultSet, SchemaCatalog, SqlToken
 from .database import catalog as build_catalog
-from .database import open_database
+from .database import open_database, sql_tokens
 from .errors import DiverError, ParseFailure
 
 log = logging.getLogger(__name__)
@@ -48,8 +49,6 @@ OVERLAP_STOPWORDS = RESERVED_WORDS | _FUNCTION_WORDS
 
 _COMPARISONS = frozenset({"=", "!=", "<>", "<", ">", "<=", ">="})
 _OVERLAP_TOKEN_RE = re.compile(r"[a-z0-9]+")
-_ORDER_BY_RE = re.compile(r"\border\s+by\b", re.IGNORECASE)
-_STRING_BODY_RE = re.compile(r"'(?:[^']|'')*'")
 
 
 @dataclass
@@ -70,86 +69,10 @@ class EvalSample:
     evidence_text: str | None = None
 
 
-# --- SQL tokenizer ---
+# --- SQL tokens ---
 
 
-@dataclass
-class _Tok:
-    kind: str  # word | quoted | string | number | op
-    value: str
-
-
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_QUOTE_CLOSERS = {'"': '"', "`": "`", "[": "]"}
-
-
-def _tokenize_sql(sql: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, n = 0, len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if sql.startswith("--", i):
-            j = sql.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if sql.startswith("/*", i):
-            j = sql.find("*/", i + 2)
-            if j < 0:
-                raise ParseFailure("unterminated block comment")
-            i = j + 2
-            continue
-        if ch == "'":
-            j = i + 1
-            buf: list[str] = []
-            while True:
-                if j >= n:
-                    raise ParseFailure("unterminated string literal")
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    break
-                buf.append(sql[j])
-                j += 1
-            toks.append(_Tok("string", "".join(buf)))
-            i = j + 1
-            continue
-        if ch in _QUOTE_CLOSERS:
-            j = sql.find(_QUOTE_CLOSERS[ch], i + 1)
-            if j < 0:
-                raise ParseFailure("unterminated quoted identifier")
-            toks.append(_Tok("quoted", sql[i + 1 : j]))
-            i = j + 1
-            continue
-        m = _NUM_RE.match(sql, i)
-        if m:
-            toks.append(_Tok("number", m.group()))
-            i = m.end()
-            continue
-        m = _WORD_RE.match(sql, i)
-        if m:
-            toks.append(_Tok("word", m.group()))
-            i = m.end()
-            continue
-        two = sql[i : i + 2]
-        if two in ("<=", ">=", "<>", "!=", "||"):
-            toks.append(_Tok("op", two))
-            i += 2
-            continue
-        if ch in "=<>+-*/%,().;?:&|~":
-            toks.append(_Tok("op", ch))
-            i += 1
-            continue
-        raise ParseFailure(f"unexpected character {ch!r}")
-    return toks
-
-
-def _skip_parens(toks: list[_Tok], open_idx: int) -> int:
+def _skip_parens(toks: list[SqlToken], open_idx: int) -> int:
     """Index just past the parenthesis group opening at open_idx."""
     depth = 0
     i = open_idx
@@ -165,11 +88,11 @@ def _skip_parens(toks: list[_Tok], open_idx: int) -> int:
     return len(toks)
 
 
-def _is_word(tok: _Tok | None, word: str) -> bool:
+def _is_word(tok: SqlToken | None, word: str) -> bool:
     return tok is not None and tok.kind == "word" and tok.value.upper() == word
 
 
-def _ident(tok: _Tok | None) -> bool:
+def _ident(tok: SqlToken | None) -> bool:
     return tok is not None and tok.kind in ("word", "quoted")
 
 
@@ -191,14 +114,14 @@ def _norm_number(raw: str) -> str:
     return ("-" if neg else "") + body
 
 
-def _norm_literal(tok: _Tok) -> str:
+def _norm_literal(tok: SqlToken) -> str:
     if tok.kind == "string":
         return tok.value.lower()
     return _norm_number(tok.value)
 
 
 class _Extractor:
-    def __init__(self, toks: list[_Tok], catalog: SchemaCatalog):
+    def __init__(self, toks: list[SqlToken], catalog: SchemaCatalog):
         self.toks = toks
         self.catalog = catalog
         self.consumed = [False] * len(toks)
@@ -209,7 +132,7 @@ class _Extractor:
         self.schema: set[str] = set()
         self.values: set[str] = set()
 
-    def tok(self, i: int) -> _Tok | None:
+    def tok(self, i: int) -> SqlToken | None:
         return self.toks[i] if 0 <= i < len(self.toks) else None
 
     def run(self) -> LinkingSets:
@@ -466,7 +389,7 @@ def extract_entities(sql: str, catalog: SchemaCatalog) -> LinkingSets:
     if not isinstance(sql, str):
         return LinkingSets(set(), set())
     try:
-        toks = _tokenize_sql(sql)
+        toks = list(sql_tokens(sql))
         return _Extractor(toks, catalog).run()
     except ParseFailure:
         return LinkingSets(set(), set())
@@ -499,20 +422,35 @@ def linking_f1(gold: LinkingSets, pred: LinkingSets) -> dict[str, dict[str, floa
 
 def token_overlap(evidence: str, sql: str) -> float:
     """Share of the SQL's non-keyword tokens that the evidence mentions."""
-    sql_tokens = {
+    sql_terms = {
         t for t in _OVERLAP_TOKEN_RE.findall(sql.lower()) if t not in OVERLAP_STOPWORDS
     }
-    if not sql_tokens:
+    if not sql_terms:
         return 0.0
-    evidence_tokens = set(_OVERLAP_TOKEN_RE.findall(evidence.lower()))
-    return len(sql_tokens & evidence_tokens) / len(sql_tokens)
+    evidence_terms = set(_OVERLAP_TOKEN_RE.findall(evidence.lower()))
+    return len(sql_terms & evidence_terms) / len(sql_terms)
 
 
 # --- execution accuracy ---
 
 
 def _order_sensitive(gold_sql: str) -> bool:
-    return _ORDER_BY_RE.search(_STRING_BODY_RE.sub("''", gold_sql)) is not None
+    """True when the outermost statement of gold_sql orders its rows: ORDER
+    BY outside every parenthesis, so not in a subquery or a window. SQL the
+    tokenizer cannot read counts as unordered."""
+    try:
+        toks = list(sql_tokens(gold_sql))
+    except ParseFailure:
+        return False
+    i = 0
+    while i < len(toks) - 1:
+        if toks[i].kind == "op" and toks[i].value == "(":
+            i = _skip_parens(toks, i)
+        elif _is_word(toks[i], "ORDER") and _is_word(toks[i + 1], "BY"):
+            return True
+        else:
+            i += 1
+    return False
 
 
 def ex_match(

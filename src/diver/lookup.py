@@ -12,6 +12,7 @@ the recorded feedback does not actually support.
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 from .cotf import (
     CoTFDocument,
@@ -113,48 +114,34 @@ def harvest_linkings(doc: CoTFDocument, llm) -> list[VerifiedLinking]:
         for ti, turn in enumerate(column):
             if turn.feedback.kind == "standard":
                 grounded_turns.append(((ci, ti), turn_facts(doc, turn)))
-    facts_by_index = dict(grounded_turns)
 
     out: list[VerifiedLinking] = []
     for item in proposals:
         if not isinstance(item, dict):
             continue
-        table = item.get("table")
-        column = item.get("column")
         literal = item.get("literal")
-        if literal is not None and not isinstance(literal, str):
-            if isinstance(literal, bool) or not isinstance(literal, (int, float)):
-                continue
+        if isinstance(literal, (int, float)) and not isinstance(literal, bool):
             literal = str(literal)
-        fields = (table, column, literal)
-        if any(f is not None and not isinstance(f, str) for f in fields):
-            continue
-        needed = {f for f in fields if f is not None}
-
-        source = None
-        cited = item.get("source_turn")
-        if isinstance(cited, (list, tuple)) and len(cited) == 2:
-            key = tuple(cited)
-            if key in facts_by_index and needed <= facts_by_index[key]:
-                source = key
-        if source is None:
-            source = next(
-                (idx for idx, facts in grounded_turns if needed <= facts), None
-            )
-        if source is None:
-            continue
-
         rationale = item.get("rationale")
         try:
+            # the source turn is filled in once a turn grounds the fields
             link = VerifiedLinking(
                 kind=item.get("kind"),
-                table=table,
-                column=column,
+                table=item.get("table"),
+                column=item.get("column"),
                 literal=literal,
                 rationale=replace_surrogates(rationale) if isinstance(rationale, str) else "",
-                source_turn=source,
+                source_turn=(0, 0),
             )
         except SchemaViolation:
             continue
-        out.append(link)
+        needed = {f for f in (link.table, link.column, link.literal) if f is not None}
+
+        # the cited turn first, then the rest in document order; comparing
+        # with == takes whatever JSON the model cited
+        cited = item.get("source_turn")
+        candidates = sorted(grounded_turns, key=lambda g: list(g[0]) != cited)
+        source = next((idx for idx, facts in candidates if needed <= facts), None)
+        if source is not None:
+            out.append(replace(link, source_turn=source))
     return out

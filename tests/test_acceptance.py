@@ -307,7 +307,7 @@ def test_tool_oracles(schools, schools_db):
         raw.close()
 
 
-@criterion(6, "F1 matches brute force, EX suite 20/20, VES tracks and undercuts EX")
+@criterion(6, "F1 matches brute force, EX suite 24/24, VES tracks and undercuts EX")
 def test_metric_oracles(eval_db):
     rng = random.Random(777)
     universe = [f"e{i}" for i in range(12)]
@@ -322,7 +322,7 @@ def test_metric_oracles(eval_db):
         got = [run_ex(handle, pred, gold) for pred, gold, _ in EX_CASES]
         want = [expected for _, _, expected in EX_CASES]
         assert got == want
-        assert len(EX_CASES) == 20
+        assert len(EX_CASES) == 24
 
         identity_pairs = [
             ("SELECT customer FROM orders WHERE region = 'west'",) * 2,

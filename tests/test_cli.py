@@ -181,6 +181,20 @@ def test_run_non_string_db_id_fails_only_that_question(tmp_path, db_root):
     assert report["failed"] == {"12": "question.db_id must be a non-empty string"}
 
 
+def test_run_row_that_is_not_an_object_fails_only_that_row(tmp_path, db_root, caplog, capsys):
+    dataset = write_dataset(tmp_path / "dataset.json", [5, DATASET[0]])
+    b = ScriptBuilder()
+    b.responses = build_happy_script().build()[:14]
+    script = b.write(tmp_path / "script.json")
+    out = tmp_path / "out"
+    assert cli.main(run_args(dataset, db_root, out, script)) == 1
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["completed"] == ["11"]
+    assert report["failed"] == {"0": "row 0 is not a JSON object"}
+    assert "0\tfailed\trow 0 is not a JSON object" in capsys.readouterr().out
+    assert [r for r in caplog.records if r.exc_info] == []
+
+
 def test_rerun_without_force_makes_no_llm_calls(happy_run, tmp_path):
     rc, dataset, _, out = happy_run
     assert rc == 0
@@ -506,6 +520,16 @@ def test_eval_skips_a_row_whose_sql_or_db_id_is_not_a_string(
     assert cli.main(eval_args(dataset, pred_path, db_root, out)) == 0
     assert json.loads(out.read_text())["count"] == 1
     assert "question 2 lacks SQL or db_id; skipped" in caplog.text
+
+
+def test_eval_skips_a_row_that_is_not_an_object(tmp_path, db_root, caplog):
+    dataset = write_dataset(tmp_path / "eval.json", [5, EVAL_DATASET[0]])
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps({"1": EVAL_DATASET[0]["SQL"]}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cli.main(eval_args(dataset, pred_path, db_root, out)) == 0
+    assert json.loads(out.read_text())["count"] == 1
+    assert "question 0: row 0 is not a JSON object; skipped" in caplog.text
 
 
 def test_eval_f1_only_omits_execution_sections(tmp_path, db_root, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import FrozenInstanceError, asdict, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,8 @@ from diver.cotf import (
 from diver.errors import SchemaViolation
 from diver.tokens import tokenize
 from diver.toolbox import TOOL_NAMES
+
+GOLDEN_TRACE = Path(__file__).resolve().parent / "golden" / "probe_trace.json"
 
 
 def make_clauses(text: str, cuts: list[int]) -> list[Clause]:
@@ -126,6 +129,18 @@ def test_value_linking_requires_all_parts():
     with pytest.raises(SchemaViolation):
         VerifiedLinking(kind="nonsense", table="t", column="c", literal="v",
                         rationale="", source_turn=(0, 0))
+
+
+def test_linking_fields_are_strings_or_null():
+    good = dict(kind="value", table="frpm", column="Low Grade", literal="K",
+                rationale="", source_turn=(0, 0))
+    for name, value in (("table", 5), ("column", ["x"]), ("literal", 1.5)):
+        with pytest.raises(SchemaViolation, match=f"linking.{name} must be a string or null"):
+            VerifiedLinking(**{**good, name: value})
+    payload = json.loads(GOLDEN_TRACE.read_text(encoding="utf-8"))
+    payload["verified"][0].update(table=5, column=["x"])
+    with pytest.raises(SchemaViolation):
+        deserialize(json.dumps(payload).encode("utf-8"))
 
 
 def test_clause_partition_enforced():

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import sqlite3
 import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diver import database
@@ -24,8 +25,10 @@ from diver.database import (
     description_dir_for,
     open_database,
     parse_description_file,
+    sql_tokens,
 )
-from diver.errors import DescriptionParseError, DiverError, SqlError
+from diver.errors import DescriptionParseError, DiverError, ParseFailure, SqlError
+from diver.toolbox import uniq_value, value_in
 
 
 @pytest.fixture(autouse=True)
@@ -479,3 +482,197 @@ def test_mapped_handle_reads_a_file_shrunk_between_statements(tmp_path):
     assert db.stat().st_size < size // 10
     assert handle.query("SELECT COUNT(*), SUM(LENGTH(pad)) FROM t").rows == [(100, 40_000)]
     assert handle.query("SELECT id FROM t ORDER BY id DESC LIMIT 1").rows == [(99,)]
+
+
+# --- the SQL tokenizer ---
+
+
+def _loop_tokenize(sql: str) -> list[tuple[str, str]]:
+    """The character loop eval used before sql_tokens, kept as the oracle:
+    (kind, value) tokens, or ParseFailure."""
+    word_re = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+    num_re = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+    closers = {'"': '"', "`": "`", "[": "]"}
+    toks: list[tuple[str, str]] = []
+    i, n = 0, len(sql)
+    while i < n:
+        ch = sql[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if sql.startswith("--", i):
+            j = sql.find("\n", i)
+            i = n if j < 0 else j + 1
+            continue
+        if sql.startswith("/*", i):
+            j = sql.find("*/", i + 2)
+            if j < 0:
+                raise ParseFailure("unterminated block comment")
+            i = j + 2
+            continue
+        if ch == "'":
+            j = i + 1
+            buf: list[str] = []
+            while True:
+                if j >= n:
+                    raise ParseFailure("unterminated string literal")
+                if sql[j] == "'":
+                    if j + 1 < n and sql[j + 1] == "'":
+                        buf.append("'")
+                        j += 2
+                        continue
+                    break
+                buf.append(sql[j])
+                j += 1
+            toks.append(("string", "".join(buf)))
+            i = j + 1
+            continue
+        if ch in closers:
+            j = sql.find(closers[ch], i + 1)
+            if j < 0:
+                raise ParseFailure("unterminated quoted identifier")
+            toks.append(("quoted", sql[i + 1 : j]))
+            i = j + 1
+            continue
+        m = num_re.match(sql, i)
+        if m:
+            toks.append(("number", m.group()))
+            i = m.end()
+            continue
+        m = word_re.match(sql, i)
+        if m:
+            toks.append(("word", m.group()))
+            i = m.end()
+            continue
+        two = sql[i : i + 2]
+        if two in ("<=", ">=", "<>", "!=", "||"):
+            toks.append(("op", two))
+            i += 2
+            continue
+        if ch in "=<>+-*/%,().;?:&|~":
+            toks.append(("op", ch))
+            i += 1
+            continue
+        raise ParseFailure(f"unexpected character {ch!r}")
+    return toks
+
+
+_SQL_PIECES = st.sampled_from(
+    [
+        "SELECT", "a", "_x$1", "t9", " ", "\n", "\t", "\x1c", "\xa0", " ",
+        "-- note\n", "--", "/* c */", "/*", "*/", "/**/", "'", "''", "'it''s'",
+        '"', '"a b"', "`", "`q`", "[", "]", "[x y]", "1", "1.", ".5", "1e5",
+        "2E-3", "e", "+", "-", "*", "/", "<=", ">=", "<>", "!=", "||", "|",
+        "=", "<", ">", "!", "(", ")", ",", ".", ";", "?", ":", "&", "~", "%",
+        "²", "٣", "@", "$", "#", "é", "\x00",
+    ]
+)
+
+
+def _outcome(tokenize, sql):
+    try:
+        return list(tokenize(sql))
+    except ParseFailure:
+        return ParseFailure
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(_SQL_PIECES, st.characters()), max_size=12).map("".join))
+def test_sql_tokens_match_the_character_loop(sql):
+    assert _outcome(sql_tokens, sql) == _outcome(_loop_tokenize, sql)
+
+
+def _old_first_keyword(sql: str) -> str:
+    """The keyword check query made before it read sql_tokens, kept as the
+    oracle."""
+    rest = re.sub(r"^(?:\s+|--[^\n]*\n?|/\*.*?\*/)*", "", sql, flags=re.DOTALL)
+    m = re.match(r"[A-Za-z_]+", rest)
+    return m.group(0).lower() if m else ""
+
+
+_PREFIXES = ("", "  ", "\n\t ", "-- note\n", "--\n", "/* note */", "/**/",
+             "/* a */ -- b\n ", "-- no newline", "/*")
+_STATEMENTS = (
+    "SELECT 1", "select 1", "WITH t(x) AS (SELECT 1) SELECT x FROM t", "VALUES (1)",
+    "INSERT INTO schools (CDSCode) VALUES ('x')", "UPDATE schools SET City = 'nowhere'",
+    "DELETE FROM schools", "DROP TABLE schools", "CREATE TABLE t (x)",
+    "PRAGMA user_version = 7",
+)
+# what may follow the keyword before the rest of the statement
+_GLUES = (" ", "\n", "(", "1 ", "$ ", "_x ")
+
+
+def _refusal(handle, sql):
+    """The message query refuses sql with, or None when sql passes the
+    keyword check (it may still fail in the engine)."""
+    try:
+        handle.query(sql)
+    except SqlError as exc:
+        text = str(exc)
+        if text.startswith(("only read statements", "cannot read SQL")):
+            return text
+    return None
+
+
+def test_keyword_check_matches_the_old_check_except_where_listed(schools_db):
+    handle = open_database(schools_db)
+    for prefix in _PREFIXES:
+        for statement in _STATEMENTS:
+            word, rest = statement.split(" ", 1)
+            for glue in _GLUES:
+                sql = prefix + word + glue + rest
+                keyword = _old_first_keyword(sql)
+                old = None if keyword in database.READ_KEYWORDS else (
+                    f"only read statements are allowed, got {keyword or 'empty statement'!r}"
+                )
+                # the listed differences: a keyword glued to a digit or a $
+                # now reads as one word (SELECT1, select$), and an
+                # unterminated block comment is refused as unreadable
+                # instead of as an empty statement
+                listed = prefix == "/*" or (glue in ("1 ", "$ ") and prefix != "-- no newline")
+                assert (_refusal(handle, sql) != old) == listed, sql
+
+
+# --- the memo on a file that changes ---
+
+
+def test_memo_sees_a_commit_of_a_wal_writer_that_stays_connected(tmp_path):
+    db = tmp_path / "wal.sqlite"
+    setup = sqlite3.connect(db)
+    setup.execute("PRAGMA journal_mode = WAL")
+    setup.execute("CREATE TABLE t (v TEXT)")
+    setup.executemany("INSERT INTO t VALUES (?)", [("a",)] * 100)
+    setup.commit()
+    setup.close()  # the last connection checkpoints the WAL into the file
+    assert uniq_value(open_database(db), "t", "v") == {"distinct_count": 1, "samples": ["a"]}
+    writer = sqlite3.connect(db)
+    try:
+        writer.execute("INSERT INTO t VALUES ('zzz-new')")
+        writer.commit()
+        # the commit sits in the -wal file; the main file has not changed
+        handle = open_database(db)
+        assert uniq_value(handle, "t", "v") == {
+            "distinct_count": 2,
+            "samples": ["a", "zzz-new"],
+        }
+        assert value_in(handle, "t", "v", "zzz-new")["match_count"] == 1
+    finally:
+        writer.close()
+
+
+def test_memo_sees_a_rollback_commit_that_keeps_size_and_mtime(tmp_path, counted):
+    db = _small_db(tmp_path / "r.sqlite", ["a", "b"])
+    sql = "SELECT v FROM t ORDER BY v"
+    assert open_database(db).memo_query(sql).rows == [("a",), ("b",)]
+    before = db.stat()
+    writer = sqlite3.connect(db)
+    try:
+        writer.execute("UPDATE t SET v = 'c' WHERE v = 'a'")
+        writer.commit()
+    finally:
+        writer.close()
+    # a commit within one tick of a coarse clock leaves mtime as it was
+    os.utime(db, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert db.stat().st_size == before.st_size
+    assert open_database(db).memo_query(sql).rows == [("b",), ("c",)]
+    assert counted == [sql, sql]

@@ -297,7 +297,7 @@ def test_overlap_all_keyword_sql_is_zero():
     assert token_overlap("anything", "SELECT FROM WHERE AND") == 0.0
 
 
-# --- ex_match: 20 hand-labeled cases ---
+# --- ex_match: 24 hand-labeled cases ---
 
 EX_CASES = [
     # (pred, gold, expected)
@@ -334,6 +334,19 @@ EX_CASES = [
     ("SELECT SUM(qty) FROM orders WHERE customer = 'acme'", "SELECT 9", True),
     ("SELECT id FROM orders WHERE region = 'north' ORDER BY amount",
      "SELECT id FROM orders WHERE region = 'north' ORDER BY id", True),
+    # an ORDER BY in a subquery or a window does not order the result
+    ("SELECT id FROM orders WHERE id IN"
+     " (SELECT id FROM orders ORDER BY amount DESC LIMIT 5) ORDER BY id DESC",
+     "SELECT id FROM orders WHERE id IN"
+     " (SELECT id FROM orders ORDER BY amount DESC LIMIT 5)", True),
+    ("SELECT id, RANK() OVER (ORDER BY amount) FROM orders WHERE region = 'west' ORDER BY id",
+     "SELECT id, RANK() OVER (ORDER BY amount) FROM orders WHERE region = 'west'", True),
+    ("SELECT id FROM orders WHERE id IN (SELECT id FROM orders WHERE qty > 5) ORDER BY id DESC",
+     "SELECT id FROM orders WHERE id IN (SELECT id FROM orders WHERE qty > 5) ORDER BY id",
+     False),
+    # gold the tokenizer cannot read (an unquoted non-ASCII alias) is a multiset
+    ("SELECT id FROM orders WHERE region = 'north' ORDER BY id DESC",
+     "SELECT id AS é FROM orders WHERE region = 'north' ORDER BY id", True),
 ]
 
 

@@ -398,6 +398,9 @@ def test_harvest_drops_ungrounded_proposals():
                     proposal(column="Nonexistent"),
                     proposal(literal="Z"),
                     proposal(column="low grade"),
+                    proposal(table=5),
+                    proposal(column=["Low Grade"]),
+                    proposal(literal=True),
                 ]
             )
         ]
@@ -406,11 +409,12 @@ def test_harvest_drops_ungrounded_proposals():
 
 
 def test_harvest_relocates_bad_source_turn():
-    doc = probe_doc()
-    llm = ScriptedSession([json.dumps([proposal(source_turn=[5, 9])])])
-    out = harvest_linkings(doc, llm)
-    assert len(out) == 1
-    assert out[0].source_turn == (0, 0)
+    for cited in ([5, 9], [[0], 0], [0], "0,0", None):
+        doc = probe_doc()
+        llm = ScriptedSession([json.dumps([proposal(source_turn=cited)])])
+        out = harvest_linkings(doc, llm)
+        assert len(out) == 1
+        assert out[0].source_turn == (0, 0)
 
 
 def test_harvest_relocates_source_pointing_at_corrective_turn():
