@@ -42,16 +42,23 @@ def _load_json(path: str | Path, what: str):
 def _load_dataset(path: str) -> list[tuple[str, dict | str]]:
     """The dataset's rows in file order, each with its question id: the row's
     question_id, else its index in the list. A row that is not a JSON object
-    comes as the text that refuses it, and its id is its index."""
+    comes as the text that refuses it, and its id is its index. A question id
+    that two rows share is refused."""
     rows = _load_json(path, "dataset")
     if not isinstance(rows, list):
         raise DiverError(f"dataset {path} must be a JSON list")
-    return [
+    ordered = [
         (str(row.get("question_id", i)), row)
         if isinstance(row, dict)
         else (str(i), f"row {i} is not a JSON object")
         for i, row in enumerate(rows)
     ]
+    first_row: dict[str, int] = {}
+    for i, (qid, _) in enumerate(ordered):
+        first = first_row.setdefault(qid, i)
+        if first != i:
+            raise DiverError(f"dataset {path}: question id {qid!r} is on rows {first} and {i}")
+    return ordered
 
 
 def _build_llm(args):
@@ -64,11 +71,9 @@ def _build_llm(args):
 
 
 def _build_embedder(args):
-    if args.embedder == "lexical":
-        return LexicalEmbedder()
-    if not args.embedder_endpoint:
-        raise DiverError("--embedder remote needs --embedder-endpoint URL")
-    return RemoteEmbedder(endpoint=args.embedder_endpoint)
+    if args.embedder_endpoint:
+        return RemoteEmbedder(endpoint=args.embedder_endpoint)
+    return LexicalEmbedder()
 
 
 # --- run ---
@@ -342,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mock-llm", help="replay script JSON instead of a live model")
     run.add_argument("--llm-endpoint", help="chat-completions base URL")
     run.add_argument("--llm-model", default="gpt-4o")
-    run.add_argument("--embedder", choices=["remote", "lexical"], default="lexical")
-    run.add_argument("--embedder-endpoint")
+    run.add_argument("--embedder-endpoint", help="remote embedder URL instead of the lexical one")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--jobs", type=at_least(1), default=1)
     run.add_argument("--force", action="store_true", help="redo finished questions")

@@ -304,8 +304,6 @@ def parse_description_file(path: Path) -> dict[str, str]:
                     if text:
                         out[name.lower()] = text
                 return out
-        except DescriptionParseError:
-            raise
         except (UnicodeDecodeError, csv.Error, OSError) as exc:
             last_error = exc
             continue

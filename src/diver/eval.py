@@ -263,13 +263,8 @@ class _Extractor:
             if tail is None or not _ident(tail):
                 continue
             self.consumed[i] = self.consumed[i + 1] = self.consumed[i + 2] = True
-            if qualifier in self.aliases:
-                real = self.aliases[qualifier]
-            elif qualifier in self.tables:
-                real = qualifier
-            else:
-                # CTE column or unknown scope: not a schema entity
-                real = None
+            # a CTE column or an unknown scope is not a schema entity
+            real = self.aliases.get(qualifier)
             if real is not None:
                 self.schema.add(real)
                 self.schema.add(f"{real}.{tail.value.lower()}")
@@ -302,35 +297,36 @@ class _Extractor:
             if owner is not None:
                 self.schema.add(f"{owner}.{name}")
 
-    def _literal_at(self, j: int) -> tuple[str, int] | None:
-        """Literal value starting at j, honoring a unary minus."""
-        t = self.tok(j)
-        if t is None:
-            return None
-        if t.kind == "op" and t.value == "-":
-            nxt = self.tok(j + 1)
-            if nxt is not None and nxt.kind == "number":
-                return _norm_number("-" + nxt.value), j + 2
-            return None
-        if t.kind in ("string", "number"):
-            return _norm_literal(t), j + 1
-        return None
+    def _is_sign(self, j: int) -> bool:
+        """Whether the token at j is a unary minus: a '-' after a token that
+        ends no operand, meaning no name outside RESERVED_WORDS, no literal
+        and no ')'."""
+        t, prev = self.tok(j), self.tok(j - 1)
+        if t is None or t.kind != "op" or t.value != "-":
+            return False
+        if prev is None:
+            return True
+        if prev.kind == "op":
+            return prev.value != ")"
+        return prev.kind == "word" and prev.value.lower() in RESERVED_WORDS
 
-    def _left_literal(self, j: int) -> str | None:
+    def _literal(self, j: int) -> str | None:
+        """The normalized literal at j, negated when a sign precedes a number."""
         t = self.tok(j)
         if t is None or t.kind not in ("string", "number"):
             return None
-        if t.kind == "number":
-            prev = self.tok(j - 1)
-            before = self.tok(j - 2)
-            if (
-                prev is not None
-                and prev.kind == "op"
-                and prev.value == "-"
-                and (before is None or before.kind == "op")
-            ):
-                return _norm_number("-" + t.value)
+        if t.kind == "number" and self._is_sign(j - 1):
+            return _norm_number("-" + t.value)
         return _norm_literal(t)
+
+    def _literal_at(self, j: int) -> tuple[str, int] | None:
+        """The literal starting at j, a signed number included, and the index
+        just past it."""
+        nxt = self.tok(j + 1)
+        if self._is_sign(j) and nxt is not None and nxt.kind == "number":
+            j += 1
+        lit = self._literal(j)
+        return None if lit is None else (lit, j + 1)
 
     def _collect_values(self) -> None:
         toks = self.toks
@@ -338,7 +334,7 @@ class _Extractor:
         while i < len(toks):
             t = toks[i]
             if t.kind == "op" and t.value in _COMPARISONS:
-                left = self._left_literal(i - 1)
+                left = self._literal(i - 1)
                 if left is not None:
                     self.values.add(left)
                 right = self._literal_at(i + 1)

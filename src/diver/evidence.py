@@ -77,52 +77,39 @@ def _split_sentences(text: str) -> list[str]:
     return out
 
 
-def _sentence_claims(sentence: str) -> list[tuple[int, str, object]]:
-    claims: list[tuple[int, str, object]] = []
+def _sentence_claims(sentence: str) -> list[str]:
+    """The quoted spans and table.column references of a sentence, in order."""
+    claims: list[tuple[int, str]] = []
     for rx in (_BACKTICK_RE, _DQUOTE_RE, _SQUOTE_RE):
         for m in rx.finditer(sentence):
-            claims.append((m.start(), "span", m.group(1)))
+            claims.append((m.start(), m.group(1)))
     for m in _DOTTED_RE.finditer(sentence):
-        table, column = m.group(1), m.group(2)
-        if table.isdigit() and column.isdigit():
-            continue
-        claims.append((m.start(), "dotted", (m.group(0), table, column)))
-    return sorted(claims, key=lambda c: c[0])
+        if not (m.group(1).isdigit() and m.group(2).isdigit()):
+            claims.append((m.start(), m.group(0)))
+    return [claim for _, claim in sorted(claims, key=lambda c: c[0])]
 
 
 def grounding_filter(text: str, doc: CoTFDocument, catalog: SchemaCatalog) -> dict:
-    """Remove sentences whose quoted spans or table.column references are
-    backed neither by the document's recorded facts nor by the catalog.
+    """Remove sentences with a claim that is backed neither by the document's
+    recorded facts nor by the catalog.
 
-    Literals must match a fact exactly; identifiers match catalog names
-    case-insensitively. Returns {"text", "removed_claims"}; idempotent.
+    A claim is grounded when it is a recorded fact (exactly), a catalog name
+    (case-insensitively) or a table.column the catalog has. Returns
+    {"text", "removed_claims"}; idempotent.
     """
     facts = document_facts(doc)
 
-    def span_ok(span: str) -> bool:
-        if span in facts or span.lower() in catalog.names:
+    def grounded(claim: str) -> bool:
+        if claim in facts or claim.lower() in catalog.names:
             return True
-        m = _DOTTED_RE.fullmatch(span)
-        return m is not None and dotted_ok(span, m.group(1), m.group(2))
-
-    def dotted_ok(whole: str, table: str, column: str) -> bool:
-        if whole in facts:
-            return True
-        info = catalog.table(table)
-        return info is not None and info.column(column) is not None
+        m = _DOTTED_RE.fullmatch(claim)
+        info = catalog.table(m.group(1)) if m else None
+        return info is not None and info.column(m.group(2)) is not None
 
     kept: list[str] = []
     removed: list[str] = []
     for sentence in _split_sentences(text):
-        bad: list[str] = []
-        for _, kind, payload in _sentence_claims(sentence):
-            if kind == "span":
-                if not span_ok(payload):
-                    bad.append(payload)
-            else:
-                whole, table, column = payload
-                if not dotted_ok(whole, table, column):
-                    bad.append(whole)
+        bad = [claim for claim in _sentence_claims(sentence) if not grounded(claim)]
         if bad:
             removed.extend(b for b in bad if b not in removed)
         else:

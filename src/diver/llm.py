@@ -1,9 +1,9 @@
 """Chat clients.
 
 LiveClient talks to a chat-completions style HTTP endpoint (credentials via
-DIVER_LLM_API_KEY) with retries and an in-flight cap. ScriptedSession replays
-canned responses, either in sequence or keyed by request fingerprint; running
-out of script is always an error, never a silent repetition.
+DIVER_LLM_API_KEY) with retries. ScriptedSession replays canned responses,
+either in sequence or keyed by request fingerprint; running out of script is
+always an error, never a silent repetition.
 
 structured_tool_call() layers the tool-call wire schema on top of either
 client, with exactly one repair round-trip for malformed output.
@@ -34,7 +34,6 @@ RESPONSE_FORMATS = ("free_text", "tool_call_schema")
 LLM_ATTEMPTS = 3  # total tries of one chat request
 LLM_BACKOFF = 1.0  # seconds before the first retry, doubled for each later one
 LLM_TIMEOUT = 120.0  # seconds per HTTP request
-LLM_MAX_IN_FLIGHT = 4  # concurrent requests one client sends
 FINGERPRINT_CACHE_SIZE = 16  # encoded message texts fingerprint keeps
 
 
@@ -100,21 +99,17 @@ def fingerprint(request: ChatRequest) -> str:
 
 class ScriptedSession:
     """Replay client. Accepts a plain list (sequence mode), or a dict with
-    "responses" (sequence) or "by_fingerprint" (per-request queues)."""
+    "by_fingerprint" (per-request queues)."""
 
     def __init__(self, script: list[str] | dict):
         self._sequence: list[str] | None = None
         self._by_fingerprint: dict[str, list[str]] | None = None
         if isinstance(script, list):
             self._sequence = list(script)
-        elif isinstance(script, dict) and "responses" in script:
-            self._sequence = list(script["responses"])
         elif isinstance(script, dict) and "by_fingerprint" in script:
             self._by_fingerprint = {k: list(v) for k, v in script["by_fingerprint"].items()}
         else:
-            raise DiverError(
-                "script must be a list, {'responses': [...]}, or {'by_fingerprint': {...}}"
-            )
+            raise DiverError("script must be a list or {'by_fingerprint': {...}}")
         self.consumed = 0
         # fingerprint scripts may be shared by concurrent questions (--jobs)
         self._lock = threading.Lock()
@@ -150,7 +145,7 @@ class ScriptedSession:
 
 @dataclass
 class LiveClient:
-    """Chat-completions HTTP client with retries and an in-flight cap."""
+    """Chat-completions HTTP client with retries."""
 
     base_url: str
     model: str
@@ -161,7 +156,6 @@ class LiveClient:
             raise DiverError(f"no API key: set {API_KEY_ENV}")
         if not self.base_url:
             raise DiverError("base_url must be set")
-        self._gate = threading.BoundedSemaphore(LLM_MAX_IN_FLIGHT)
 
     def chat(self, request: ChatRequest) -> str:
         import requests  # only a live client needs it; a replayed run skips its import
@@ -182,8 +176,7 @@ class LiveClient:
             if attempt:
                 time.sleep(LLM_BACKOFF * (2 ** (attempt - 1)))
             try:
-                with self._gate:
-                    resp = requests.post(url, json=payload, headers=headers, timeout=LLM_TIMEOUT)
+                resp = requests.post(url, json=payload, headers=headers, timeout=LLM_TIMEOUT)
                 resp.raise_for_status()
                 text = resp.json()["choices"][0]["message"]["content"]
                 if not isinstance(text, str):
@@ -206,33 +199,22 @@ def replace_surrogates(text: str) -> str:
     return _SURROGATE_RE.sub("\ufffd", text)
 
 
-_FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
-
-
 def extract_json(text: str, kind: type) -> dict | list | None:
-    """Pull the first JSON value of type kind (dict or list) out of model
-    output, tolerating code fences and surrounding prose."""
-    opener, closer = ("{", "}") if kind is dict else ("[", "]")
-    candidates = [m.strip() for m in _FENCE_RE.findall(text)]
-    candidates.append(text.strip())
+    """The first JSON value of type kind (dict or list) in model output: the
+    decoder reads from each opening bracket in turn, so code fences,
+    surrounding prose and brackets inside strings do not matter."""
+    opener = "{" if kind is dict else "["
+    decoder = json.JSONDecoder()
     start = text.find(opener)
-    if start != -1:
-        depth = 0
-        for i in range(start, len(text)):
-            if text[i] == opener:
-                depth += 1
-            elif text[i] == closer:
-                depth -= 1
-                if depth == 0:
-                    candidates.append(text[start : i + 1])
-                    break
-    for cand in candidates:
+    while start != -1:
         try:
-            obj = json.loads(cand)
+            obj, _ = decoder.raw_decode(text, start)
         except json.JSONDecodeError:
-            continue
-        if isinstance(obj, kind):
-            return obj
+            pass
+        else:
+            if isinstance(obj, kind):
+                return obj
+        start = text.find(opener, start + 1)
     return None
 
 

@@ -115,8 +115,18 @@ def test_segment_parses_json_array():
 
 
 def test_segment_tolerates_fences_and_garbage():
-    session = ScriptedSession(['```json\n["a clause"]\n```', "no json here", "[]", '{"not": "array"}'])
+    session = ScriptedSession(
+        [
+            '```json\n["a clause"]\n```',
+            'Clauses: ["schools in K-12]", "after 2000"] ok',
+            "no json here",
+            "[]",
+            '{"not": "array"}',
+        ]
+    )
     assert segment("q", session) == ["a clause"]
+    # a closing bracket inside a string does not end the array
+    assert segment("q", session) == ["schools in K-12]", "after 2000"]
     assert segment("q", session) == []
     assert segment("q", session) == []
     assert segment("q", session) == []

@@ -345,6 +345,15 @@ def test_run_rejects_counts_below_one_before_any_model_call(
     assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
 
 
+def test_embedder_endpoint_alone_selects_the_remote_embedder():
+    base = ["run", "--dataset", "d.json", "--db-root", "dbs", "--out", "out"]
+    parse = cli.build_parser().parse_args
+    remote = cli._build_embedder(parse([*base, "--embedder-endpoint", "http://127.0.0.1:9/e"]))
+    assert isinstance(remote, cli.RemoteEmbedder)
+    assert remote.endpoint == "http://127.0.0.1:9/e"
+    assert isinstance(cli._build_embedder(parse(base)), cli.LexicalEmbedder)
+
+
 # --- trace-stats ---
 
 
@@ -589,6 +598,36 @@ def test_eval_missing_dataset_is_a_hard_failure(tmp_path, db_root):
         eval_args(tmp_path / "nope.json", tmp_path / "nope2.json", db_root, tmp_path / "r.json")
     )
     assert rc != 0
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_a_repeated_question_id_is_refused_before_any_work(
+    tmp_path, db_root, monkeypatch, capsys, command
+):
+    calls = []
+    monkeypatch.setattr(cli, "run_question", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "evaluate", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "out"
+    if command == "run":
+        # the same explicit id twice
+        dataset = write_dataset(tmp_path / "dataset.json", [DATASET[0], DATASET[1], DATASET[0]])
+        script = build_happy_script().write(tmp_path / "script.json")
+        argv = run_args(dataset, db_root, out, script, extra=("--jobs", "4"))
+        qid, rows = "'11'", "0 and 2"
+    else:
+        # an explicit id equal to a later row's index
+        unnamed = {k: v for k, v in EVAL_DATASET[1].items() if k != "question_id"}
+        dataset = write_dataset(tmp_path / "eval.json", [EVAL_DATASET[0], unnamed])
+        pred_path = tmp_path / "preds.json"
+        pred_path.write_text(json.dumps({}), encoding="utf-8")
+        argv = eval_args(dataset, pred_path, db_root, out)
+        qid, rows = "'1'", "0 and 1"
+    assert cli.main(argv) == 2
+    assert calls == []
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: dataset {dataset}: question id {qid} is on rows {rows}\n"
 
 
 def test_unknown_command_exits_with_usage_error():

@@ -127,9 +127,24 @@ def test_like_and_between_literals(eval_cat):
     assert out.value_entities == {"we%", "5", "10"}
 
 
+# a '-' is a sign only after a token that ends no operand
+SIGNED_LITERALS = [
+    ("amount > -5.50", {"-5.5"}),
+    ("-5 < amount", {"-5"}),
+    ("amount > 1 AND -5 < qty", {"1", "-5"}),
+    ("NOT -5 < amount", {"-5"}),
+    ("amount BETWEEN -5 AND -1", {"-5", "-1"}),
+    ("(qty) - 5 < amount", {"5"}),
+    ("qty - 5 < amount", {"5"}),
+    ('"qty" - 5 < amount', {"5"}),
+    ("id IN (1, -2, 3 - 4)", {"1", "-2", "3", "4"}),
+]
+
+
 def test_negative_literal_keeps_its_sign(eval_cat):
-    out = extract_entities("SELECT id FROM orders WHERE amount > -5.50", eval_cat)
-    assert out.value_entities == {"-5.5"}
+    for where, values in SIGNED_LITERALS:
+        out = extract_entities(f"SELECT id FROM orders WHERE {where}", eval_cat)
+        assert out.value_entities == values, where
 
 
 def test_select_list_and_limit_literals_are_not_values(eval_cat):
@@ -168,6 +183,29 @@ def test_select_output_alias_is_not_a_column(eval_cat):
 def test_quoted_qualified_reference(cat):
     out = extract_entities('SELECT `frpm`.`Low Grade` FROM frpm', cat)
     assert out.schema_entities == {"frpm", "frpm.low grade"}
+
+
+FROM_SHAPES = [
+    (
+        "SELECT School FROM frpm, schools WHERE frpm.CDSCode = schools.CDSCode",
+        {"frpm", "schools", "frpm.cdscode", "schools.cdscode", "schools.school"},
+    ),
+    (
+        "SELECT x.CDSCode FROM (SELECT CDSCode FROM frpm) AS x",
+        {"frpm", "frpm.cdscode"},
+    ),
+    ("SELECT `Low Grade` FROM main.frpm", {"frpm", "frpm.low grade"}),
+    (
+        "SELECT frpm.* FROM frpm JOIN schools ON frpm.CDSCode = schools.CDSCode",
+        {"frpm", "schools", "frpm.cdscode", "schools.cdscode"},
+    ),
+]
+
+
+def test_from_clause_shapes(cat):
+    # a comma join, a derived table, a schema-qualified table and table.*
+    for sql, schema in FROM_SHAPES:
+        assert extract_entities(sql, cat).schema_entities == schema, sql
 
 
 def test_cte_name_is_not_a_schema_table(cat):
@@ -471,6 +509,18 @@ def test_evaluate_skips_failing_gold_with_warning(eval_db):
     assert report["count"] == 1
     assert report["ex"] == 1.0
     assert any("bad" in w for w in report["warnings"])
+
+
+def test_evaluate_skips_a_database_it_cannot_open(eval_db, tmp_path):
+    good = "SELECT id FROM orders"
+    samples = [
+        sample(tmp_path / "missing.sqlite", good, good, qid="gone"),
+        sample(eval_db, good, good, qid="ok"),
+    ]
+    report = evaluate(samples, metrics=("ex",), iterations=10)
+    assert report["count"] == 1
+    assert report["ex"] == 1.0
+    assert [w.split(" (")[0] for w in report["warnings"]] == ["gone: cannot open database"]
 
 
 def test_evaluate_per_difficulty_breakdown(eval_db):

@@ -6,6 +6,8 @@ import re
 from contextlib import closing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diver.cotf import (
     CoTFDocument,
@@ -17,9 +19,16 @@ from diver.cotf import (
     document_facts,
 )
 from diver.breakup import token_refine
-from diver.database import SchemaCatalog, catalog as build_catalog, open_database
+from diver.database import (
+    ColumnInfo,
+    SchemaCatalog,
+    TableInfo,
+    catalog as build_catalog,
+    open_database,
+)
 from diver.evidence import (
     STYLES,
+    _split_sentences,
     generate_concise,
     generate_long,
     grounding_filter,
@@ -168,6 +177,83 @@ def test_filter_is_idempotent_on_fuzzed_texts(cat):
         twice = grounding_filter(once["text"], doc, cat)
         assert twice["text"] == once["text"]
         assert twice["removed_claims"] == []
+
+
+_BACKTICK_RE = re.compile(r"`([^`\n]+)`")
+_DQUOTE_RE = re.compile(r'"([^"\n]+)"')
+_SQUOTE_RE = re.compile(r"(?<![\w])'([^'\n]+)'(?![\w])")
+_DOTTED_RE = re.compile(r"\b(\w+)\.(\w+)\b")
+
+
+def two_kind_filter(text, doc, catalog):
+    """Oracle: the filter with two claim kinds, quoted spans and dotted
+    table.column references, each judged by its own rule."""
+    facts = document_facts(doc)
+
+    def dotted_ok(whole, table, column):
+        if whole in facts:
+            return True
+        info = catalog.table(table)
+        return info is not None and info.column(column) is not None
+
+    def span_ok(span):
+        if span in facts or span.lower() in catalog.names:
+            return True
+        m = _DOTTED_RE.fullmatch(span)
+        return m is not None and dotted_ok(span, m.group(1), m.group(2))
+
+    kept, removed = [], []
+    for sentence in _split_sentences(text):
+        claims = []
+        for rx in (_BACKTICK_RE, _DQUOTE_RE, _SQUOTE_RE):
+            for m in rx.finditer(sentence):
+                claims.append((m.start(), "span", m.group(1)))
+        for m in _DOTTED_RE.finditer(sentence):
+            if not (m.group(1).isdigit() and m.group(2).isdigit()):
+                claims.append((m.start(), "dotted", (m.group(0), m.group(1), m.group(2))))
+        bad = []
+        for _, kind, payload in sorted(claims, key=lambda c: c[0]):
+            if kind == "span" and not span_ok(payload):
+                bad.append(payload)
+            elif kind == "dotted" and not dotted_ok(*payload):
+                bad.append(payload[0])
+        if bad:
+            removed.extend(b for b in bad if b not in removed)
+        else:
+            kept.append(sentence)
+    return {"text": "".join(kept), "removed_claims": removed}
+
+
+# names, facts, dotted references and numbers of the schools fixture, and
+# the characters that open claims or end sentences
+CLAIM_PIECES = st.sampled_from(
+    [
+        "frpm", "FRPM", "schools", "Low Grade", "low grade", "CDSCode", "K", "k", "4",
+        "Zz9", "Ghost", "school's", "frpm.CDSCode", "FRPM.cdscode", "frpm.Bogus",
+        "schools.City", "x.y", "3.5", "10.0", "1.x", "`", '"', "'", ".", " ", ". ",
+        "!", "\n", "_",
+    ]
+)
+CLAIM_TEXT = st.lists(
+    CLAIM_PIECES | st.text(alphabet="ab`'\". 19K_\n", max_size=4), max_size=30
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(CLAIM_TEXT)
+def test_grounding_filter_equals_the_two_kind_filter(cat, text):
+    # no catalog name of the fixture holds a dot, so the one rule and the
+    # two agree on every text
+    assert not any("." in name for name in cat.names)
+    doc = probe_doc()
+    assert grounding_filter(text, doc, cat) == two_kind_filter(text, doc, cat)
+
+
+def test_a_dotted_claim_that_is_a_catalog_name_is_kept():
+    dotted = SchemaCatalog([TableInfo("v.2", [ColumnInfo("x", "TEXT")], 0)])
+    text = "The table V.2 holds it."
+    assert grounding_filter(text, empty_doc(), dotted) == {"text": text, "removed_claims": []}
+    assert two_kind_filter(text, empty_doc(), dotted)["removed_claims"] == ["V.2"]
 
 
 # --- generate_long ---

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -141,8 +140,11 @@ def test_scripted_sequence_order_and_exhaustion():
 
 
 def test_scripted_from_dict_and_file(tmp_path):
+    refused = r"^script must be a list or \{'by_fingerprint': \{\.\.\.\}\}$"
+    with pytest.raises(DiverError, match=refused):
+        ScriptedSession({"responses": ["only"]})
     p = tmp_path / "script.json"
-    p.write_text(json.dumps({"responses": ["only"]}), encoding="utf-8")
+    p.write_text(json.dumps(["only"]), encoding="utf-8")
     session = ScriptedSession.from_file(p)
     assert session.chat(_req()) == "only"
     with pytest.raises(LlmError, match=r"^replay script exhausted after 1 responses$"):
@@ -173,12 +175,21 @@ def test_structured_tool_call_parses_plain_and_fenced():
         [
             '{"tool": "none", "args": {}}',
             'Sure thing:\n```json\n{"tool": "head", "args": {"table": "frpm", "n": 3}}\n```',
+            # a closing brace inside a string value does not end the object
+            'Sure: {"tool": "value_in", "args": {"table": "t", "column": "c", "value": "a}b"}} done',
+            # the first decodable object wins, in prose or in a fence
+            'First {"tool": "none", "args": {}} then:\n```json\n{"tool": "head", "args": {}}\n```',
         ]
     )
     call = structured_tool_call(session, _req(fmt="tool_call_schema"))
     assert call == ToolCall("none", {})
     call = structured_tool_call(session, _req(fmt="tool_call_schema"))
     assert call == ToolCall("head", {"table": "frpm", "n": 3})
+    call = structured_tool_call(session, _req(fmt="tool_call_schema"))
+    assert call == ToolCall("value_in", {"table": "t", "column": "c", "value": "a}b"})
+    call = structured_tool_call(session, _req(fmt="tool_call_schema"))
+    assert call == ToolCall("none", {})
+    assert session.consumed == 4  # no repair round-trip
 
 
 def test_structured_tool_call_repairs_once():
@@ -257,37 +268,24 @@ class _ChatStub(BaseHTTPRequestHandler):
     fail_remaining = 0
     seen: list[dict] = []
     auth_headers: list[str | None] = []
-    concurrent = 0
-    max_concurrent = 0
-    lock = threading.Lock()
-    delay = 0.0
 
     def do_POST(self):
-        with _ChatStub.lock:
-            _ChatStub.concurrent += 1
-            _ChatStub.max_concurrent = max(_ChatStub.max_concurrent, _ChatStub.concurrent)
-        try:
-            if _ChatStub.delay:
-                time.sleep(_ChatStub.delay)
-            n = int(self.headers["Content-Length"])
-            payload = json.loads(self.rfile.read(n))
-            _ChatStub.seen.append(payload)
-            _ChatStub.auth_headers.append(self.headers.get("Authorization"))
-            if _ChatStub.fail_remaining > 0:
-                _ChatStub.fail_remaining -= 1
-                self.send_response(500)
-                self.end_headers()
-                return
-            content = f"reply {len(_ChatStub.seen)}"
-            body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
+        n = int(self.headers["Content-Length"])
+        payload = json.loads(self.rfile.read(n))
+        _ChatStub.seen.append(payload)
+        _ChatStub.auth_headers.append(self.headers.get("Authorization"))
+        if _ChatStub.fail_remaining > 0:
+            _ChatStub.fail_remaining -= 1
+            self.send_response(500)
             self.end_headers()
-            self.wfile.write(body)
-        finally:
-            with _ChatStub.lock:
-                _ChatStub.concurrent -= 1
+            return
+        content = f"reply {len(_ChatStub.seen)}"
+        body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
 
     def log_message(self, *args):
         pass
@@ -298,9 +296,6 @@ def chat_stub():
     _ChatStub.fail_remaining = 0
     _ChatStub.seen = []
     _ChatStub.auth_headers = []
-    _ChatStub.concurrent = 0
-    _ChatStub.max_concurrent = 0
-    _ChatStub.delay = 0.0
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatStub)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -326,7 +321,11 @@ def test_live_client_posts_and_reads_reply(chat_stub, monkeypatch):
     assert sent["model"] == "test-model"
     assert sent["temperature"] == 0.2
     assert sent["messages"][0]["role"] == "system"
+    assert "response_format" not in sent
     assert _ChatStub.auth_headers[0] == "Bearer sk-test"
+    # only a tool-call request asks the endpoint for a JSON object
+    client.chat(_req("ping", fmt="tool_call_schema"))
+    assert _ChatStub.seen[1]["response_format"] == {"type": "json_object"}
 
 
 def test_live_client_retries_then_succeeds(chat_stub, monkeypatch):
@@ -347,16 +346,3 @@ def test_live_client_gives_up_after_three_attempts(chat_stub, monkeypatch):
     with pytest.raises(LlmError, match=r"^chat endpoint failed after 3 attempts: "):
         client.chat(_req())
     assert len(_ChatStub.seen) == 3
-
-
-def test_live_client_caps_in_flight_requests(chat_stub, monkeypatch):
-    monkeypatch.setenv("DIVER_LLM_API_KEY", "sk-test")
-    monkeypatch.setattr(llm, "LLM_MAX_IN_FLIGHT", 2)
-    _ChatStub.delay = 0.05
-    client = LiveClient(base_url=chat_stub, model="m")
-    threads = [threading.Thread(target=client.chat, args=(_req(f"t{i}"),)) for i in range(6)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert _ChatStub.max_concurrent <= 2

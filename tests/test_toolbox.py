@@ -522,6 +522,19 @@ def test_random_rows_empty_table_keeps_columns(sampling_db, open_db):
     assert got == {"columns": ["a", "b"], "rows": [], "seed": 4}
 
 
+def test_blob_cells_render_as_hex(tmp_path, open_db):
+    db = tmp_path / "blob.sqlite"
+    conn = sqlite3.connect(db)
+    conn.execute("CREATE TABLE b (id INTEGER, data BLOB)")
+    conn.execute("INSERT INTO b VALUES (1, x'00ff10')")
+    conn.commit()
+    conn.close()
+    handle = open_db(db)
+    want = {"columns": ["id", "data"], "rows": [[1, "0x00ff10"]]}
+    assert head(handle, "b", 5) == want
+    assert random_rows(handle, "b", 5, seed=2) == {**want, "seed": 2}
+
+
 def _memo_db(tmp_path):
     db = tmp_path / "memo.sqlite"
     conn = sqlite3.connect(db)
