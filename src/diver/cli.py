@@ -80,8 +80,8 @@ def _build_embedder(args):
 
 
 def _read_sidecar(path: Path) -> dict:
-    """A question's {style: text} evidence sidecar; {} when it is missing,
-    unreadable or not a JSON object."""
+    """A question's {style: text} evidence sidecar, or a {qid: text}
+    aggregate; {} when it is missing, unreadable or not a JSON object."""
     try:
         texts = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
@@ -109,14 +109,7 @@ def _already_done(trace_dir: Path, evidence_dir: Path, qid: str, styles) -> bool
 
 
 def _run_one(row: dict, qid: str, args, llm, embedder, config, trace_dir, evidence_dir):
-    question = Question(
-        question_id=qid,
-        db_id=row.get("db_id"),
-        text=row.get("question"),
-        gold_sql=row.get("SQL"),
-        expert_evidence=row.get("evidence"),
-        difficulty=row.get("difficulty"),
-    )
+    question = Question(question_id=qid, db_id=row.get("db_id"), text=row.get("question"))
     doc, evidences = run_question(
         question,
         db_path_for(args.db_root, question.db_id),
@@ -125,11 +118,13 @@ def _run_one(row: dict, qid: str, args, llm, embedder, config, trace_dir, eviden
         embedder,
         config,
     )
+    # the sidecar holds this trace's evidence only; removed first, so a run
+    # killed between the two writes leaves the question to be redone
+    sidecar = evidence_dir / f"{qid}.json"
+    sidecar.unlink(missing_ok=True)
     _write_atomic(trace_dir / f"{qid}.json", serialize(doc))
-    sidecar_path = evidence_dir / f"{qid}.json"
-    texts = _read_sidecar(sidecar_path)
-    texts.update({style: ev.text for style, ev in evidences.items()})
-    _write_atomic(sidecar_path, _dump_json(texts).encode("utf-8"))
+    texts = {style: ev.text for style, ev in evidences.items()}
+    _write_atomic(sidecar, _dump_json(texts).encode("utf-8"))
 
 
 def cmd_run(args) -> int:
@@ -193,9 +188,22 @@ def cmd_run(args) -> int:
             failed[qid] = error
 
     sidecars = {qid: _read_sidecar(evidence_dir / f"{qid}.json") for qid, _ in ordered}
-    for style in styles:
-        mapping = {qid: texts[style] for qid, texts in sidecars.items() if style in texts}
-        _write_atomic(out_dir / f"evidence_{style}.json", _dump_json(mapping).encode("utf-8"))
+    for style in STYLES:
+        aggregate = out_dir / f"evidence_{style}.json"
+        if style in styles:
+            mapping = {qid: texts[style] for qid, texts in sidecars.items() if style in texts}
+        else:
+            # an earlier run's aggregate keeps its entries, less the questions
+            # whose sidecar this run left without that style
+            earlier = _read_sidecar(aggregate)
+            mapping = {
+                qid: text
+                for qid, text in earlier.items()
+                if qid not in sidecars or style in sidecars[qid]
+            }
+            if mapping == earlier:
+                continue
+        _write_atomic(aggregate, _dump_json(mapping).encode("utf-8"))
 
     report = {
         "completed": completed,
@@ -230,14 +238,15 @@ def cmd_eval(args) -> int:
         return 2
 
     samples = []
+    skipped: list[str] = []
     for qid, row in rows:
         if isinstance(row, str):
-            log.warning("question %s: %s; skipped", qid, row)
+            skipped.append(f"{qid}: {row}; skipped")
             continue
         gold = row.get("SQL")
         db_id = row.get("db_id")
         if not (isinstance(gold, str) and gold and isinstance(db_id, str) and db_id):
-            log.warning("question %s lacks SQL or db_id; skipped", qid)
+            skipped.append(f"{qid}: lacks SQL or db_id; skipped")
             continue
         pred = predictions.get(qid)
         samples.append(
@@ -256,6 +265,7 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report["warnings"] = skipped + report["warnings"]
     print(_dump_json(report) if args.json else format_report(report), end="")
     if args.out:
         _write_atomic(Path(args.out), _dump_json(report).encode("utf-8"))

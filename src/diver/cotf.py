@@ -22,13 +22,14 @@ this module knows is the stop signal "none", which ends a clause.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+import math
+from dataclasses import InitVar, dataclass, field, fields, is_dataclass
 from typing import Any, Callable
 
 from .errors import SchemaViolation
 from .tokens import tokenize
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_MAX_TURNS = 5  # probing turns per clause unless a run sets its own
 
 FEEDBACK_KINDS = ("standard", "corrective", "guiding")
@@ -80,22 +81,22 @@ def jsonify(value: Any) -> Any:
 
 @dataclass(frozen=True)
 class Question:
+    """What the pipeline is asked: no dataset answer (gold SQL, expert
+    evidence, difficulty) belongs in the workspace the model reads."""
+
     question_id: str
     db_id: str
     text: str
-    gold_sql: str | None = None
-    expert_evidence: str | None = None
-    difficulty: str | None = None
+    # accepted and dropped until perfbench's responder stops passing them
+    gold_sql: InitVar[str | None] = None
+    expert_evidence: InitVar[str | None] = None
+    difficulty: InitVar[str | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, *_answers: str | None) -> None:
         for name in ("question_id", "db_id", "text"):
             v = getattr(self, name)
             if not isinstance(v, str) or not v:
                 raise SchemaViolation(f"question.{name} must be a non-empty string")
-        for name in ("gold_sql", "expert_evidence", "difficulty"):
-            v = getattr(self, name)
-            if v is not None and not isinstance(v, str):
-                raise SchemaViolation(f"question.{name} must be a string or null")
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,9 @@ class ToolCall:
                 raise SchemaViolation("tool_call arg names must be strings")
             if not _is_scalar(v):
                 raise SchemaViolation(f"tool_call arg {k!r} must be a scalar, got {v!r}")
+            # json.loads takes NaN and Infinity, which strict JSON has no form for
+            if isinstance(v, float) and not math.isfinite(v):
+                raise SchemaViolation(f"tool_call arg {k!r} must be a finite number, got {v!r}")
             if not _is_utf8(k) or isinstance(v, str) and not _is_utf8(v):
                 raise SchemaViolation(f"tool_call arg {k!r} is not valid UTF-8: {v!r}")
 
@@ -366,14 +370,6 @@ def append_turn(doc: CoTFDocument, clause_index: int, turn: Turn) -> CoTFDocumen
         raise SchemaViolation(reason)
     doc.turns[clause_index].append(turn)
     return doc
-
-
-def detect_repeat(doc: CoTFDocument, clause_index: int, call: ToolCall) -> bool:
-    """True when an earlier turn in the same clause made the identical call
-    (same tool, identical args)."""
-    if not 0 <= clause_index < len(doc.clauses):
-        raise SchemaViolation(f"clause index {clause_index} out of range")
-    return any(t.tool_call == call for t in doc.turns[clause_index])
 
 
 def _fragment(payload: dict, depth: int) -> str:

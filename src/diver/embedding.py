@@ -6,8 +6,7 @@ batches of 64; LexicalEmbedder is the offline fallback, hashing character
 trigrams into DEFAULT_DIMENSION buckets of TF-IDF weight. top_k scores cosine
 mapped onto [0, 1], summing with math.fsum so that every norm and dot product
 is exactly rounded whatever the order of its terms, and equal scores tie
-exactly. rank_lexical is the last-resort scorer (trigram Jaccard) for when no
-vectors can be produced at all.
+exactly.
 """
 
 from __future__ import annotations
@@ -41,13 +40,6 @@ def _grams(text: str) -> list[str]:
 
 def trigrams(text: str) -> set[str]:
     return set(_grams(text))
-
-
-def trigram_jaccard(a: str, b: str) -> float:
-    ga, gb = trigrams(a), trigrams(b)
-    if not ga or not gb:
-        return 0.0
-    return len(ga & gb) / len(ga | gb)
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -198,11 +190,6 @@ def _cosine_score(dot: float, na: float, nb: float) -> float:
     return (1.0 + cos) / 2.0
 
 
-def _ranked(scored: list[tuple[int, float]], candidates: list[str], k: int):
-    scored.sort(key=lambda p: (-p[1], candidates[p[0]], p[0]))
-    return scored[:k]
-
-
 def top_k(embedder, query: str, candidates: list[str], k: int) -> list[tuple[int, float]]:
     """Rank candidates against the query: (index, score) pairs, score
     descending, ties broken by candidate text then position."""
@@ -216,12 +203,5 @@ def top_k(embedder, query: str, candidates: list[str], k: int) -> list[tuple[int
     scored = [
         (i, _cosine_score(_dot(q, v), nq, _norm(v))) for i, v in enumerate(vectors[1:])
     ]
-    return _ranked(scored, candidates, k)
-
-
-def rank_lexical(query: str, candidates: list[str], k: int) -> list[tuple[int, float]]:
-    """Vector-free ranking by trigram Jaccard, same ordering contract as top_k."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    scored = [(i, trigram_jaccard(query, c)) for i, c in enumerate(candidates)]
-    return _ranked(scored, candidates, k)
+    scored.sort(key=lambda p: (-p[1], candidates[p[0]], p[0]))
+    return scored[:k]

@@ -34,6 +34,11 @@ RESERVED_WORDS = frozenset(
     """.split()
 )
 
+# Reserved words that are operands themselves, so a '-' after one subtracts.
+_OPERAND_WORDS = frozenset(
+    "end null true false current_date current_time current_timestamp".split()
+)
+
 _FUNCTION_WORDS = frozenset(
     """
     count sum avg total min max group_concat abs round length substr
@@ -299,8 +304,8 @@ class _Extractor:
 
     def _is_sign(self, j: int) -> bool:
         """Whether the token at j is a unary minus: a '-' after a token that
-        ends no operand, meaning no name outside RESERVED_WORDS, no literal
-        and no ')'."""
+        ends no operand, meaning no name, no literal, no operand keyword such
+        as END or NULL, and no ')'."""
         t, prev = self.tok(j), self.tok(j - 1)
         if t is None or t.kind != "op" or t.value != "-":
             return False
@@ -308,7 +313,8 @@ class _Extractor:
             return True
         if prev.kind == "op":
             return prev.value != ")"
-        return prev.kind == "word" and prev.value.lower() in RESERVED_WORDS
+        word = prev.value.lower()
+        return prev.kind == "word" and word in RESERVED_WORDS and word not in _OPERAND_WORDS
 
     def _literal(self, j: int) -> str | None:
         """The normalized literal at j, negated when a sign precedes a number."""

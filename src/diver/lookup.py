@@ -1,12 +1,13 @@
 """Per-clause probing orchestrator.
 
 Each clause runs a loop of two chat calls: a free-text thought over the full
-serialized workspace, then a structured tool call. Repeated identical calls
-are answered from ROUTE_RULES, derived from the reroute column of the tool
-table toolbox.TOOLS, instead of the database; everything else goes through
-the toolbox dispatcher. After all clauses stop, harvest_linkings turns the
-accumulated standard feedback into verified linkings, dropping any proposal
-the recorded feedback does not actually support.
+serialized workspace, then a structured tool call. A call identical to an
+earlier one in the same clause is answered, instead of the database, with
+the next-broader probe named in the reroute column of the tool table
+toolbox.TOOLS; everything else goes through the toolbox dispatcher. After
+all clauses stop, harvest_linkings turns the accumulated standard feedback
+into verified linkings, dropping any proposal the recorded feedback does not
+actually support.
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ from dataclasses import replace
 
 from .cotf import (
     CoTFDocument,
-    ToolCall,
     ToolFeedback,
     Turn,
     VerifiedLinking,
     append_turn,
     clause_open,
-    detect_repeat,
     serialize,
     turn_facts,
 )
@@ -33,22 +32,6 @@ from .toolbox import TOOLS, ToolContext, dispatch
 
 logger = logging.getLogger(__name__)
 
-# After a repeated identical call, suggest the next-broader probe named in the
-# tool table. Each message names exactly one tool.
-ROUTE_RULES: dict[str, str] = {
-    name: f"This tool has been called before. Consider using {tool.reroute}."
-    for name, tool in TOOLS.items()
-    if tool.reroute is not None
-}
-
-
-def classify_feedback(call: ToolCall, repeat: bool, context: ToolContext) -> ToolFeedback:
-    """Repeats with a known tool get guiding feedback and never reach the
-    database; everything else is dispatched and the result passes through."""
-    if repeat and call.tool in ROUTE_RULES:
-        return ToolFeedback.guiding(ROUTE_RULES[call.tool])
-    return dispatch(call, context)
-
 
 def run_clause(
     doc: CoTFDocument,
@@ -58,7 +41,8 @@ def run_clause(
 ) -> CoTFDocument:
     """Probe one clause until its stop signal or max_turns turns.
 
-    A call that stays malformed after the repair round-trip is recorded as a
+    A probe identical to an earlier call of the clause gets guiding feedback
+    naming the tool's reroute instead of a database answer. A call that stays malformed after the repair round-trip is recorded as a
     corrective turn and the loop continues; any other client failure aborts
     the clause, keeping the partial trace.
     """
@@ -82,8 +66,16 @@ def run_clause(
             logger.warning("clause %d aborted with a partial trace: %s", clause_index, exc)
             break
         else:
-            repeat = detect_repeat(doc, clause_index, call)
-            feedback = classify_feedback(call, repeat, context)
+            # a repeat of a probe never reaches the database; a repeated
+            # unknown tool is dispatched for its corrective message
+            tool = TOOLS.get(call.tool)
+            repeat = any(t.tool_call == call for t in doc.turns[clause_index])
+            if repeat and tool is not None and tool.reroute is not None:
+                feedback = ToolFeedback.guiding(
+                    f"This tool has been called before. Consider using {tool.reroute}."
+                )
+            else:
+                feedback = dispatch(call, context)
         append_turn(doc, clause_index, Turn(thought=thought, tool_call=call, feedback=feedback))
     return doc
 

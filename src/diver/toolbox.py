@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random as _random_mod
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from .cotf import ToolCall, ToolFeedback
 from .database import DatabaseHandle, SchemaCatalog, quote_identifier
-from .embedding import rank_lexical, top_k, trigrams
+from .embedding import LexicalEmbedder, top_k, trigrams
 from .errors import EmbedderUnavailable, SqlError
 
 POOL_CAP = 10_000  # embed the whole distinct-value pool up to this size
@@ -192,8 +193,12 @@ def render_guidance() -> str:
 
 
 def _scalarize(value: Any) -> Any:
+    """A cell as the trace holds it: a blob as hex, an infinite REAL as
+    SQLite's own text for it (strict JSON has no infinity)."""
     if isinstance(value, bytes):
         return "0x" + value.hex()
+    if isinstance(value, float) and math.isinf(value):
+        return "Inf" if value > 0 else "-Inf"
     return value
 
 
@@ -315,12 +320,12 @@ def info(
 
 
 def _rank(embedder, query_text: str, candidates: list[str], k: int):
-    """top_k with automatic downgrade to trigram-Jaccard scoring when the
+    """top_k, falling back to the offline lexical embedder when the
     embedding provider is unavailable."""
     try:
         return top_k(embedder, query_text, candidates, k), "embedding"
     except EmbedderUnavailable:
-        return rank_lexical(query_text, candidates, k), "lexical"
+        return top_k(LexicalEmbedder(), query_text, candidates, k), "lexical"
 
 
 def _prefilter(query_text: str, pool: list[str]) -> list[str]:
@@ -375,8 +380,6 @@ def sim_value_in(
     prefiltered = pool_size > POOL_CAP
     if prefiltered:
         pool = _prefilter(query_text, pool)[:PREFILTER_SIZE]
-    if not pool:
-        return {"matches": [], "pool_size": 0, "prefiltered": False, "scoring": "embedding"}
     ranked, scoring = _rank(embedder, query_text, pool, k)
     return {
         "matches": [{"value": pool[i], "score": round(s, 6)} for i, s in ranked],
@@ -398,8 +401,6 @@ def sim_columns(
             if c.description:
                 text += f" {c.description}"
             entries.append((t.name, c.name, text))
-    if not entries:
-        return {"matches": [], "scoring": "embedding"}
     ranked, scoring = _rank(embedder, query_text, [e[2] for e in entries], k)
     return {
         "matches": [

@@ -37,7 +37,7 @@ from diver.evidence import (
     grounding_filter,
     self_consistency,
 )
-from diver.lookup import ROUTE_RULES, run_clause, run_lookup
+from diver.lookup import run_clause, run_lookup
 from diver.llm import ScriptedSession
 from diver.tokens import tokenize
 from diver.toolbox import (
@@ -150,9 +150,9 @@ def test_guiding_feedback(schools):
     assert kinds == ["standard", "guiding", "standard"]
     guide = doc.turns[0][1].feedback
     assert guide.result is None
-    assert guide.message == ROUTE_RULES["value_in"]
-    assert "This tool has been called before." in guide.message
-    assert "sim_value_in" in guide.message
+    assert guide.message == (
+        "This tool has been called before. Consider using sim_value_in for a fuzzy search."
+    )
     assert counting.calls == 1
 
 

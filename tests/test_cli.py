@@ -9,10 +9,14 @@ from pathlib import Path
 import pytest
 
 from diver import cli
-from diver.cotf import deserialize
+from diver.cotf import Question, deserialize, serialize
+from diver.database import catalog
+from diver.embedding import LexicalEmbedder
+from diver.evidence import grounding_filter
 from diver.llm import fingerprint
+from diver.pipeline import PipelineConfig, run_question
 
-from replay import ScriptBuilder, tool
+from replay import RecordingSession, ScriptBuilder, tool
 
 Q1_EVIDENCE = "Grade K refers to `Low Grade` = 'K'."
 Q2_EVIDENCE = "Fresno refers to City = 'Fresno'."
@@ -225,6 +229,122 @@ def test_rerun_redoes_a_truncated_trace(happy_run, tmp_path, db_root):
     assert report["completed"] == ["12"]
     assert trace.read_bytes() == whole
     assert sorted(p.name for p in out.rglob("*.tmp")) == []
+
+
+def test_a_sidecar_holds_only_its_own_traces_evidence(tmp_path, db_root, open_db):
+    dataset = write_dataset(tmp_path / "dataset.json", DATASET[:1])
+    out = tmp_path / "out"
+    first = ScriptBuilder()
+    first.responses = build_happy_script().build()[:14]  # probes value_in for 'K'
+    assert cli.main(run_args(dataset, db_root, out, first.write(tmp_path / "one.json"))) == 0
+
+    long_evidence = "The schools table names each `City`."
+    second = ScriptBuilder()
+    second.segmentation(["Which schools", "serve grade K"])
+    second.turn(tool("head", table="schools", n=1))
+    second.stop_clause()
+    second.stop_clause()
+    second.harvest([])
+    second.evidence(long_evidence)
+    script = second.write(tmp_path / "two.json")
+    assert cli.main(run_args(dataset, db_root, out, script, extra=("--style", "long"))) == 0
+
+    sidecar = json.loads((out / "evidence" / "11.json").read_text())
+    assert sidecar == {"long": long_evidence}
+    doc = deserialize((out / "traces" / "11.json").read_bytes())
+    cat = catalog(open_db(db_root / "california_schools" / "california_schools.sqlite"))
+    for text in sidecar.values():
+        assert grounding_filter(text, doc, cat)["text"] == text
+    assert json.loads((out / "evidence_concise.json").read_text()) == {}
+    assert json.loads((out / "evidence_long.json").read_text()) == {"11": long_evidence}
+
+
+def test_a_style_not_asked_for_keeps_the_other_questions_aggregate(tmp_path, db_root):
+    happy = build_happy_script().build()
+    q1, q2 = ScriptBuilder(), ScriptBuilder()
+    q1.responses = happy[:14]
+    q2.responses = happy[14:27]
+    out = tmp_path / "out"
+    one = write_dataset(tmp_path / "one.json", DATASET[:1])
+    assert cli.main(run_args(one, db_root, out, q1.write(tmp_path / "q1.json"))) == 0
+    concise = (out / "evidence_concise.json").read_bytes()
+
+    two = write_dataset(tmp_path / "two.json", DATASET[1:2])
+    script = q2.write(tmp_path / "q2.json")
+    assert cli.main(run_args(two, db_root, out, script, extra=("--style", "long"))) == 0
+    # q1's sidecar and trace are untouched, so its concise text still stands
+    assert (out / "evidence_concise.json").read_bytes() == concise
+    assert json.loads(concise) == {"11": Q1_EVIDENCE}
+    assert set(json.loads((out / "evidence_long.json").read_text())) == {"12"}
+
+
+def test_a_run_killed_before_its_sidecar_lands_is_redone(tmp_path, db_root, monkeypatch):
+    dataset = write_dataset(tmp_path / "dataset.json", DATASET[:1])
+    q1 = ScriptBuilder()
+    q1.responses = build_happy_script().build()[:14]
+    script = q1.write(tmp_path / "q1.json")
+    out = tmp_path / "out"
+    assert cli.main(run_args(dataset, db_root, out, script)) == 0
+
+    write = cli._write_atomic
+
+    def killed_at_the_sidecar(path, data):
+        if path.parent.name == "evidence":
+            raise OSError("killed")
+        write(path, data)
+
+    monkeypatch.setattr(cli, "_write_atomic", killed_at_the_sidecar)
+    assert cli.main(run_args(dataset, db_root, out, script, extra=("--force",))) == 1
+    monkeypatch.undo()
+    # the old sidecar spoke for the old trace, so it is gone with it
+    assert not (out / "evidence" / "11.json").exists()
+    assert cli.main(run_args(dataset, db_root, out, script)) == 0
+    assert json.loads((out / "run_report.json").read_text())["completed"] == ["11"]
+
+
+# distinctive dataset answers that no prompt or trace may show
+ANSWERS = {
+    "SQL": "SELECT School FROM frpm WHERE `Low Grade` = 'gold-sql-5f2a'",
+    "evidence": "expert-evidence-9c41",
+    "difficulty": "difficulty-3b7e",
+}
+
+
+def test_run_question_shows_the_model_no_dataset_answer(schools_db, schools_desc_dir):
+    question = Question(
+        question_id="11",
+        db_id="california_schools",
+        text=DATASET[0]["question"],
+        gold_sql=ANSWERS["SQL"],
+        expert_evidence=ANSWERS["evidence"],
+        difficulty=ANSWERS["difficulty"],
+    )
+    llm = RecordingSession(build_happy_script().build()[:14])
+    doc, _ = run_question(
+        question, schools_db, schools_desc_dir, llm, LexicalEmbedder(), PipelineConfig("concise")
+    )
+    seen = [m.content for r in llm.requests for m in r.messages] + [serialize(doc).decode()]
+    for answer in ANSWERS.values():
+        assert not [text for text in seen if answer in text], answer
+
+
+@pytest.mark.parametrize("sql", [ANSWERS["SQL"], 5])
+def test_run_keeps_dataset_answers_out_of_the_trace(tmp_path, db_root, sql):
+    # a non-string SQL is not read, so it fails nothing
+    row = {**DATASET[0], **ANSWERS, "SQL": sql}
+    dataset = write_dataset(tmp_path / "dataset.json", [row])
+    b = ScriptBuilder()
+    b.responses = build_happy_script().build()[:14]
+    out = tmp_path / "out"
+    assert cli.main(run_args(dataset, db_root, out, b.write(tmp_path / "script.json"))) == 0
+    trace = (out / "traces" / "11.json").read_text(encoding="utf-8")
+    assert json.loads(trace)["question"] == {
+        "question_id": "11",
+        "db_id": "california_schools",
+        "text": DATASET[0]["question"],
+    }
+    for answer in ANSWERS.values():
+        assert answer not in trace
 
 
 @pytest.fixture()
@@ -518,27 +638,43 @@ def test_eval_skips_a_reference_query_the_engine_cannot_take(tmp_path, db_root):
 
 
 @pytest.mark.parametrize("field, value", [("SQL", 5), ("SQL", ["SELECT 1"]), ("db_id", 7)])
-def test_eval_skips_a_row_whose_sql_or_db_id_is_not_a_string(
-    tmp_path, db_root, caplog, field, value
-):
+def test_eval_skips_a_row_whose_sql_or_db_id_is_not_a_string(tmp_path, db_root, field, value):
     rows = [EVAL_DATASET[0], dict(EVAL_DATASET[1], **{field: value})]
     dataset = write_dataset(tmp_path / "eval.json", rows)
     pred_path = tmp_path / "preds.json"
     pred_path.write_text(json.dumps({"1": rows[0]["SQL"]}), encoding="utf-8")
     out = tmp_path / "report.json"
     assert cli.main(eval_args(dataset, pred_path, db_root, out)) == 0
-    assert json.loads(out.read_text())["count"] == 1
-    assert "question 2 lacks SQL or db_id; skipped" in caplog.text
+    report = json.loads(out.read_text())
+    assert report["count"] == 1
+    assert report["warnings"] == ["2: lacks SQL or db_id; skipped"]
 
 
-def test_eval_skips_a_row_that_is_not_an_object(tmp_path, db_root, caplog):
+def test_eval_skips_a_row_that_is_not_an_object(tmp_path, db_root):
     dataset = write_dataset(tmp_path / "eval.json", [5, EVAL_DATASET[0]])
     pred_path = tmp_path / "preds.json"
     pred_path.write_text(json.dumps({"1": EVAL_DATASET[0]["SQL"]}), encoding="utf-8")
     out = tmp_path / "report.json"
     assert cli.main(eval_args(dataset, pred_path, db_root, out)) == 0
-    assert json.loads(out.read_text())["count"] == 1
-    assert "question 0: row 0 is not a JSON object; skipped" in caplog.text
+    report = json.loads(out.read_text())
+    assert report["count"] == 1
+    assert report["warnings"] == ["0: row 0 is not a JSON object; skipped"]
+
+
+def test_eval_reports_skipped_rows_in_row_order_before_sample_warnings(
+    tmp_path, db_root, capsys
+):
+    rows = ["not a row", dict(EVAL_DATASET[1], SQL=None), EVAL_DATASET[0]]
+    dataset = write_dataset(tmp_path / "eval.json", rows)
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text("{}", encoding="utf-8")
+    argv = eval_args(dataset, pred_path, db_root, tmp_path / "report.json")
+    assert cli.main([*argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == [
+        "0: row 0 is not a JSON object; skipped",
+        "2: lacks SQL or db_id; skipped",
+        "1: missing prediction",
+    ]
 
 
 def test_eval_f1_only_omits_execution_sections(tmp_path, db_root, capsys):

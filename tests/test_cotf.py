@@ -1,4 +1,4 @@
-"""Workspace document: construction, append, repeat detection, codec."""
+"""Workspace document: construction, append, codec."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diver.cotf import (
+    SCHEMA_VERSION,
     Clause,
     CoTFDocument,
     Question,
@@ -21,7 +22,6 @@ from diver.cotf import (
     VerifiedLinking,
     append_turn,
     deserialize,
-    detect_repeat,
     serialize,
 )
 from diver.errors import SchemaViolation
@@ -96,19 +96,6 @@ def test_append_after_none_raises():
         append_turn(doc, 0, Turn("again", ToolCall("none", {}), ToolFeedback.standard({})))
 
 
-def test_detect_repeat_same_clause_only():
-    q = Question(question_id="q2", db_id="db1", text="Find schools in Fresno with magnet programs")
-    doc = CoTFDocument(question=q, clauses=make_clauses(q.text, [3]), max_turns=5)
-    call = ToolCall("value_in", {"table": "schools", "column": "City", "value": "Fresno"})
-    append_turn(doc, 0, Turn("t", call, ToolFeedback.standard({"exists": True, "match_count": 1})))
-
-    assert detect_repeat(doc, 0, ToolCall("value_in", dict(call.args))) is True
-    assert detect_repeat(doc, 0, ToolCall("value_in", {**call.args, "value": "fresno"})) is False
-    assert detect_repeat(doc, 0, ToolCall("uniq_value", {"table": "schools", "column": "City"})) is False
-    # same call in a different clause is not a repeat
-    assert detect_repeat(doc, 1, ToolCall("value_in", dict(call.args))) is False
-
-
 def test_feedback_kind_result_coupling():
     with pytest.raises(SchemaViolation):
         ToolFeedback(kind="standard", message="", result=None)
@@ -166,20 +153,13 @@ def test_clause_partition_enforced():
 # --- codec ---
 
 GOLDEN_PAYLOAD = {
-    "schema_version": 1,
-    "question": {
-        "question_id": "q1",
-        "db_id": "db1",
-        "text": "List magnet schools.",
-        "gold_sql": "SELECT School FROM schools WHERE Magnet = 1",
-        "expert_evidence": "café rule",
-        "difficulty": "simple",
-    },
+    "schema_version": 2,
+    "question": {"question_id": "q1", "db_id": "db1", "text": "List magnet schools."},
     "clauses": [{"index": 0, "text": "List magnet schools.", "token_span": [0, 4]}],
     "turns": [
         [
             {
-                "thought": "probe the Magnet column",
+                "thought": "probe the café column",
                 "tool_call": {
                     "tool": "value_in",
                     "args": {"table": "schools", "column": "Magnet", "value": "1"},
@@ -207,20 +187,13 @@ GOLDEN_PAYLOAD = {
 
 
 def golden_doc() -> CoTFDocument:
-    q = Question(
-        question_id="q1",
-        db_id="db1",
-        text="List magnet schools.",
-        gold_sql="SELECT School FROM schools WHERE Magnet = 1",
-        expert_evidence="café rule",
-        difficulty="simple",
-    )
+    q = Question(question_id="q1", db_id="db1", text="List magnet schools.")
     doc = CoTFDocument(question=q, clauses=make_clauses(q.text, []), max_turns=5)
     append_turn(
         doc,
         0,
         Turn(
-            thought="probe the Magnet column",
+            thought="probe the café column",
             tool_call=ToolCall("value_in", {"table": "schools", "column": "Magnet", "value": "1"}),
             feedback=ToolFeedback.standard({"exists": True, "match_count": 2}),
         ),
@@ -270,14 +243,7 @@ def random_doc(rng: random.Random) -> CoTFDocument:
     toks = tokenize(text)
     n_cuts = rng.randint(0, min(3, len(toks) - 1))
     cuts = sorted(rng.sample(range(1, len(toks)), n_cuts)) if n_cuts else []
-    q = Question(
-        question_id=f"q{rng.randint(0, 999)}",
-        db_id="fuzzdb",
-        text=text,
-        gold_sql=rng.choice([None, "SELECT 1"]),
-        expert_evidence=rng.choice([None, "evidence text"]),
-        difficulty=rng.choice([None, "simple", "moderate", "challenging"]),
-    )
+    q = Question(question_id=f"q{rng.randint(0, 999)}", db_id="fuzzdb", text=text)
     doc = CoTFDocument(question=q, clauses=make_clauses(text, cuts), max_turns=rng.randint(1, 6))
     for ci in range(len(doc.clauses)):
         for _ in range(rng.randint(0, doc.max_turns)):
@@ -324,7 +290,7 @@ def test_round_trip_fuzz():
 
 def one_shot_bytes(doc: CoTFDocument) -> bytes:
     """Reference encoding: the whole document's fields through json.dumps."""
-    payload = {**asdict(doc), "schema_version": 1}
+    payload = {**asdict(doc), "schema_version": SCHEMA_VERSION}
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     return text.encode("utf-8")
 
@@ -336,6 +302,11 @@ TRICKY = st.sampled_from(
 )
 TEXT = st.text(TRICKY | st.characters(exclude_categories=("Cs",)), max_size=10)
 SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | TEXT
+# a tool call's args refuse non-finite floats; feedback results keep them
+ARG_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | TEXT
+)
 JSON_VALUES = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
@@ -357,7 +328,7 @@ TURNS = st.builds(
     tool_call=st.builds(
         ToolCall,
         tool=st.sampled_from(TOOL_NAMES) | TEXT,
-        args=st.dictionaries(TEXT, SCALARS, max_size=3),
+        args=st.dictionaries(TEXT, ARG_SCALARS, max_size=3),
     ),
     feedback=FEEDBACK,
 )
@@ -370,14 +341,7 @@ def growing_documents(draw):
     text = " ".join(draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=8)))
     n_tokens = len(tokenize(text))
     cuts = draw(st.sets(st.integers(1, n_tokens - 1), max_size=3)) if n_tokens > 1 else set()
-    question = Question(
-        question_id=draw(TEXT.filter(bool)),
-        db_id="db",
-        text=text,
-        gold_sql=draw(st.none() | TEXT),
-        expert_evidence=draw(st.none() | TEXT),
-        difficulty=draw(st.none() | TEXT),
-    )
+    question = Question(question_id=draw(TEXT.filter(bool)), db_id="db", text=text)
     doc = CoTFDocument(
         question=question,
         clauses=make_clauses(text, sorted(cuts)),
@@ -427,7 +391,7 @@ def test_serialize_equals_one_shot_encoding_as_the_document_grows(case):
         )
         check()
     # a question or a linking put in place of a cached one is encoded, not looked up
-    doc.question = replace(doc.question, question_id=doc.question.question_id + "!", gold_sql="é")
+    doc.question = replace(doc.question, question_id=doc.question.question_id + "!", db_id="é")
     check()
     if doc.verified:
         doc.verified[0] = replace(doc.verified[0], rationale=doc.verified[0].rationale + "\u2028")
@@ -479,6 +443,9 @@ def test_deserialize_rejects_malformed():
         lambda p: p.pop("question"),
         lambda p: p.pop("schema_version"),
         lambda p: p.__setitem__("schema_version", 99),
+        # a version-1 trace, whose question carried the dataset's answers
+        lambda p: p.__setitem__("schema_version", 1),
+        lambda p: p["question"].update(gold_sql=None, expert_evidence=None, difficulty=None),
         lambda p: p["turns"][0][0]["feedback"].__setitem__("kind", "helpful"),
         lambda p: p["clauses"][0].__setitem__("token_span", [0]),
         lambda p: p["turns"][0][0]["tool_call"].__setitem__("args", {"x": [1, 2]}),
@@ -547,6 +514,31 @@ def test_tool_call_rejects_a_lone_surrogate(tool, args):
     # neither SQLite nor the UTF-8 trace can take
     with pytest.raises(SchemaViolation, match="is not valid UTF-8"):
         ToolCall(tool, args)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_tool_call_rejects_a_non_finite_number(value):
+    # json.loads reads NaN and Infinity, which a strict JSON parser refuses
+    with pytest.raises(SchemaViolation, match="must be a finite number"):
+        ToolCall("head", {"table": "t", "n": value})
+
+
+def test_question_keeps_no_dataset_answer():
+    q = Question(
+        question_id="q1",
+        db_id="db1",
+        text="List magnet schools.",
+        gold_sql="SELECT School FROM schools WHERE Magnet = 1",
+        expert_evidence="Magnet = 1 means a magnet school",
+        difficulty="simple",
+    )
+    assert q == Question(question_id="q1", db_id="db1", text="List magnet schools.")
+    data = serialize(CoTFDocument(question=q, clauses=make_clauses(q.text, [])))
+    assert json.loads(data)["question"] == {
+        "question_id": "q1",
+        "db_id": "db1",
+        "text": "List magnet schools.",
+    }
 
 
 OTHER_VALUES = [None, True, 0, 7, -1, 2.5, "", "x", [], [0, 1], {}, {"x": 1}]

@@ -20,9 +20,7 @@ from diver.embedding import (
     DEFAULT_MAX_LENGTH,
     LexicalEmbedder,
     RemoteEmbedder,
-    rank_lexical,
     top_k,
-    trigram_jaccard,
     trigrams,
 )
 from diver.errors import EmbedderUnavailable
@@ -84,14 +82,10 @@ def test_lexical_embed_equals_the_formula_bit_for_bit(texts):
     assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
 
 
-def test_trigrams_and_jaccard_hand_computed():
+def test_trigrams_hand_computed():
     assert trigrams("abcd") == {"abc", "bcd"}
     assert trigrams("ABCD") == {"abc", "bcd"}  # lowercased
     assert trigrams("ab") == {"ab"}  # short strings collapse to one gram
-    # |{"bcd"}| / |{"abc","bcd","cde"}|
-    assert trigram_jaccard("abcd", "bcde") == pytest.approx(1 / 3)
-    assert trigram_jaccard("same", "same") == 1.0
-    assert trigram_jaccard("", "xyz") == 0.0
 
 
 def test_lexical_embed_identical_texts_identical_vectors():
@@ -214,25 +208,6 @@ def test_top_k_ties_break_lexicographically():
     # identical strings tie too and keep index order
     ranked = top_k(emb, "top", ["zz top", "zz top"], 2)
     assert [i for i, _ in ranked] == [0, 1]
-
-
-def test_rank_lexical_matches_jaccard_sort():
-    rng = random.Random(99)
-    vocab = ["alpha", "beta", "gamma", "delta", "omega"]
-    for _ in range(20):
-        candidates = [
-            " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
-            for _ in range(rng.randint(1, 15))
-        ]
-        query = rng.choice(vocab)
-        k = rng.randint(1, len(candidates))
-        want = sorted(
-            ((i, trigram_jaccard(query, c)) for i, c in enumerate(candidates)),
-            key=lambda p: (-p[1], candidates[p[0]], p[0]),
-        )[:k]
-        assert rank_lexical(query, candidates, k) == [
-            (i, pytest.approx(s)) for i, s in want
-        ]
 
 
 # --- remote backend against a local stub ---

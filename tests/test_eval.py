@@ -138,6 +138,14 @@ SIGNED_LITERALS = [
     ("qty - 5 < amount", {"5"}),
     ('"qty" - 5 < amount', {"5"}),
     ("id IN (1, -2, 3 - 4)", {"1", "-2", "3", "4"}),
+    # keywords that are operands themselves
+    ("CASE WHEN qty > 1 THEN qty ELSE 0 END - 5 < amount", {"1", "5"}),
+    ("qty IN (NULL - 5)", {"5"}),
+    ("TRUE - 5 < qty", {"5"}),
+    ("FALSE - 5 < qty", {"5"}),
+    ("CURRENT_DATE - 5 > amount", {"5"}),
+    ("CURRENT_TIME - 5 > amount", {"5"}),
+    ("CURRENT_TIMESTAMP - 5 > amount", {"5"}),
 ]
 
 

@@ -21,7 +21,7 @@ from diver.pipeline import PipelineConfig, run_question
 from replay import RecordingSession, ScriptBuilder, tool
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "probe_trace.json"
-REQUESTS_SHA256 = "1c761951d456b47dc22a7fb8950e2c20e56a3ad953744c3c9504af9370c1cdf2"
+REQUESTS_SHA256 = "6a107434f9fa2c5cc86c138681541767821ccceecd694b268d74efcc3dc5fa86"
 
 QUESTION = "Which schools serve grade K and which ones are special?"
 CLAUSES = ["Which schools serve grade K", "and which ones are special?"]

@@ -261,6 +261,21 @@ def test_structured_tool_call_repairs_a_lone_surrogate():
     assert "is not valid UTF-8" in session.requests[1].messages[-1].content
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_structured_tool_call_repairs_a_non_finite_number(constant):
+    # json.loads reads these constants; a strict JSON parser refuses the trace
+    session = RecordingSession(
+        [
+            '{"tool": "head", "args": {"table": "frpm", "n": ' + constant + "}}",
+            '{"tool": "head", "args": {"table": "frpm", "n": 2}}',
+        ]
+    )
+    call = structured_tool_call(session, _req(fmt="tool_call_schema"))
+    assert call == ToolCall("head", {"table": "frpm", "n": 2})
+    assert session.consumed == 2
+    assert "must be a finite number" in session.requests[1].messages[-1].content
+
+
 # --- live backend against a stub ---
 
 

@@ -1,4 +1,4 @@
-"""Per-clause probing orchestrator: route guidance, the thought/call loop,
+"""Per-clause probing orchestrator: the thought/call loop, the repeat rule,
 and grounded linking harvest."""
 
 import json
@@ -14,6 +14,7 @@ from diver.cotf import (
     ToolCall,
     ToolFeedback,
     Turn,
+    append_turn,
     serialize,
 )
 from diver.breakup import token_refine
@@ -21,15 +22,9 @@ from diver.database import catalog, open_database
 from diver.embedding import LexicalEmbedder
 from diver.errors import LlmError
 from diver.llm import ChatMessage, ScriptedSession
-from diver.lookup import (
-    ROUTE_RULES,
-    classify_feedback,
-    harvest_linkings,
-    run_clause,
-    run_lookup,
-)
+from diver.lookup import harvest_linkings, run_clause, run_lookup
 from diver.prompts import HARVEST, LOOKUP_SYSTEM, LOOKUP_THOUGHT, LOOKUP_TOOL_USER
-from diver.toolbox import TOOL_NAMES, ToolContext
+from diver.toolbox import TOOL_NAMES, TOOLS, ToolContext
 
 from replay import RecordingSession
 
@@ -66,21 +61,40 @@ def standalone(name, text):
     return re.findall(rf"(?<![A-Za-z_]){re.escape(name)}(?![A-Za-z_])", text)
 
 
-# --- route rules ---
+# --- the repeat rule ---
+
+VALUE_IN_REROUTE = (
+    "This tool has been called before. Consider using sim_value_in for a fuzzy search."
+)
 
 
-def test_route_rules_cover_every_probing_tool():
-    assert set(ROUTE_RULES) == set(TOOL_NAMES) - {"none"}
+def repeat_feedback(ctx, call):
+    """The feedback run_clause gives the second of two identical calls."""
+    doc = one_clause_doc(max_turns=2)
+    run_clause(doc, 0, ScriptedSession(["t1", call, "t2", call]), ctx)
+    return doc.turns[0][1].feedback
 
 
-def test_value_in_rule_message_is_the_fixed_sentence():
-    assert ROUTE_RULES["value_in"] == (
+def test_route_rules_cover_every_probing_tool(ctx):
+    for name in TOOL_NAMES:
+        if name == "none":
+            continue
+        fb = repeat_feedback(ctx, tc(name))
+        assert fb.kind == "guiding", name
+        assert fb.message == (
+            f"This tool has been called before. Consider using {TOOLS[name].reroute}."
+        )
+
+
+def test_value_in_rule_message_is_the_fixed_sentence(ctx):
+    probe = tc("value_in", table="frpm", column="Low Grade", value="K")
+    assert repeat_feedback(ctx, probe).message == (
         "This tool has been called before."
         " Consider using sim_value_in for a fuzzy search."
     )
 
 
-def test_rule_suggestions_name_exactly_one_registered_tool():
+def test_rule_suggestions_name_exactly_one_registered_tool(ctx):
     expected = {
         "value_in": "sim_value_in",
         "sim_value_in": "uniq_value",
@@ -91,45 +105,66 @@ def test_rule_suggestions_name_exactly_one_registered_tool():
         "info": "sim_columns",
         "sim_columns": "head",
     }
-    for trigger, message in ROUTE_RULES.items():
+    for trigger, suggestion in expected.items():
+        message = repeat_feedback(ctx, tc(trigger)).message
         named = {t for t in TOOL_NAMES if standalone(t, message)}
-        assert named == {expected[trigger]}, (trigger, message)
-
-
-# --- classify_feedback ---
+        assert named == {suggestion}, (trigger, message)
 
 
 def test_repeat_classifies_guiding_and_never_touches_db(ctx, monkeypatch):
+    # the earlier call is already on the record, as in a resumed document
+    call = ToolCall("value_in", {"table": "frpm", "column": "Low Grade", "value": "K"})
+    doc = one_clause_doc()
+    append_turn(doc, 0, Turn("t0", call, ToolFeedback.standard({"exists": True, "match_count": 5})))
+
     def boom(*a, **k):
         raise AssertionError("database touched on a repeated call")
 
     monkeypatch.setattr(ctx.handle, "query", boom)
-    call = ToolCall("value_in", {"table": "frpm", "column": "Low Grade", "value": "K"})
-    fb = classify_feedback(call, repeat=True, context=ctx)
+    monkeypatch.setattr(ctx.handle, "memo_query", boom)
+    probe = tc("value_in", table="frpm", column="Low Grade", value="K")
+    run_clause(doc, 0, ScriptedSession(["t1", probe, "t2", tc("none")]), ctx)
+    fb = doc.turns[0][1].feedback
     assert fb.kind == "guiding"
-    assert fb.message == ROUTE_RULES["value_in"]
+    assert fb.message == VALUE_IN_REROUTE
 
 
 def test_fresh_call_passes_dispatch_result_through(ctx):
-    ok = classify_feedback(
-        ToolCall("value_in", {"table": "frpm", "column": "Low Grade", "value": "K"}),
-        repeat=False,
-        context=ctx,
+    # a call whose args differ from an earlier one is no repeat
+    doc = one_clause_doc()
+    llm = ScriptedSession(
+        [
+            "t1",
+            tc("value_in", table="frpm", column="Low Grade", value="K"),
+            "t2",
+            tc("value_in", table="frpm", column="Low Grade", value="k"),
+            "t3",
+            tc("value_in", table="frpm", column="No Such", value="K"),
+            "t4",
+            tc("none"),
+        ]
     )
-    assert ok.kind == "standard"
-    assert ok.result == {"exists": True, "match_count": 5}
-
-    bad = classify_feedback(
-        ToolCall("value_in", {"table": "frpm", "column": "No Such", "value": "K"}),
-        repeat=False,
-        context=ctx,
-    )
-    assert bad.kind == "corrective"
+    run_clause(doc, 0, llm, ctx)
+    feedback = [t.feedback for t in doc.turns[0]]
+    assert [f.kind for f in feedback] == ["standard", "standard", "corrective", "standard"]
+    assert feedback[0].result == {"exists": True, "match_count": 5}
+    assert feedback[1].result == {"exists": False, "match_count": 0}
+    assert "No Such" in feedback[2].message
 
 
 def test_repeated_unknown_tool_falls_back_to_corrective(ctx):
-    fb = classify_feedback(ToolCall("look_up", {}), repeat=True, context=ctx)
+    fb = repeat_feedback(ctx, tc("look_up"))
     assert fb.kind == "corrective"
+    assert fb.message == "unknown tool: 'look_up'"
+
+
+def test_only_a_repeat_in_the_same_clause_counts(ctx):
+    probe = tc("value_in", table="frpm", column="Low Grade", value="K")
+    doc = two_clause_doc()
+    llm = ScriptedSession(["a", probe, "b", tc("none"), "c", probe, "d", probe, "e", tc("none")])
+    run_lookup(doc, llm, ctx)
+    kinds = [[t.feedback.kind for t in column] for column in doc.turns]
+    assert kinds == [["standard", "standard"], ["standard", "guiding", "standard"]]
 
 
 # --- run_clause ---
@@ -191,10 +226,7 @@ def test_repeated_call_gets_guiding_feedback_without_query(ctx, open_db, schools
 
     kinds = [t.feedback.kind for t in doc.turns[0]]
     assert kinds == ["standard", "guiding", "standard"]
-    assert doc.turns[0][1].feedback.message == (
-        "This tool has been called before."
-        " Consider using sim_value_in for a fuzzy search."
-    )
+    assert doc.turns[0][1].feedback.message == VALUE_IN_REROUTE
     assert len(counted) == 1
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import json
 import random
 import re
 import sqlite3
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diver.cotf import ToolCall
+from diver.breakup import token_refine
+from diver.cotf import CoTFDocument, Question, ToolCall, Turn, append_turn, serialize
 from diver.database import catalog, open_database
 from diver.embedding import LexicalEmbedder, trigrams
 from diver import toolbox
@@ -243,6 +245,34 @@ def test_sim_value_in_falls_back_to_lexical(handle):
     assert got["scoring"] == "lexical"
     assert got["matches"][0]["value"] == "SSS"
     assert got["matches"][0]["score"] == pytest.approx(1.0)
+    # the fallback is the ranking a run without an endpoint shows
+    for query in ("SSS", "special", "Fresno area"):
+        for table, column in (("frpm", "School Type"), ("schools", "City")):
+            down = sim_value_in(handle, _DownEmbedder(), table, column, query, k=3)
+            lexical = sim_value_in(handle, LexicalEmbedder(), table, column, query, k=3)
+            assert down == {**lexical, "scoring": "lexical"}
+
+
+def test_an_empty_pool_or_catalog_ranks_nothing(tmp_path, open_db):
+    db = tmp_path / "nulls.sqlite"
+    with closing(sqlite3.connect(db)) as conn:
+        conn.execute("CREATE TABLE t (v TEXT)")
+        conn.execute("INSERT INTO t VALUES (NULL)")
+        conn.commit()
+    bare = tmp_path / "bare.sqlite"
+    sqlite3.connect(bare).close()
+    handle, bare_handle = open_db(db), open_db(bare)
+    for embedder in (LexicalEmbedder(), _DownEmbedder()):
+        assert sim_value_in(handle, embedder, "t", "v", "anything") == {
+            "matches": [],
+            "pool_size": 0,
+            "prefiltered": False,
+            "scoring": "embedding",
+        }
+        assert sim_columns(catalog(bare_handle), embedder, "anything") == {
+            "matches": [],
+            "scoring": "embedding",
+        }
 
 
 def test_sim_value_in_prefilters_huge_pools(tmp_path, open_db):
@@ -286,6 +316,9 @@ def test_sim_columns_lexical_fallback(cat):
     assert got["scoring"] == "lexical"
     names = {(m["table"], m["column"]) for m in got["matches"]}
     assert ("frpm", "Low Grade") in names
+    for query in ("grade", "charter school", "free meal count"):
+        down = sim_columns(cat, _DownEmbedder(), query, k=5)
+        assert down == {**sim_columns(cat, LexicalEmbedder(), query, k=5), "scoring": "lexical"}
 
 
 # --- determinism across repeated execution ---
@@ -533,6 +566,31 @@ def test_blob_cells_render_as_hex(tmp_path, open_db):
     want = {"columns": ["id", "data"], "rows": [[1, "0x00ff10"]]}
     assert head(handle, "b", 5) == want
     assert random_rows(handle, "b", 5, seed=2) == {**want, "seed": 2}
+
+
+def test_infinite_cells_reach_the_trace_as_sqlite_text(tmp_path, open_db):
+    db = tmp_path / "inf.sqlite"
+    with closing(sqlite3.connect(db)) as conn:
+        conn.execute("CREATE TABLE m (x REAL)")
+        conn.executemany("INSERT INTO m VALUES (?)", [(float("inf"),), (float("-inf"),), (1.5,)])
+        conn.commit()
+    handle = open_db(db)
+    context = ToolContext(
+        handle=handle, catalog=catalog(handle), embedder=LexicalEmbedder(), rng=random.Random(0)
+    )
+    text = "Which readings are infinite?"
+    doc = CoTFDocument(Question("q", "inf", text), token_refine(text, []))
+    for call in (ToolCall("head", {"table": "m", "n": 3}), ToolCall("random", {"table": "m", "n": 3})):
+        append_turn(doc, 0, Turn("t", call, dispatch(call, context)))
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    trace = json.loads(serialize(doc), parse_constant=refuse)
+    rows = [turn["feedback"]["result"]["rows"] for turn in trace["turns"][0]]
+    assert rows == [[["Inf"], ["-Inf"], [1.5]]] * 2
+    # the text uniq_value and sim_value_in show for the same cells
+    assert uniq_value(handle, "m", "x")["samples"] == ["-Inf", "1.5", "Inf"]
 
 
 def _memo_db(tmp_path):
