@@ -80,8 +80,8 @@ def _build_embedder(args):
 
 
 def _read_sidecar(path: Path) -> dict:
-    """A question's {style: text} evidence sidecar, or a {qid: text}
-    aggregate; {} when it is missing, unreadable or not a JSON object."""
+    """A question's {style: text} evidence sidecar; {} when it is missing,
+    unreadable or not a JSON object."""
     try:
         texts = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
@@ -187,23 +187,17 @@ def cmd_run(args) -> int:
         else:
             failed[qid] = error
 
-    sidecars = {qid: _read_sidecar(evidence_dir / f"{qid}.json") for qid, _ in ordered}
+    # each aggregate is its style over every sidecar, whichever run or dataset
+    # wrote it, rebuilt for the styles asked for and those already on file
+    sidecars = {
+        path.name.removesuffix(".json"): _read_sidecar(path)
+        for path in evidence_dir.glob("*.json")
+    }
     for style in STYLES:
         aggregate = out_dir / f"evidence_{style}.json"
-        if style in styles:
+        if style in styles or aggregate.exists():
             mapping = {qid: texts[style] for qid, texts in sidecars.items() if style in texts}
-        else:
-            # an earlier run's aggregate keeps its entries, less the questions
-            # whose sidecar this run left without that style
-            earlier = _read_sidecar(aggregate)
-            mapping = {
-                qid: text
-                for qid, text in earlier.items()
-                if qid not in sidecars or style in sidecars[qid]
-            }
-            if mapping == earlier:
-                continue
-        _write_atomic(aggregate, _dump_json(mapping).encode("utf-8"))
+            _write_atomic(aggregate, _dump_json(mapping).encode("utf-8"))
 
     report = {
         "completed": completed,
@@ -227,6 +221,16 @@ def cmd_run(args) -> int:
 # --- eval ---
 
 
+def _optional_text(row: dict, key: str, qid: str, warnings: list[str]) -> str | None:
+    """The row's text under key; None when the key is absent or null, and
+    None with a warning when it holds anything but a string."""
+    value = row.get(key)
+    if value is None or isinstance(value, str):
+        return value
+    warnings.append(f"{qid}: {key} is not a string; ignored")
+    return None
+
+
 def cmd_eval(args) -> int:
     try:
         rows = _load_dataset(args.dataset)
@@ -238,15 +242,15 @@ def cmd_eval(args) -> int:
         return 2
 
     samples = []
-    skipped: list[str] = []
+    warnings: list[str] = []
     for qid, row in rows:
         if isinstance(row, str):
-            skipped.append(f"{qid}: {row}; skipped")
+            warnings.append(f"{qid}: {row}; skipped")
             continue
         gold = row.get("SQL")
         db_id = row.get("db_id")
         if not (isinstance(gold, str) and gold and isinstance(db_id, str) and db_id):
-            skipped.append(f"{qid}: lacks SQL or db_id; skipped")
+            warnings.append(f"{qid}: lacks SQL or db_id; skipped")
             continue
         pred = predictions.get(qid)
         samples.append(
@@ -255,8 +259,8 @@ def cmd_eval(args) -> int:
                 db_path=db_path_for(args.db_root, db_id),
                 gold_sql=gold,
                 pred_sql=pred if isinstance(pred, str) else None,
-                difficulty=row.get("difficulty"),
-                evidence_text=row.get("evidence"),
+                difficulty=_optional_text(row, "difficulty", qid, warnings),
+                evidence_text=_optional_text(row, "evidence", qid, warnings),
             )
         )
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
@@ -265,7 +269,7 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report["warnings"] = skipped + report["warnings"]
+    report["warnings"] = warnings + report["warnings"]
     print(_dump_json(report) if args.json else format_report(report), end="")
     if args.out:
         _write_atomic(Path(args.out), _dump_json(report).encode("utf-8"))

@@ -76,7 +76,6 @@ class ColumnInfo:
 class TableInfo:
     name: str
     columns: list[ColumnInfo]
-    row_count: int
 
     def __post_init__(self) -> None:
         # lowercased name -> column; the first of a case clash wins
@@ -312,9 +311,12 @@ def parse_description_file(path: Path) -> dict[str, str]:
 
 def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -> SchemaCatalog:
     """Walk sqlite_master + pragma_table_info into a SchemaCatalog, every
-    statement through the memo. When description_dir is a directory, join
-    its description CSVs (a malformed one only warns); otherwise, as for a
-    database that ships none, the columns have no descriptions."""
+    statement through the memo; the catalog holds the schema only, no row
+    counts. A table the engine cannot describe (a virtual table whose module
+    is not loaded, say) is left out with a warning. When description_dir is
+    a directory, join its description CSVs (a malformed one only warns);
+    otherwise, as for a database that ships none, the columns have no
+    descriptions."""
     descriptions: dict[str, dict[str, str]] = {}
     if description_dir is not None and Path(description_dir).is_dir():
         for f in sorted(Path(description_dir).iterdir()):
@@ -332,9 +334,13 @@ def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -
     ).rows
     for (table_name,) in names:
         table_desc = descriptions.get(table_name.lower(), {})
-        info = handle.memo_query(
-            "SELECT name, type FROM pragma_table_info(?)", (table_name,)
-        ).rows
+        try:
+            info = handle.memo_query(
+                "SELECT name, type FROM pragma_table_info(?)", (table_name,)
+            ).rows
+        except SqlError as exc:
+            logger.warning("leaving table %r out of the catalog: %s", table_name, exc)
+            continue
         columns = [
             ColumnInfo(
                 name=col_name,
@@ -343,8 +349,7 @@ def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -
             )
             for col_name, declared in info
         ]
-        [(count,)] = handle.memo_query(f"SELECT COUNT(*) FROM {quote_identifier(table_name)}").rows
-        tables.append(TableInfo(name=table_name, columns=columns, row_count=count))
+        tables.append(TableInfo(name=table_name, columns=columns))
     return SchemaCatalog(tables=tables)
 
 

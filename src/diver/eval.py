@@ -510,6 +510,16 @@ def ves_reward(
     return math.sqrt(gold_mean / pred_mean)
 
 
+def _ves_or_zero(handle, sample, matched, iterations, warnings):
+    # ves_reward, or 0 and a warning when a timed run fails: a statement that
+    # ran once can fail a later run (its deadline, say); EX keeps its verdict
+    try:
+        return ves_reward(handle, sample.pred_sql, sample.gold_sql, matched, iterations)
+    except DiverError as exc:
+        warnings.append(f"{sample.question_id}: VES timing run failed ({exc}); VES 0")
+        return 0.0
+
+
 # --- corpus evaluation ---
 
 KNOWN_METRICS = ("ex", "ves", "f1", "overlap")
@@ -627,9 +637,7 @@ def evaluate(
                 if "ex" in metrics:
                     record["ex"] = float(matched)
                 if "ves" in metrics:
-                    record["ves"] = ves_reward(
-                        handle, sample.pred_sql, sample.gold_sql, matched, iterations
-                    )
+                    record["ves"] = _ves_or_zero(handle, sample, matched, iterations, warnings)
             if "f1" in metrics:
                 # a reopened file's catalog comes from the database memo
                 cat = build_catalog(handle, None)

@@ -271,13 +271,13 @@ def if_null(handle: DatabaseHandle, table: str, column: str) -> dict[str, Any]:
     return {"null_count": nulls, "total": total, "fraction": nulls / max(total, 1)}
 
 
-def _null_fractions(handle: DatabaseHandle, table) -> dict[str, float]:
+def _null_fractions(handle: DatabaseHandle, table) -> tuple[int, dict[str, float]]:
+    """The table's row count and each column's missing fraction, from one scan."""
     counters = ", ".join(f"COUNT({quote_identifier(c.name)})" for c in table.columns)
     rs = handle.memo_query(f"SELECT COUNT(*), {counters} FROM {quote_identifier(table.name)}")
-    row = rs.rows[0]
-    total = row[0]
-    return {
-        c.name: (total - row[i + 1]) / max(total, 1) for i, c in enumerate(table.columns)
+    total, *nonnull = rs.rows[0]
+    return total, {
+        c.name: (total - count) / max(total, 1) for c, count in zip(table.columns, nonnull)
     }
 
 
@@ -291,7 +291,7 @@ def info(
     t = catalog.table(table)
     if t is None:
         raise SqlError(f"unknown table: {table}")
-    fractions = _null_fractions(handle, t)
+    row_count, fractions = _null_fractions(handle, t)
     if column is not None:
         c = t.column(column)
         if c is None:
@@ -301,12 +301,12 @@ def info(
             "column": c.name,
             "declared_type": c.declared_type,
             "description": c.description,
-            "row_count": t.row_count,
+            "row_count": row_count,
             "null_fraction": fractions[c.name],
         }
     return {
         "table": t.name,
-        "row_count": t.row_count,
+        "row_count": row_count,
         "columns": [
             {
                 "column": c.name,

@@ -153,6 +153,33 @@ def build_eval_db(path: Path) -> None:
         conn.close()
 
 
+def add_unloadable_virtual_table(path: Path) -> None:
+    """List a virtual table `vt` whose module no SQLite build has: the
+    schema names it, but describing or reading it fails with `no such
+    module: nosuchmod`, as for an extension another machine loaded."""
+    conn = sqlite3.connect(path)
+    try:
+        conn.execute("PRAGMA writable_schema = ON")
+        conn.execute(
+            "INSERT INTO sqlite_master (type, name, tbl_name, rootpage, sql)"
+            " VALUES ('table', 'vt', 'vt', 0, 'CREATE VIRTUAL TABLE vt USING nosuchmod(x)')"
+        )
+        conn.commit()
+    finally:
+        conn.close()
+
+
+@pytest.fixture()
+def unloadable_db_root(tmp_path) -> Path:
+    """Both fixture databases, each with an unloadable virtual table."""
+    root = tmp_path / "unloadable_db_root"
+    for db_id, build in (("california_schools", build_schools_db), ("eval_fixture", build_eval_db)):
+        (root / db_id).mkdir(parents=True)
+        build(root / db_id / f"{db_id}.sqlite")
+        add_unloadable_virtual_table(root / db_id / f"{db_id}.sqlite")
+    return root
+
+
 def _write_description_csv(path: Path, rows: list[tuple[str, str, str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

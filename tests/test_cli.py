@@ -10,8 +10,9 @@ import pytest
 
 from diver import cli
 from diver.cotf import Question, deserialize, serialize
-from diver.database import catalog
+from diver.database import DatabaseHandle, catalog
 from diver.embedding import LexicalEmbedder
+from diver.errors import SqlError
 from diver.evidence import grounding_filter
 from diver.llm import fingerprint
 from diver.pipeline import PipelineConfig, run_question
@@ -276,6 +277,40 @@ def test_a_style_not_asked_for_keeps_the_other_questions_aggregate(tmp_path, db_
     assert (out / "evidence_concise.json").read_bytes() == concise
     assert json.loads(concise) == {"11": Q1_EVIDENCE}
     assert set(json.loads((out / "evidence_long.json").read_text())) == {"12"}
+
+
+def test_two_datasets_in_one_out_share_the_aggregate(tmp_path, db_root):
+    happy = build_happy_script().build()
+    q1, q2 = ScriptBuilder(), ScriptBuilder()
+    q1.responses = happy[:14]
+    q2.responses = happy[14:27]
+    out = tmp_path / "out"
+    one = write_dataset(tmp_path / "one.json", DATASET[:1])
+    assert cli.main(run_args(one, db_root, out, q1.write(tmp_path / "q1.json"))) == 0
+    two = write_dataset(tmp_path / "two.json", DATASET[1:2])
+    assert cli.main(run_args(two, db_root, out, q2.write(tmp_path / "q2.json"))) == 0
+    concise = json.loads((out / "evidence_concise.json").read_text())
+    assert concise == {"11": Q1_EVIDENCE, "12": Q2_EVIDENCE}
+    assert not (out / "evidence_long.json").exists()
+
+
+def test_run_completes_questions_on_a_database_with_an_unreadable_table(
+    tmp_path, unloadable_db_root, caplog
+):
+    dataset = write_dataset(tmp_path / "dataset.json", DATASET[:2])
+    b = ScriptBuilder()
+    b.responses = build_happy_script().build()[:27]
+    out = tmp_path / "out"
+    rc = cli.main(run_args(dataset, unloadable_db_root, out, b.write(tmp_path / "script.json")))
+    assert rc == 0
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["completed"] == ["11", "12"]
+    assert report["failed"] == {}
+    assert json.loads((out / "evidence_concise.json").read_text()) == {
+        "11": Q1_EVIDENCE,
+        "12": Q2_EVIDENCE,
+    }
+    assert "leaving table 'vt' out of the catalog: no such module: nosuchmod" in caplog.messages
 
 
 def test_a_run_killed_before_its_sidecar_lands_is_redone(tmp_path, db_root, monkeypatch):
@@ -675,6 +710,87 @@ def test_eval_reports_skipped_rows_in_row_order_before_sample_warnings(
         "2: lacks SQL or db_id; skipped",
         "1: missing prediction",
     ]
+
+
+def test_eval_writes_its_report_on_a_database_with_an_unreadable_table(
+    tmp_path, unloadable_db_root
+):
+    dataset = write_dataset(tmp_path / "eval.json", EVAL_DATASET)
+    preds = {str(r["question_id"]): r["SQL"] for r in EVAL_DATASET}
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps(preds), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cli.main(eval_args(dataset, pred_path, unloadable_db_root, out, "ex,f1")) == 0
+    report = json.loads(out.read_text())
+    assert report["count"] == 4
+    assert report["ex"] == 1.0
+    assert report["schema_f1"]["f1"] == 1.0
+    assert report["warnings"] == []
+
+
+@pytest.mark.parametrize(
+    "field, value, metrics",
+    [
+        ("difficulty", 3, "ex"),
+        ("difficulty", ["hard"], "ex"),
+        ("evidence", ["region"], "ex,overlap"),
+        ("evidence", {"text": "region"}, "ex,overlap"),
+    ],
+)
+def test_eval_reads_a_non_string_difficulty_or_evidence_as_absent(
+    tmp_path, db_root, field, value, metrics
+):
+    rows = [
+        dict(EVAL_DATASET[0], evidence="west refers to region"),
+        dict(EVAL_DATASET[1], **{"evidence": "customer", field: value}),
+        dict(EVAL_DATASET[2], evidence=""),
+    ]
+    dataset = write_dataset(tmp_path / "eval.json", rows)
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps({str(r["question_id"]): r["SQL"] for r in rows}), "utf-8")
+    out = tmp_path / "report.json"
+    assert cli.main(eval_args(dataset, pred_path, db_root, out, metrics)) == 0
+    report = json.loads(out.read_text())
+    assert report["count"] == 3
+    assert report["ex"] == 1.0
+    assert report["warnings"] == [f"2: {field} is not a string; ignored"]
+    counts = {name: sub["count"] for name, sub in report["per_difficulty"].items()}
+    if field == "difficulty":
+        assert counts == {"simple": 1, "challenging": 1}
+    else:
+        assert counts == {"simple": 2, "challenging": 1}
+        # the empty evidence is still scored
+        assert report["overlap"]["count"] == 2
+        assert report["overlap"]["min"] == 0.0
+
+
+def test_eval_scores_ves_zero_when_a_timed_run_fails(tmp_path, db_root, monkeypatch):
+    rows = [dict(EVAL_DATASET[0], difficulty="a"), dict(EVAL_DATASET[1], difficulty="b")]
+    dataset = write_dataset(tmp_path / "eval.json", rows)
+    failing = rows[1]["SQL"] + " -- timed"
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps({"1": rows[0]["SQL"], "2": failing}), encoding="utf-8")
+    runs = []
+    query = DatabaseHandle.query
+
+    def interrupted_after_its_first_run(self, sql, params=()):
+        if sql == failing:
+            runs.append(sql)
+            if len(runs) > 1:
+                raise SqlError("interrupted")
+        return query(self, sql, params)
+
+    monkeypatch.setattr(DatabaseHandle, "query", interrupted_after_its_first_run)
+    out = tmp_path / "report.json"
+    assert cli.main(eval_args(dataset, pred_path, db_root, out, "ex,ves")) == 0
+    report = json.loads(out.read_text())
+    assert report["count"] == 2
+    assert report["ex"] == 1.0
+    assert report["per_difficulty"]["b"]["ex"] == 1.0
+    assert report["per_difficulty"]["b"]["ves"] == 0.0
+    assert report["per_difficulty"]["a"]["ves"] > 0.0
+    assert report["warnings"] == ["2: VES timing run failed (interrupted); VES 0"]
+    assert len(runs) == 2
 
 
 def test_eval_f1_only_omits_execution_sections(tmp_path, db_root, capsys):

@@ -8,6 +8,7 @@ import os
 import re
 import sqlite3
 import threading
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -49,8 +50,8 @@ def _close_opened_handles(monkeypatch):
         handle.close()
 
 
-def _oracle_catalog(path: Path) -> dict[str, tuple[list[tuple[str, str]], int]]:
-    """Independent PRAGMA walk with raw sqlite3: table -> (columns, row count)."""
+def _oracle_catalog(path: Path) -> dict[str, list[tuple[str, str]]]:
+    """Independent PRAGMA walk with raw sqlite3: table -> columns."""
     conn = sqlite3.connect(path)
     out = {}
     try:
@@ -63,9 +64,7 @@ def _oracle_catalog(path: Path) -> dict[str, tuple[list[tuple[str, str]], int]]:
         ]
         for t in tables:
             quoted = '"' + t.replace('"', '""') + '"'
-            cols = [(r[1], r[2]) for r in conn.execute(f"PRAGMA table_info({quoted})")]
-            n = conn.execute(f"SELECT COUNT(*) FROM {quoted}").fetchone()[0]
-            out[t] = (cols, n)
+            out[t] = [(r[1], r[2]) for r in conn.execute(f"PRAGMA table_info({quoted})")]
     finally:
         conn.close()
     return out
@@ -167,9 +166,32 @@ def test_catalog_matches_pragma_oracle(schools_db, eval_db, tmp_path):
         oracle = _oracle_catalog(path)
         assert sorted(t.name for t in cat.tables) == sorted(oracle)
         for table in cat.tables:
-            cols, count = oracle[table.name]
-            assert [(c.name, c.declared_type) for c in table.columns] == cols
-            assert table.row_count == count
+            assert [(c.name, c.declared_type) for c in table.columns] == oracle[table.name]
+
+
+def test_a_cold_catalog_reads_only_the_schema(schools_db, eval_db, monkeypatch):
+    monkeypatch.setattr(database, "_memo", database._Memo())
+    for path in (schools_db, eval_db):
+        handle = open_database(path)
+        ran = []
+        handle._conn.set_trace_callback(ran.append)
+        catalog(handle)
+        assert ran[0].startswith("SELECT name FROM sqlite_master ")
+        # pragma_table_info traces its inner PRAGMA as a "-- " line of its own
+        schema_reads = ("SELECT name, type FROM pragma_table_info(", "-- PRAGMA table_info=")
+        assert len(ran) > 1 and all(sql.startswith(schema_reads) for sql in ran[1:])
+
+
+def test_catalog_leaves_out_a_table_the_engine_cannot_describe(unloadable_db_root, caplog):
+    path = db_path_for(unloadable_db_root, "eval_fixture")
+    with closing(sqlite3.connect(path)) as conn:
+        assert ("vt",) in conn.execute("SELECT name FROM sqlite_master").fetchall()
+    with caplog.at_level("WARNING", logger="diver.database"):
+        cat = catalog(open_database(path))
+    assert [t.name for t in cat.tables] == ["orders", "pad"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "leaving table 'vt' out of the catalog: no such module: nosuchmod"
+    ]
 
 
 def test_catalog_of_an_unchanged_file_runs_no_statement(schools_db):
@@ -232,7 +254,7 @@ _NAMES = st.text(alphabet="aAbBéÉ", min_size=1, max_size=3)
 )
 def test_catalog_lookups_match_linear_scans(tables, data):
     cat = SchemaCatalog(
-        [TableInfo(t, [ColumnInfo(c, "TEXT") for c in cols], 0) for t, cols in tables]
+        [TableInfo(t, [ColumnInfo(c, "TEXT") for c in cols]) for t, cols in tables]
     )
     known = [t for t, _ in tables] + [c for _, cols in tables for c in cols]
     probes = [data.draw(_NAMES), 7, None]

@@ -250,7 +250,7 @@ def test_grounding_filter_equals_the_two_kind_filter(cat, text):
 
 
 def test_a_dotted_claim_that_is_a_catalog_name_is_kept():
-    dotted = SchemaCatalog([TableInfo("v.2", [ColumnInfo("x", "TEXT")], 0)])
+    dotted = SchemaCatalog([TableInfo("v.2", [ColumnInfo("x", "TEXT")])])
     text = "The table V.2 holds it."
     assert grounding_filter(text, empty_doc(), dotted) == {"text": text, "removed_claims": []}
     assert two_kind_filter(text, empty_doc(), dotted)["removed_claims"] == ["V.2"]

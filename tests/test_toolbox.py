@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from diver.breakup import token_refine
 from diver.cotf import CoTFDocument, Question, ToolCall, Turn, append_turn, serialize
-from diver.database import catalog, open_database
+from diver.database import ColumnInfo, SchemaCatalog, TableInfo, catalog, open_database
 from diver.embedding import LexicalEmbedder, trigrams
 from diver import toolbox
 from diver.errors import EmbedderUnavailable, SqlError
@@ -205,6 +205,29 @@ def test_info_unknown_names_raise(handle, cat):
         info(handle, cat, "ghost")
     with pytest.raises(SqlError, match=r"^unknown column: frpm\.ghost$"):
         info(handle, cat, "frpm", "ghost")
+
+
+def test_info_row_count_matches_count_oracle(tmp_path, open_db):
+    db = tmp_path / "counts.sqlite"
+    with closing(sqlite3.connect(db)) as conn:
+        conn.execute("CREATE TABLE empty (a TEXT)")
+        conn.execute("CREATE TABLE keyed (k TEXT PRIMARY KEY, v INTEGER) WITHOUT ROWID")
+        conn.executemany("INSERT INTO keyed VALUES (?, ?)", [("a", 1), ("b", None), ("c", 3)])
+        conn.commit()
+    handle = open_db(db)
+    # the schema alone: info counts the rows itself
+    cat = SchemaCatalog(
+        [
+            TableInfo("empty", [ColumnInfo("a", "TEXT")]),
+            TableInfo("keyed", [ColumnInfo("k", "TEXT"), ColumnInfo("v", "INTEGER")]),
+        ]
+    )
+    for table, column in (("empty", "a"), ("keyed", "v")):
+        [(want,)] = _sql(db, f"SELECT COUNT(*) FROM {table}")
+        assert info(handle, cat, table)["row_count"] == want
+        assert info(handle, cat, table, column)["row_count"] == want
+    assert info(handle, cat, "empty", "a")["null_fraction"] == 0.0
+    assert info(handle, cat, "keyed", "v")["null_fraction"] == pytest.approx(1 / 3)
 
 
 # --- sim_value_in ---
