@@ -133,6 +133,11 @@ class _Memo:
 
 _memo = _Memo()
 
+# (file, table) pairs catalog() has already warned about, so a batch that
+# builds a catalog per question warns once per file and table
+_warned_tables: set[tuple] = set()
+_warned_lock = threading.Lock()
+
 
 class DatabaseHandle:
     """One read-only connection to one SQLite file."""
@@ -313,10 +318,10 @@ def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -
     """Walk sqlite_master + pragma_table_info into a SchemaCatalog, every
     statement through the memo; the catalog holds the schema only, no row
     counts. A table the engine cannot describe (a virtual table whose module
-    is not loaded, say) is left out with a warning. When description_dir is
-    a directory, join its description CSVs (a malformed one only warns);
-    otherwise, as for a database that ships none, the columns have no
-    descriptions."""
+    is not loaded, say) is left out, with a warning the first time per file
+    and table in the process. When description_dir is a directory, join its
+    description CSVs (a malformed one only warns); otherwise, as for a
+    database that ships none, the columns have no descriptions."""
     descriptions: dict[str, dict[str, str]] = {}
     if description_dir is not None and Path(description_dir).is_dir():
         for f in sorted(Path(description_dir).iterdir()):
@@ -339,7 +344,12 @@ def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -
                 "SELECT name, type FROM pragma_table_info(?)", (table_name,)
             ).rows
         except SqlError as exc:
-            logger.warning("leaving table %r out of the catalog: %s", table_name, exc)
+            key = (handle._file or str(handle.path.resolve()), table_name)
+            with _warned_lock:
+                first = key not in _warned_tables
+                _warned_tables.add(key)
+            if first:
+                logger.warning("leaving table %r out of the catalog: %s", table_name, exc)
             continue
         columns = [
             ColumnInfo(

@@ -494,11 +494,15 @@ def ves_reward(
 ) -> float:
     """sqrt(gold_time / pred_time) when results match, else 0. matched is the
     pair's EX verdict; the runs that produced it serve as the warm-up, so the
-    first timed sample is not paying cache costs."""
+    first timed sample is not paying cache costs. A prediction whose text is
+    the gold SQL's scores 1.0 untimed: the same statement on the same
+    read-only file, so the ratio the runs estimate is exactly 1."""
     if iterations < VES_MIN_ITERATIONS:
         raise ValueError(f"iterations must be at least {VES_MIN_ITERATIONS}")
     if not matched:
         return 0.0
+    if pred_sql == gold_sql:
+        return 1.0
     assert pred_sql is not None
     gold_times: list[float] = []
     pred_times: list[float] = []

@@ -337,7 +337,8 @@ def test_metric_oracles(eval_db):
         v = sum(
             run_ves(handle, p, g, 7) for p, g in identity_pairs
         ) / len(identity_pairs)
-        assert abs(v - ex_identity) <= 0.05
+        # an identical text is the same statement on the same file: untimed
+        assert v == ex_identity
 
         slow_pred = "SELECT DISTINCT orders.id FROM orders, pad"
         gold = "SELECT id FROM orders"

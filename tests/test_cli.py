@@ -713,19 +713,24 @@ def test_eval_reports_skipped_rows_in_row_order_before_sample_warnings(
 
 
 def test_eval_writes_its_report_on_a_database_with_an_unreadable_table(
-    tmp_path, unloadable_db_root
+    tmp_path, unloadable_db_root, caplog
 ):
     dataset = write_dataset(tmp_path / "eval.json", EVAL_DATASET)
     preds = {str(r["question_id"]): r["SQL"] for r in EVAL_DATASET}
     pred_path = tmp_path / "preds.json"
     pred_path.write_text(json.dumps(preds), encoding="utf-8")
     out = tmp_path / "report.json"
-    assert cli.main(eval_args(dataset, pred_path, unloadable_db_root, out, "ex,f1")) == 0
+    with caplog.at_level("WARNING", logger="diver.database"):
+        assert cli.main(eval_args(dataset, pred_path, unloadable_db_root, out, "ex,f1")) == 0
     report = json.loads(out.read_text())
     assert report["count"] == 4
     assert report["ex"] == 1.0
     assert report["schema_f1"]["f1"] == 1.0
     assert report["warnings"] == []
+    # one catalog per f1 sample, one warning for the file
+    assert [r.getMessage() for r in caplog.records if r.name == "diver.database"] == [
+        "leaving table 'vt' out of the catalog: no such module: nosuchmod"
+    ]
 
 
 @pytest.mark.parametrize(

@@ -194,6 +194,18 @@ def test_catalog_leaves_out_a_table_the_engine_cannot_describe(unloadable_db_roo
     ]
 
 
+def test_catalog_warns_once_per_file_and_table(unloadable_db_root, caplog):
+    path = db_path_for(unloadable_db_root, "eval_fixture")
+    with caplog.at_level("WARNING", logger="diver.database"):
+        for _ in range(3):
+            with closing(open_database(path)) as handle:
+                # the memo keeps no errors, so each build describes vt again
+                assert [t.name for t in catalog(handle).tables] == ["orders", "pad"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "leaving table 'vt' out of the catalog: no such module: nosuchmod"
+    ]
+
+
 def test_catalog_of_an_unchanged_file_runs_no_statement(schools_db):
     first = catalog(open_database(schools_db))
     handle = open_database(schools_db)

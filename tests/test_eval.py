@@ -6,6 +6,7 @@ against brute-force set arithmetic.
 """
 
 import logging
+import math
 import random
 import string
 from collections import Counter
@@ -15,7 +16,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diver.database import DatabaseHandle, SchemaCatalog, catalog as build_catalog, open_database
+from diver.database import (
+    DatabaseHandle,
+    ResultSet,
+    SchemaCatalog,
+    catalog as build_catalog,
+    open_database,
+)
 from diver.eval import (
     EvalSample,
     LinkingSets,
@@ -435,7 +442,26 @@ def test_ves_identity_pairs_close_to_ex(handle):
         ("SELECT SUM(amount) FROM orders",) * 2,
     ]
     v = sum(run_ves(handle, p, g, 5) for p, g in pairs) / len(pairs)
-    assert 0.95 <= v <= 1.05
+    assert v == 1.0
+
+
+def test_ves_times_alternating_runs_and_trims_each_side(handle, monkeypatch):
+    gold = "SELECT id FROM orders"
+    pred = "SELECT id FROM orders ORDER BY id DESC"
+    # each side's fastest and slowest run is out of order on purpose
+    elapsed = {gold: [0.5, 0.01, 0.03, 0.9, 0.02], pred: [0.04, 0.07, 0.001, 0.05, 2.0]}
+    ran = []
+
+    def scripted_query(self, sql, params=()):
+        ran.append(sql)
+        return ResultSet(columns=["id"], rows=[], elapsed=elapsed[sql][ran.count(sql) - 1])
+
+    monkeypatch.setattr(DatabaseHandle, "query", scripted_query)
+    reward = ves_reward(handle, pred, gold, True, iterations=5)
+    assert ran == [gold, pred] * 5
+    trimmed_gold = math.fsum([0.02, 0.03, 0.5]) / 3
+    trimmed_pred = math.fsum([0.04, 0.05, 0.07]) / 3
+    assert reward == math.sqrt(trimmed_gold / trimmed_pred)
 
 
 @given(
@@ -564,6 +590,18 @@ def test_evaluate_runs_each_statement_once_for_its_result(eval_db, monkeypatch):
     report = evaluate([sample(eval_db, miss, gold)], metrics=("ex", "ves"), iterations=10)
     assert report["ex"] == 0.0 and report["ves"] == 0.0
     assert runs == {gold: 1, miss: 1}
+
+    # an identical text is not timed: one run for the result, one for EX
+    runs.clear()
+    report = evaluate([sample(eval_db, gold, gold)], metrics=("ex", "ves"), iterations=10)
+    assert report["ex"] == 1.0 and report["ves"] == 1.0
+    assert runs == {gold: 2}
+
+    # a text that differs only in whitespace or a comment is timed
+    for same in (gold + " ", gold + " -- same"):
+        runs.clear()
+        evaluate([sample(eval_db, same, gold)], metrics=("ex", "ves"), iterations=10)
+        assert runs == {gold: 11, same: 11}
 
 
 def test_evaluate_keeps_one_database_open_at_a_time(eval_db, schools_db, monkeypatch):
