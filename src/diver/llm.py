@@ -1,9 +1,10 @@
 """Chat clients.
 
 LiveClient talks to a chat-completions style HTTP endpoint (credentials via
-DIVER_LLM_API_KEY) with retries. ScriptedSession replays canned responses,
-either in sequence or keyed by request fingerprint; running out of script is
-always an error, never a silent repetition.
+DIVER_LLM_API_KEY) and retries only transient failures. ScriptedSession
+replays canned responses, either in sequence or keyed by request
+fingerprint; running out of script is always an error, never a silent
+repetition.
 
 structured_tool_call() layers the tool-call wire schema on top of either
 client, with exactly one repair round-trip for malformed output.
@@ -34,7 +35,7 @@ RESPONSE_FORMATS = ("free_text", "tool_call_schema")
 LLM_ATTEMPTS = 3  # total tries of one chat request
 LLM_BACKOFF = 1.0  # seconds before the first retry, doubled for each later one
 LLM_TIMEOUT = 120.0  # seconds per HTTP request
-FINGERPRINT_CACHE_SIZE = 16  # encoded message texts fingerprint keeps
+FINGERPRINT_CACHE_SIZE = 16  # request prefixes whose sha256 state fingerprint keeps
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,27 @@ class ChatRequest:
         object.__setattr__(self, "messages", tuple(self.messages))
 
 
+# sha256 states of the canonical JSON up to the end of a request's messages
+# or of a prefix of them, keyed by that prefix's roles and contents in order;
+# least recently used first out. A cached state is only ever copied, never
+# updated, so concurrent questions (--jobs) share them.
+_prefix_states: dict[tuple[str, ...], object] = {}
+_prefix_lock = threading.Lock()
+# json.dumps(text, ensure_ascii=False) without building an encoder per call
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
 @functools.lru_cache(maxsize=FINGERPRINT_CACHE_SIZE)
-def _message_json(role: str, content: str) -> bytes:
-    """One message object as the canonical request JSON writes it, in UTF-8."""
-    text = json.dumps(content, ensure_ascii=False)
-    return f'{{"content": {text}, "role": {json.dumps(role)}}}'.encode("utf-8")
+def _tail_json(response_format: str, temperature: float, _temperature_repr: str) -> bytes:
+    """The keys after "messages", sorted, with the object's closing brace.
+    The repr keeps apart temperatures that are equal keys but different
+    JSON: 0.0 and -0.0, or 1 and 1.0."""
+    tail = json.dumps(
+        {"response_format": response_format, "temperature": temperature},
+        sort_keys=True,
+        ensure_ascii=False,
+    )
+    return b"], " + tail[1:].encode("utf-8")
 
 
 def fingerprint(request: ChatRequest) -> str:
@@ -79,22 +96,39 @@ def fingerprint(request: ChatRequest) -> str:
     of json.dumps({"messages": [{"role", "content"}, ...], "temperature",
     "response_format"}, sort_keys=True, ensure_ascii=False).
 
-    The same bytes are fed to sha256 piece by piece. Consecutive requests
-    resend the same system prompt, conversation and workspace, so each
-    message's piece comes from a small cache keyed by its text."""
-    digest = hashlib.sha256(b'{"messages": [')
-    for i, m in enumerate(request.messages):
+    Consecutive requests resend the same system prompt, conversation and
+    workspace, so the hash starts from a copy of the state of the longest
+    cached prefix of the messages and is fed only the messages after it."""
+    messages = request.messages
+    n = len(messages)
+    key = tuple([text for m in messages for text in (m.role, m.content)])
+    start, state = 0, None
+    with _prefix_lock:
+        # probe only the prefix lengths cached, longest first
+        for size in sorted({len(k) // 2 for k in _prefix_states if len(k) <= 2 * n}, reverse=True):
+            state = _prefix_states.pop(key[: 2 * size], None)
+            if state is not None:
+                _prefix_states[key[: 2 * size]] = state  # now the most recently used
+                start = size
+                break
+    state = state.copy() if state is not None else hashlib.sha256(b'{"messages": [')
+    new = []
+    for i in range(start, n):
         if i:
-            digest.update(b", ")
-        digest.update(_message_json(m.role, m.content))
-    # the keys after "messages", sorted, with the object's closing brace
-    tail = json.dumps(
-        {"response_format": request.response_format, "temperature": request.temperature},
-        sort_keys=True,
-        ensure_ascii=False,
-    )
-    digest.update(b"], " + tail[1:].encode("utf-8"))
-    return digest.hexdigest()
+            state.update(b", ")
+        state.update(b'{"content": ')
+        state.update(_json_string(messages[i].content).encode("utf-8"))
+        state.update(f', "role": {json.dumps(messages[i].role)}}}'.encode("utf-8"))
+        if i >= n - FINGERPRINT_CACHE_SIZE:  # an earlier prefix would be evicted at once
+            new.append((key[: 2 * i + 2], state.copy()))
+    if new:
+        with _prefix_lock:
+            _prefix_states.update(new)
+            while len(_prefix_states) > FINGERPRINT_CACHE_SIZE:
+                del _prefix_states[next(iter(_prefix_states))]
+    t = request.temperature
+    state.update(_tail_json(request.response_format, t, repr(t)))
+    return state.hexdigest()
 
 
 class ScriptedSession:
@@ -143,9 +177,33 @@ class ScriptedSession:
             raise LlmError(f"no scripted response for request {fp[:12]}…")
 
 
+def _retry_after(resp) -> float:
+    """Seconds a delta-seconds Retry-After header asks for; 0 for none, an
+    HTTP-date or a value that cannot be parsed."""
+    value = resp.headers.get("Retry-After", "").strip()
+    return float(value) if re.fullmatch("[0-9]+", value) else 0.0
+
+
+def _reply_text(resp) -> str:
+    """choices[0].message.content of a 2xx reply, else LlmError."""
+    try:
+        text = resp.json()["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError):
+        text = None
+    if not isinstance(text, str):
+        raise LlmError(
+            f"chat endpoint answered HTTP {resp.status_code} without text in"
+            " choices[0].message.content"
+        )
+    return text
+
+
 @dataclass
 class LiveClient:
-    """Chat-completions HTTP client with retries."""
+    """Chat-completions HTTP client. It retries a connection error, a timeout,
+    a 429 and a 5xx, waiting the doubling backoff or a longer delta-seconds
+    Retry-After (at most LLM_TIMEOUT); any other failure raises LlmError at
+    once."""
 
     base_url: str
     model: str
@@ -171,20 +229,27 @@ class LiveClient:
             payload["response_format"] = {"type": "json_object"}
         url = self.base_url.rstrip("/") + "/chat/completions"
         headers = {"Authorization": f"Bearer {self._api_key}"}
-        last_error: Exception | None = None
+        last_error: object = None
+        wait = 0.0
         for attempt in range(LLM_ATTEMPTS):
             if attempt:
-                time.sleep(LLM_BACKOFF * (2 ** (attempt - 1)))
+                time.sleep(wait)
+            backoff = LLM_BACKOFF * 2**attempt  # before the next try
             try:
                 resp = requests.post(url, json=payload, headers=headers, timeout=LLM_TIMEOUT)
-                resp.raise_for_status()
-                text = resp.json()["choices"][0]["message"]["content"]
-                if not isinstance(text, str):
-                    raise LlmError(f"endpoint returned non-text content: {text!r}")
-                return text
-            except (requests.RequestException, KeyError, ValueError, IndexError) as exc:
-                last_error = exc
-                logger.warning("chat attempt %d/%d failed: %s", attempt + 1, LLM_ATTEMPTS, exc)
+            except (requests.ConnectionError, requests.Timeout) as exc:
+                last_error, wait = exc, backoff
+            except requests.RequestException as exc:
+                raise LlmError(f"chat request failed: {exc}") from exc
+            else:
+                status = resp.status_code
+                if 200 <= status < 300:
+                    return _reply_text(resp)
+                if status != 429 and status < 500:
+                    raise LlmError(f"chat endpoint refused the request with HTTP {status}")
+                last_error = f"HTTP {status}"
+                wait = min(max(backoff, _retry_after(resp)), LLM_TIMEOUT)
+            logger.warning("chat attempt %d/%d failed: %s", attempt + 1, LLM_ATTEMPTS, last_error)
         raise LlmError(f"chat endpoint failed after {LLM_ATTEMPTS} attempts: {last_error}")
 
 

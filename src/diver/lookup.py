@@ -42,9 +42,10 @@ def run_clause(
     """Probe one clause until its stop signal or max_turns turns.
 
     A probe identical to an earlier call of the clause gets guiding feedback
-    naming the tool's reroute instead of a database answer. A call that stays malformed after the repair round-trip is recorded as a
-    corrective turn and the loop continues; any other client failure aborts
-    the clause, keeping the partial trace.
+    naming the tool's reroute instead of a database answer. A call that
+    stays malformed after the repair round-trip is recorded as a corrective
+    turn and the loop continues; any other client failure aborts the
+    clause, keeping the partial trace.
     """
     clause = doc.clauses[clause_index]
 

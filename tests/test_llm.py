@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -99,7 +100,7 @@ def conversations(draw):
         requests.append(
             ChatRequest(
                 messages=messages,
-                temperature=draw(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 2.0)),
+                temperature=draw(st.sampled_from([0.0, -0.0, 2.0]) | st.floats(0.0, 2.0)),
                 response_format=draw(st.sampled_from(llm.RESPONSE_FORMATS)),
             )
         )
@@ -119,7 +120,98 @@ def test_fingerprint_equals_one_shot_encoding_past_the_cache_bound():
     for text in texts + texts[::-1] + texts:
         request = _req(text, fmt="tool_call_schema")
         assert fingerprint(request) == one_shot_fingerprint(request)
-    assert llm._message_json.cache_info().currsize == llm.FINGERPRINT_CACHE_SIZE
+    assert len(llm._prefix_states) <= llm.FINGERPRINT_CACHE_SIZE
+
+
+def _grown(request: ChatRequest, *texts: str, fmt: str | None = None) -> ChatRequest:
+    """request with messages appended, alternating assistant and user."""
+    more = [ChatMessage(("assistant", "user")[i % 2], t) for i, t in enumerate(texts)]
+    return ChatRequest(
+        list(request.messages) + more, request.temperature, fmt or request.response_format
+    )
+
+
+def test_fingerprint_of_conversations_grown_the_way_a_run_grows_them():
+    def check(request):
+        assert fingerprint(request) == one_shot_fingerprint(request)
+
+    system = ChatMessage("system", 'You probe "databases".\n')
+    for turn in range(3):
+        workspace = ChatMessage("user", '{"turns": [%s]}\u2028é' % ", ".join(["{}"] * turn))
+        # thought, then the tool call resending it, then a repair resending that
+        thought = ChatRequest([system, workspace], 0.7, "free_text")
+        tool = _grown(thought, f"thought {turn} 😀", "Now the tool call.", fmt="tool_call_schema")
+        repair = _grown(tool, '{"tool_name": 1}', 'Your tool call was invalid: "tool".')
+        for request in (thought, tool, repair, tool, thought):
+            check(request)
+    # the same texts under other roles are another request
+    swap = {"system": "system", "user": "assistant", "assistant": "user"}
+    check(ChatRequest([ChatMessage(swap[m.role], m.content) for m in repair.messages], 0.7,
+                      repair.response_format))
+    # three identical evidence requests, as equal copies and as the same object
+    evidence = ChatRequest(
+        [ChatMessage("system", copy_of("Write evidence.")), ChatMessage("user", copy_of("ws"))],
+        0.7,
+        "free_text",
+    )
+    copies = [
+        ChatRequest([ChatMessage(m.role, copy_of(m.content)) for m in evidence.messages], 0.7,
+                    "free_text")
+        for _ in range(3)
+    ]
+    for request in copies + [evidence] * 3:
+        check(request)
+    # prefixes evicted past the bound: every long conversation's states went
+    # out before it comes round again
+    conversations = [
+        _grown(ChatRequest([system], 0.2, "free_text"), *(f"{c}:{i}" for i in range(c % 5 + 1)))
+        for c in range(3 * llm.FINGERPRINT_CACHE_SIZE)
+    ]
+    for request in conversations + conversations[::-1]:
+        check(request)
+        check(_grown(request, "one more"))
+    assert len(llm._prefix_states) <= llm.FINGERPRINT_CACHE_SIZE
+    # one request of 2,000 messages, hashed in a loop rather than a recursion
+    long = _grown(ChatRequest([system], 0.7, "free_text"), *(f"m{i}" for i in range(1999)))
+    assert len(long.messages) == 2000
+    check(long)
+    check(_grown(long, "and a reply"))
+
+
+def test_fingerprint_from_threads_sharing_prefixes():
+    system = ChatMessage("system", "shared system prompt " * 50)
+    requests = []
+    for q in range(8):
+        request = ChatRequest([system, ChatMessage("user", f"question {q % 3}")], 0.7, "free_text")
+        for turn in range(6):
+            requests.append(request)
+            request = _grown(request, f"reply {turn} of {q}", f"ask {turn}")
+    expected = {id(r): one_shot_fingerprint(r) for r in requests}
+    mismatches: list[ChatRequest] = []
+    errors: list[Exception] = []
+
+    def work(offset):
+        try:
+            for i in range(4 * len(requests)):
+                request = requests[(i * 7 + offset) % len(requests)]
+                if fingerprint(request) != expected[id(request)]:
+                    mismatches.append(request)
+        except Exception as exc:  # a thread's exception would otherwise go unseen
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert mismatches == []
 
 
 @pytest.mark.parametrize("text", ["\ud800", "a\udfffb", "😀\ud83d"])
@@ -129,6 +221,20 @@ def test_fingerprint_raises_like_one_shot_on_a_lone_surrogate(text):
         one_shot_fingerprint(request)
     with pytest.raises(expected.type):
         fingerprint(request)
+
+
+def test_fingerprint_after_a_lone_surrogate_in_a_middle_message():
+    head = ChatRequest(
+        [ChatMessage("system", "sys"), ChatMessage("user", "workspace")], 0.7, "free_text"
+    )
+    bad = _grown(head, "broken \ud800 reply", "ask again")
+    with pytest.raises(Exception) as expected:
+        one_shot_fingerprint(bad)
+    with pytest.raises(expected.type):
+        fingerprint(bad)
+    # a valid request sharing the prefix before the bad message
+    for request in (_grown(head, "fixed reply", "ask again"), head, _grown(head, "fixed reply")):
+        assert fingerprint(request) == one_shot_fingerprint(request)
 
 
 def test_scripted_sequence_order_and_exhaustion():
@@ -280,7 +386,9 @@ def test_structured_tool_call_repairs_a_non_finite_number(constant):
 
 
 class _ChatStub(BaseHTTPRequestHandler):
-    fail_remaining = 0
+    # (status, headers, body) for each request in turn; once it runs out, a
+    # 200 whose reply names the request's number
+    responses: list[tuple[int, dict[str, str], bytes]] = []
     seen: list[dict] = []
     auth_headers: list[str | None] = []
 
@@ -289,15 +397,15 @@ class _ChatStub(BaseHTTPRequestHandler):
         payload = json.loads(self.rfile.read(n))
         _ChatStub.seen.append(payload)
         _ChatStub.auth_headers.append(self.headers.get("Authorization"))
-        if _ChatStub.fail_remaining > 0:
-            _ChatStub.fail_remaining -= 1
-            self.send_response(500)
-            self.end_headers()
-            return
-        content = f"reply {len(_ChatStub.seen)}"
-        body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
+        if _ChatStub.responses:
+            status, headers, body = _ChatStub.responses.pop(0)
+        else:
+            content = f"reply {len(_ChatStub.seen)}"
+            status, headers = 200, {"Content-Type": "application/json"}
+            body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -308,16 +416,27 @@ class _ChatStub(BaseHTTPRequestHandler):
 
 @pytest.fixture()
 def chat_stub():
-    _ChatStub.fail_remaining = 0
+    _ChatStub.responses = []
     _ChatStub.seen = []
     _ChatStub.auth_headers = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatStub)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll keeps shutdown() from waiting out the default half second
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """Sets a test API key; records the seconds LiveClient waits between
+    attempts instead of sleeping them."""
+    monkeypatch.setenv("DIVER_LLM_API_KEY", "sk-test")
+    waited: list[float] = []
+    monkeypatch.setattr(llm.time, "sleep", waited.append)
+    return waited
 
 
 def test_live_client_requires_key(monkeypatch):
@@ -343,21 +462,76 @@ def test_live_client_posts_and_reads_reply(chat_stub, monkeypatch):
     assert _ChatStub.seen[1]["response_format"] == {"type": "json_object"}
 
 
-def test_live_client_retries_then_succeeds(chat_stub, monkeypatch):
-    monkeypatch.setenv("DIVER_LLM_API_KEY", "sk-test")
-    monkeypatch.setattr(llm, "LLM_BACKOFF", 0.01)
-    _ChatStub.fail_remaining = 2
+def test_live_client_retries_then_succeeds(chat_stub, sleeps):
+    _ChatStub.responses = [(503, {}, b""), (503, {}, b"")]
     client = LiveClient(base_url=chat_stub, model="m")
-    text = client.chat(_req())
-    assert text.startswith("reply")
+    assert client.chat(_req()) == "reply 3"
     assert len(_ChatStub.seen) == 3
+    assert sleeps == [llm.LLM_BACKOFF, 2 * llm.LLM_BACKOFF]
 
 
-def test_live_client_gives_up_after_three_attempts(chat_stub, monkeypatch):
-    monkeypatch.setenv("DIVER_LLM_API_KEY", "sk-test")
-    monkeypatch.setattr(llm, "LLM_BACKOFF", 0.01)
-    _ChatStub.fail_remaining = 99
+def test_live_client_gives_up_after_three_attempts(chat_stub, sleeps):
+    _ChatStub.responses = [(500, {}, b"")] * 99
     client = LiveClient(base_url=chat_stub, model="m")
-    with pytest.raises(LlmError, match=r"^chat endpoint failed after 3 attempts: "):
+    with pytest.raises(LlmError, match=r"^chat endpoint failed after 3 attempts: HTTP 500$"):
         client.chat(_req())
     assert len(_ChatStub.seen) == 3
+
+
+@pytest.mark.parametrize("status", [400, 401, 404, 422])
+def test_live_client_does_not_retry_a_client_error(chat_stub, sleeps, status):
+    _ChatStub.responses = [(status, {"Retry-After": "1"}, b'{"error": "no"}')]
+    client = LiveClient(base_url=chat_stub, model="m")
+    with pytest.raises(LlmError, match=rf"^chat endpoint refused the request with HTTP {status}$"):
+        client.chat(_req())
+    assert len(_ChatStub.seen) == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"not json", b"[]", b'{"choices": []}', b'{"choices": [{"message": {"content": 7}}]}'],
+)
+def test_live_client_does_not_retry_a_reply_without_text(chat_stub, sleeps, body):
+    _ChatStub.responses = [(200, {"Content-Type": "application/json"}, body)]
+    client = LiveClient(base_url=chat_stub, model="m")
+    with pytest.raises(LlmError, match=r"^chat endpoint answered HTTP 200 without text in "):
+        client.chat(_req())
+    assert len(_ChatStub.seen) == 1
+
+
+@pytest.mark.parametrize(
+    "retry_after, waited",
+    [
+        ("3", 3.0),
+        ("0", 1.0),  # never shorter than the backoff
+        ("100000", llm.LLM_TIMEOUT),  # capped
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 1.0),  # an HTTP-date falls back to the backoff
+        ("soon", 1.0),
+        ("-3", 1.0),
+    ],
+)
+def test_live_client_honours_a_delta_seconds_retry_after(chat_stub, sleeps, retry_after, waited):
+    _ChatStub.responses = [(429, {"Retry-After": retry_after}, b"")]
+    client = LiveClient(base_url=chat_stub, model="m")
+    assert client.chat(_req()) == "reply 2"
+    assert len(_ChatStub.seen) == 2
+    assert sleeps == [waited]
+
+
+def test_live_client_retries_a_connection_error(sleeps):
+    # a port nothing listens on: bind one, then close it
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatStub)
+    port = server.server_port
+    server.server_close()
+    client = LiveClient(base_url=f"http://127.0.0.1:{port}", model="m")
+    with pytest.raises(LlmError, match=r"^chat endpoint failed after 3 attempts: "):
+        client.chat(_req())
+    assert sleeps == [llm.LLM_BACKOFF, 2 * llm.LLM_BACKOFF]
+
+
+def test_live_client_does_not_retry_a_request_it_cannot_send(sleeps):
+    client = LiveClient(base_url="http://", model="m")  # no host
+    with pytest.raises(LlmError, match=r"^chat request failed: "):
+        client.chat(_req())
+    assert sleeps == []
