@@ -163,6 +163,9 @@ def cmd_run(args) -> int:
     for qid, row in ordered:
         if isinstance(row, str):
             failed[qid] = row
+        elif any(sep and sep in qid for sep in (os.sep, os.altsep, "\0")):
+            # the id names the question's trace and sidecar files in out
+            failed[qid] = f"question id {qid!r} cannot be a file name"
         elif not args.force and _already_done(trace_dir, evidence_dir, qid, styles):
             skipped.append(qid)
         else:

@@ -6,13 +6,12 @@ the end. The whole document serializes to canonical JSON (sorted keys, UTF-8,
 two-space indent, trailing newline) so replayed runs are byte-identical.
 
 The workspace is re-serialized on every probing round and by every evidence
-candidate, so serialize encodes the question, each clause, each turn and each
-verified linking once and keeps the text on the document, as turn_facts does
-with a turn's facts. These caches are keyed by object identity and assume an
-object never changes once it is in the document. Question, Clause and
-VerifiedLinking are frozen; nothing in this package assigns to a Turn, its
-ToolCall or its ToolFeedback once the turn is appended (the toolbox records a
-drawn random seed into the call's args before the turn is built).
+candidate, so each record encodes itself once and keeps that text, and a turn
+collects its facts once and keeps them. A record therefore never changes once
+it is in a document. Question, Clause and VerifiedLinking are frozen; nothing
+in this package assigns to a Turn, its ToolCall or its ToolFeedback once the
+turn is appended (the toolbox records a drawn random seed into the call's args
+before the turn is built).
 
 Tool names are not validated here: a call keeps whatever name the model gave,
 and the tool table toolbox.TOOLS judges it at dispatch time. The only tool
@@ -24,7 +23,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import InitVar, dataclass, field, fields, is_dataclass
-from typing import Any, Callable
+from functools import cached_property
+from typing import Any
 
 from .errors import SchemaViolation
 from .tokens import tokenize
@@ -98,6 +98,10 @@ class Question:
             if not isinstance(v, str) or not v:
                 raise SchemaViolation(f"question.{name} must be a non-empty string")
 
+    @cached_property
+    def _json(self) -> str:
+        return _fragment(_wire(self), 1)
+
 
 @dataclass(frozen=True)
 class Clause:
@@ -118,6 +122,10 @@ class Clause:
             or not 0 <= span[0] < span[1]
         ):
             raise SchemaViolation(f"clause.token_span malformed: {span!r}")
+
+    @cached_property
+    def _json(self) -> str:
+        return _fragment(_wire(self), 2)
 
 
 @dataclass
@@ -196,6 +204,21 @@ class Turn:
         if not isinstance(self.feedback, ToolFeedback):
             raise SchemaViolation("turn.feedback must be a ToolFeedback")
 
+    @cached_property
+    def _json(self) -> str:
+        return _fragment(_wire(self), 3)
+
+    @cached_property
+    def facts(self) -> frozenset[str]:
+        """Every string a successful probe put on the record: its arguments
+        plus its result payload. Empty for corrective and guiding turns."""
+        if self.feedback.kind != "standard":
+            return frozenset()
+        facts: set[str] = set()
+        _collect_strings(self.tool_call.args, facts)
+        _collect_strings(self.feedback.result, facts)
+        return frozenset(facts)
+
 
 @dataclass(frozen=True)
 class VerifiedLinking:
@@ -227,6 +250,10 @@ class VerifiedLinking:
         ):
             raise SchemaViolation(f"linking.source_turn malformed: {st!r}")
 
+    @cached_property
+    def _json(self) -> str:
+        return _fragment(_wire(self), 2)
+
 
 @dataclass
 class CoTFDocument:
@@ -237,10 +264,6 @@ class CoTFDocument:
     max_turns: int = DEFAULT_MAX_TURNS
 
     def __post_init__(self) -> None:
-        # per-object caches of serialize and turn_facts; plain attributes, not
-        # fields, so they take no part in equality, repr or the wire format
-        self._fragments: dict[int, tuple[Any, str]] = {}
-        self._facts: dict[int, tuple[Turn, frozenset[str]]] = {}
         if not _is_int(self.max_turns) or self.max_turns < 1:
             raise SchemaViolation("max_turns must be a positive integer")
         if not self.clauses:
@@ -314,35 +337,9 @@ def _collect_strings(value: Any, into: set[str]) -> None:
             _collect_strings(v, into)
 
 
-def _memo(cache: dict[int, tuple[Any, Any]], obj: Any, compute) -> Any:
-    """compute(obj), computed once per object. The entry holds the object
-    itself, so its id cannot be reused by another object while cached; a
-    different object that happens to be equal is computed from its own fields."""
-    hit = cache.get(id(obj))
-    if hit is None or hit[0] is not obj:
-        hit = cache[id(obj)] = (obj, compute(obj))
-    return hit[1]
-
-
-def _collect_facts(turn: Turn) -> frozenset[str]:
-    if turn.feedback.kind != "standard":
-        return frozenset()
-    facts: set[str] = set()
-    _collect_strings(turn.tool_call.args, facts)
-    _collect_strings(turn.feedback.result, facts)
-    return frozenset(facts)
-
-
-def turn_facts(doc: CoTFDocument, turn: Turn) -> frozenset[str]:
-    """Every string a successful probe put on the record: its arguments plus
-    its result payload. Empty for corrective and guiding turns. Collected
-    once per turn of doc."""
-    return _memo(doc._facts, turn, _collect_facts)
-
-
 def document_facts(doc: CoTFDocument) -> frozenset[str]:
-    """Union of turn_facts over the whole document."""
-    return frozenset().union(*(turn_facts(doc, t) for column in doc.turns for t in column))
+    """Union of the facts of every turn in the document."""
+    return frozenset().union(*(t.facts for column in doc.turns for t in column))
 
 
 def _closed_reason(doc: CoTFDocument, clause_index: int) -> str | None:
@@ -389,11 +386,6 @@ def _wire(obj: Any) -> dict:
     }
 
 
-def _encoder(depth: int) -> Callable[[Any], str]:
-    """The compute function _memo takes for an object depth levels deep."""
-    return lambda obj: _fragment(_wire(obj), depth)
-
-
 def _layout_array(items: list[str], indent: str) -> str:
     """What json.dumps(indent=2) writes for an array whose closing bracket
     sits at indent, given its items already laid out one level deeper."""
@@ -408,22 +400,16 @@ def serialize(doc: CoTFDocument) -> bytes:
 
     Byte-identical to json.dumps(payload, sort_keys=True, ensure_ascii=False,
     indent=2) of the whole document, but the question, each clause, each turn
-    and each verified linking is encoded once per document; a call only lays
-    out the encoded pieces."""
-    memo = doc._fragments
-    item, turn = _encoder(2), _encoder(3)
+    and each verified linking encodes itself once; a call only lays out the
+    encoded pieces."""
     members = {
         "schema_version": json.dumps(SCHEMA_VERSION),
-        "question": _memo(memo, doc.question, _encoder(1)),
-        "clauses": _layout_array([_memo(memo, c, item) for c in doc.clauses], "  "),
+        "question": doc.question._json,
+        "clauses": _layout_array([c._json for c in doc.clauses], "  "),
         "turns": _layout_array(
-            [
-                _layout_array([_memo(memo, t, turn) for t in column], "    ")
-                for column in doc.turns
-            ],
-            "  ",
+            [_layout_array([t._json for t in column], "    ") for column in doc.turns], "  "
         ),
-        "verified": _layout_array([_memo(memo, v, item) for v in doc.verified], "  "),
+        "verified": _layout_array([v._json for v in doc.verified], "  "),
         "max_turns": json.dumps(doc.max_turns),
     }
     body = ",\n  ".join(f'"{key}": {members[key]}' for key in sorted(members))

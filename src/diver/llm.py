@@ -61,8 +61,10 @@ class ChatRequest:
             raise ValueError("a request needs at least one message")
         if self.messages[0].role != "system":
             raise ValueError("the first message must be the system role")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError(f"temperature out of range: {self.temperature}")
+        t = self.temperature
+        # a bool is an int to isinstance, and would be sent as true or false
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 <= t <= 2.0:
+            raise ValueError(f"temperature must be a number from 0 to 2, got {t!r}")
         if self.response_format not in RESPONSE_FORMATS:
             raise ValueError(f"bad response_format: {self.response_format!r}")
         object.__setattr__(self, "messages", tuple(self.messages))

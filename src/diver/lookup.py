@@ -23,7 +23,6 @@ from .cotf import (
     append_turn,
     clause_open,
     serialize,
-    turn_facts,
 )
 from .errors import LlmError, MalformedToolCall, SchemaViolation
 from .llm import ChatMessage, extract_json, replace_surrogates, structured_tool_call
@@ -106,7 +105,7 @@ def harvest_linkings(doc: CoTFDocument, llm) -> list[VerifiedLinking]:
     for ci, column in enumerate(doc.turns):
         for ti, turn in enumerate(column):
             if turn.feedback.kind == "standard":
-                grounded_turns.append(((ci, ti), turn_facts(doc, turn)))
+                grounded_turns.append(((ci, ti), turn.facts))
 
     out: list[VerifiedLinking] = []
     for item in proposals:

@@ -200,6 +200,24 @@ def test_run_row_that_is_not_an_object_fails_only_that_row(tmp_path, db_root, ca
     assert [r for r in caplog.records if r.exc_info] == []
 
 
+def test_run_fails_a_question_id_that_is_not_a_file_name(tmp_path, db_root, caplog):
+    bad = ["../../escaped", "a/b", "a\0b"]
+    rows = [dict(DATASET[0], question_id=qid) for qid in bad] + [DATASET[0]]
+    dataset = write_dataset(tmp_path / "dataset.json", rows)
+    b = ScriptBuilder()
+    b.responses = build_happy_script().build()[:14]
+    script = b.write(tmp_path / "script.json")
+    out = tmp_path / "out"
+    assert cli.main(run_args(dataset, db_root, out, script)) == 1
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["completed"] == ["11"]
+    assert report["failed"] == {qid: f"question id {qid!r} cannot be a file name" for qid in bad}
+    outside = [p for p in tmp_path.rglob("*") if out not in p.parents and p != out]
+    assert sorted(p.name for p in outside) == ["dataset.json", "script.json"]
+    assert sorted(p.name for p in (out / "traces").iterdir()) == ["11.json"]
+    assert [r for r in caplog.records if r.exc_info] == []
+
+
 def test_rerun_without_force_makes_no_llm_calls(happy_run, tmp_path):
     rc, dataset, _, out = happy_run
     assert rc == 0

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from diver.cotf import (
     VerifiedLinking,
     append_turn,
     deserialize,
+    document_facts,
     serialize,
 )
 from diver.errors import SchemaViolation
@@ -390,19 +394,45 @@ def test_serialize_equals_one_shot_encoding_as_the_document_grows(case):
             )
         )
         check()
-    # a question or a linking put in place of a cached one is encoded, not looked up
+    # a question or a linking put in place of an encoded one is encoded from its own fields
     doc.question = replace(doc.question, question_id=doc.question.question_id + "!", db_id="é")
     check()
     if doc.verified:
         doc.verified[0] = replace(doc.verified[0], rationale=doc.verified[0].rationale + "\u2028")
         check()
-    # a turn put in place of a cached one is encoded, not looked up, also
-    # once the turns it replaced are freed and their ids come round again
+    # so is a turn
     for suffix in "!?!?":
         for column in doc.turns:
             for ti, turn in enumerate(column):
                 column[ti] = replace(turn, thought=turn.thought + suffix)
         check()
+
+
+def test_documents_sharing_records_serialize_alike_across_threads():
+    rng = random.Random(20261019)
+    sources = [random_doc(rng) for _ in range(30)]
+    expected = [one_shot_bytes(doc) for doc in sources]
+    # other objects than the sources' records, so those stay unencoded until the threads run
+    expected_facts = [document_facts(deserialize(data)) for data in expected]
+    barrier = threading.Barrier(8)
+
+    def work(_):
+        # a document of its own per source, holding the source's very records
+        docs = [replace(d) for d in sources]
+        barrier.wait()
+        return [(serialize(doc), document_facts(doc)) for doc in docs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(work, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [list(zip(expected, expected_facts))] * 8
+    for doc, data in zip(sources, expected):
+        again = deserialize(data)
+        assert [t.facts for c in again.turns for t in c] == [t.facts for c in doc.turns for t in c]
 
 
 def test_question_and_linking_cannot_change_once_built():

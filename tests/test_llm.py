@@ -53,6 +53,17 @@ def test_chat_request_validation():
     _req(temperature=2.0)
 
 
+@pytest.mark.parametrize("temperature", [True, False, "0.5", None])
+def test_chat_request_refuses_a_temperature_that_is_not_a_number(temperature):
+    with pytest.raises(ValueError, match="temperature must be a number from 0 to 2"):
+        _req(temperature=temperature)
+
+
+@pytest.mark.parametrize("temperature", [0, 0.7, 2])
+def test_chat_request_takes_an_int_or_float_temperature(temperature):
+    assert _req(temperature=temperature).temperature == temperature
+
+
 def test_fingerprint_deterministic_and_sensitive():
     a, b = _req("same"), _req("same")
     assert fingerprint(a) == fingerprint(b)
