@@ -1,7 +1,9 @@
 """Command-line surface: pipeline runs, evaluation, trace statistics.
 
 Every human-readable output has a JSON twin: run writes run_report.json,
-eval writes the report with --out, trace-stats prints JSON with --json.
+eval writes the report with --out, trace-stats prints JSON with --json. A
+command refuses bad input by raising DiverError; main alone turns that into
+`error: <message>` on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -128,13 +130,9 @@ def _run_one(row: dict, qid: str, args, llm, embedder, config, trace_dir, eviden
 
 
 def cmd_run(args) -> int:
-    try:
-        ordered = _load_dataset(args.dataset)
-        llm, sequential = _build_llm(args)
-        embedder = _build_embedder(args)
-    except DiverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ordered = _load_dataset(args.dataset)
+    llm, sequential = _build_llm(args)
+    embedder = _build_embedder(args)
 
     jobs = args.jobs
     if sequential and jobs != 1:
@@ -235,14 +233,10 @@ def _optional_text(row: dict, key: str, qid: str, warnings: list[str]) -> str | 
 
 
 def cmd_eval(args) -> int:
-    try:
-        rows = _load_dataset(args.dataset)
-        predictions = _load_json(args.predictions, "predictions")
-        if not isinstance(predictions, dict):
-            raise DiverError(f"predictions {args.predictions} must be a JSON object")
-    except DiverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = _load_dataset(args.dataset)
+    predictions = _load_json(args.predictions, "predictions")
+    if not isinstance(predictions, dict):
+        raise DiverError(f"predictions {args.predictions} must be a JSON object")
 
     samples = []
     warnings: list[str] = []
@@ -267,11 +261,7 @@ def cmd_eval(args) -> int:
             )
         )
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    try:
-        report = evaluate(samples, metrics=metrics, iterations=args.iterations)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = evaluate(samples, metrics=metrics, iterations=args.iterations)
     report["warnings"] = warnings + report["warnings"]
     print(_dump_json(report) if args.json else format_report(report), end="")
     if args.out:
@@ -285,8 +275,7 @@ def cmd_eval(args) -> int:
 def cmd_trace_stats(args) -> int:
     trace_dir = Path(args.trace_dir)
     if not trace_dir.is_dir():
-        print(f"error: {trace_dir} is not a directory", file=sys.stderr)
-        return 2
+        raise DiverError(f"{trace_dir} is not a directory")
     tool_counts = {name: 0 for name in TOOL_NAMES}
     feedback_counts = {kind: 0 for kind in FEEDBACK_KINDS}
     traces = clauses = turns = 0
@@ -389,11 +378,12 @@ def main(argv=None) -> int:
         level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
     )
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "eval":
-        return cmd_eval(args)
-    return cmd_trace_stats(args)
+    command = {"run": cmd_run, "eval": cmd_eval, "trace-stats": cmd_trace_stats}[args.command]
+    try:
+        return command(args)
+    except DiverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

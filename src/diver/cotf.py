@@ -15,7 +15,10 @@ before the turn is built).
 
 Tool names are not validated here: a call keeps whatever name the model gave,
 and the tool table toolbox.TOOLS judges it at dispatch time. The only tool
-this module knows is the stop signal "none", which ends a clause.
+this module knows is the stop signal "none", which ends a clause. The rule
+of what a standard turn affirms (Turn.facts) reads argument names and the
+result, not the tool table, which imports this module: a trace alone is
+enough to compute it.
 """
 
 from __future__ import annotations
@@ -61,10 +64,12 @@ def _is_utf8(text: str) -> bool:
 def jsonify(value: Any) -> Any:
     """Normalize a payload to JSON-native types (tuples become lists).
 
-    Raises SchemaViolation on anything json.dumps could not represent. Used at
-    feedback construction time so round-tripping a document through the codec
-    is structurally lossless.
+    Raises SchemaViolation on anything strict JSON could not represent, a
+    non-finite float included. Used at feedback construction time so
+    round-tripping a document through the codec is structurally lossless.
     """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaViolation(f"payload value must be a finite number, got {value!r}")
     if _is_scalar(value):
         return value
     if isinstance(value, (list, tuple)):
@@ -210,13 +215,18 @@ class Turn:
 
     @cached_property
     def facts(self) -> frozenset[str]:
-        """Every string a successful probe put on the record: its arguments
-        plus its result payload. Empty for corrective and guiding turns."""
+        """What a successful probe shows the database holds: every string and
+        number in its result, its table and column arguments, which the engine
+        resolved, and its value argument only when the result says the value
+        exists. Empty for corrective and guiding turns."""
         if self.feedback.kind != "standard":
             return frozenset()
+        args, result = self.tool_call.args, self.feedback.result
+        affirmed = [args.get("table"), args.get("column"), result]
+        if result.get("exists") is True:
+            affirmed.append(args.get("value"))
         facts: set[str] = set()
-        _collect_strings(self.tool_call.args, facts)
-        _collect_strings(self.feedback.result, facts)
+        _collect_strings(affirmed, facts)
         return frozenset(facts)
 
 

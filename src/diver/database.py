@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, NamedTuple, Sequence
 
-from .errors import DescriptionParseError, DiverError, ParseFailure, SqlError
+from .errors import DescriptionParseError, DiverError, SqlError
 
 logger = logging.getLogger(__name__)
 
@@ -181,10 +181,7 @@ class DatabaseHandle:
         """Run one read statement and fetch its rows while the statement
         deadline still holds. Only the thread that opened the handle may use
         it."""
-        try:
-            first = next(sql_tokens(sql or ""), SqlToken("", ""))
-        except ParseFailure as exc:
-            raise SqlError(str(exc)) from exc
+        first = next(sql_tokens(sql or ""), SqlToken("", ""))
         keyword = first.value.lower() if first.kind == "word" else ""
         if keyword not in READ_KEYWORDS:
             raise SqlError(
@@ -264,13 +261,13 @@ class SqlToken(NamedTuple):
 
 def sql_tokens(sql: str) -> Iterator[SqlToken]:
     """The tokens of sql, read lazily from the left; '' in a string reads as
-    '. Raises ParseFailure at the first character no token kind takes, which
+    '. Raises SqlError at the first character no token kind takes, which
     includes an unterminated string, quoted identifier or block comment."""
     for m in _SQL_TOKEN_RE.finditer(sql):
         kind, text = m.lastgroup, m.group()
         if kind == "bad":
             at = m.start()
-            raise ParseFailure(f"cannot read SQL at offset {at}: {sql[at:at + 20]!r}")
+            raise SqlError(f"cannot read SQL at offset {at}: {sql[at:at + 20]!r}")
         if kind == "string":
             yield SqlToken(kind, text[1:-1].replace("''", "'"))
         elif kind == "quoted":

@@ -4,8 +4,9 @@ One class per decision a caller makes. The probing loop never sees an
 exception: the toolbox turns every probe failure into feedback. A class below
 DiverError exists only because some caller in the package catches it apart
 from its base; the rest of the package raises DiverError itself (a missing
-database file, a bad dataset, missing credentials), and the command line and
-the evaluator catch exactly that.
+database file, a bad dataset, missing credentials). cli.main is the one place
+that reports it, as `error: <message>` and exit status 2, and the evaluator
+catches it per sample.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ class SchemaViolation(DiverError):
 
 
 class SqlError(DiverError):
-    """A statement failed (the message is the engine's own text verbatim),
-    a statement that is not a read was refused, or a probe named an unknown
-    table or column. dispatch passes the message to the model as corrective
-    feedback."""
+    """A statement failed (the message is the engine's own text verbatim), a
+    statement that is not a read was refused, a probe named an unknown table
+    or column, or database.sql_tokens could not read the SQL. dispatch passes
+    the message to the model as corrective feedback."""
 
 
 class DescriptionParseError(DiverError):
@@ -52,10 +53,3 @@ class MalformedToolCall(LlmError):
         super().__init__(message)
         self.call = call
 
-
-class ParseFailure(DiverError):
-    """database.sql_tokens met SQL it cannot read: a character no token kind
-    takes, or an unterminated string, quoted identifier or block comment.
-    extract_entities returns empty entity sets instead, query refuses the
-    statement with SqlError, and EX compares the rows of such gold SQL as a
-    multiset."""

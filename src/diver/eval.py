@@ -12,13 +12,15 @@ import logging
 import math
 import re
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 from .database import DatabaseHandle, ResultSet, SchemaCatalog, SqlToken
 from .database import catalog as build_catalog
 from .database import open_database, sql_tokens
-from .errors import DiverError, ParseFailure
+from .errors import DiverError, SqlError
 
 log = logging.getLogger(__name__)
 
@@ -393,7 +395,7 @@ def extract_entities(sql: str, catalog: SchemaCatalog) -> LinkingSets:
     try:
         toks = list(sql_tokens(sql))
         return _Extractor(toks, catalog).run()
-    except ParseFailure:
+    except SqlError:
         return LinkingSets(set(), set())
     except Exception:  # defensive: extraction must be total
         log.exception("entity extraction failed on %r", sql[:80])
@@ -442,7 +444,7 @@ def _order_sensitive(gold_sql: str) -> bool:
     tokenizer cannot read counts as unordered."""
     try:
         toks = list(sql_tokens(gold_sql))
-    except ParseFailure:
+    except SqlError:
         return False
     i = 0
     while i < len(toks) - 1:
@@ -603,61 +605,54 @@ def evaluate(
     difficulty, and warnings."""
     bad = [m for m in metrics if m not in KNOWN_METRICS]
     if bad or not metrics:
-        raise ValueError(f"unknown metrics {bad}; choose from {', '.join(KNOWN_METRICS)}")
+        raise DiverError(f"unknown metrics {bad}; choose from {', '.join(KNOWN_METRICS)}")
     needs_execution = "ex" in metrics or "ves" in metrics
 
-    # one handle at a time: each maps its file (database.MMAP_BYTES), so
-    # keeping one per database open would hold every file in memory at once
-    handle: DatabaseHandle | None = None
     warnings: list[str] = []
     records: list[dict] = []
-    try:
-        for sample in samples:
-            path = Path(sample.db_path)
-            if handle is None or handle.path != path:
-                if handle is not None:
-                    handle.close()
-                    handle = None
-                try:
-                    handle = open_database(path)
-                except DiverError as exc:
-                    warnings.append(f"{sample.question_id}: cannot open database ({exc})")
-                    continue
-            if needs_execution:
-                try:
-                    gold = handle.query(sample.gold_sql)
-                except DiverError as exc:
-                    warnings.append(
-                        f"{sample.question_id}: reference query failed ({exc}); skipped"
-                    )
-                    continue
-            if sample.pred_sql is None:
-                warnings.append(f"{sample.question_id}: missing prediction")
+    # one handle per run of samples on the same file, and one at a time: each
+    # maps its file (database.MMAP_BYTES), so keeping one per database open
+    # would hold every file in memory at once
+    for path, run in groupby(samples, key=lambda sample: Path(sample.db_path)):
+        try:
+            handle = open_database(path)
+        except DiverError as exc:
+            warnings.extend(f"{s.question_id}: cannot open database ({exc})" for s in run)
+            continue
+        with closing(handle):
+            for sample in run:
+                if needs_execution:
+                    try:
+                        gold = handle.query(sample.gold_sql)
+                    except DiverError as exc:
+                        warnings.append(
+                            f"{sample.question_id}: reference query failed ({exc}); skipped"
+                        )
+                        continue
+                if sample.pred_sql is None:
+                    warnings.append(f"{sample.question_id}: missing prediction")
 
-            record: dict = {"difficulty": sample.difficulty}
-            if needs_execution:
-                # each statement runs once for its result; VES reuses the verdict
-                matched = ex_match(handle, sample.pred_sql, sample.gold_sql, gold)
-                if "ex" in metrics:
-                    record["ex"] = float(matched)
-                if "ves" in metrics:
-                    record["ves"] = _ves_or_zero(handle, sample, matched, iterations, warnings)
-            if "f1" in metrics:
-                # a reopened file's catalog comes from the database memo
-                cat = build_catalog(handle, None)
-                gold_sets = extract_entities(sample.gold_sql, cat)
-                pred_sets = extract_entities(sample.pred_sql or "", cat)
-                record.update(linking_f1(gold_sets, pred_sets))
-            if "overlap" in metrics:
-                record["overlap"] = (
-                    token_overlap(sample.evidence_text, sample.gold_sql)
-                    if sample.evidence_text is not None
-                    else None
-                )
-            records.append(record)
-    finally:
-        if handle is not None:
-            handle.close()
+                record: dict = {"difficulty": sample.difficulty}
+                if needs_execution:
+                    # each statement runs once for its result; VES reuses the verdict
+                    matched = ex_match(handle, sample.pred_sql, sample.gold_sql, gold)
+                    if "ex" in metrics:
+                        record["ex"] = float(matched)
+                    if "ves" in metrics:
+                        record["ves"] = _ves_or_zero(handle, sample, matched, iterations, warnings)
+                if "f1" in metrics:
+                    # a reopened file's catalog comes from the database memo
+                    cat = build_catalog(handle, None)
+                    gold_sets = extract_entities(sample.gold_sql, cat)
+                    pred_sets = extract_entities(sample.pred_sql or "", cat)
+                    record.update(linking_f1(gold_sets, pred_sets))
+                if "overlap" in metrics:
+                    record["overlap"] = (
+                        token_overlap(sample.evidence_text, sample.gold_sql)
+                        if sample.evidence_text is not None
+                        else None
+                    )
+                records.append(record)
 
     report = _aggregate(records, metrics)
     by_difficulty = {

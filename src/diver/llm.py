@@ -13,7 +13,6 @@ replace_surrogates() makes a free-text reply safe to encode as UTF-8.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -80,19 +79,6 @@ _prefix_lock = threading.Lock()
 _json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
-@functools.lru_cache(maxsize=FINGERPRINT_CACHE_SIZE)
-def _tail_json(response_format: str, temperature: float, _temperature_repr: str) -> bytes:
-    """The keys after "messages", sorted, with the object's closing brace.
-    The repr keeps apart temperatures that are equal keys but different
-    JSON: 0.0 and -0.0, or 1 and 1.0."""
-    tail = json.dumps(
-        {"response_format": response_format, "temperature": temperature},
-        sort_keys=True,
-        ensure_ascii=False,
-    )
-    return b"], " + tail[1:].encode("utf-8")
-
-
 def fingerprint(request: ChatRequest) -> str:
     """Stable identity of a request: sha256 over its canonical JSON, the UTF-8
     of json.dumps({"messages": [{"role", "content"}, ...], "temperature",
@@ -128,22 +114,47 @@ def fingerprint(request: ChatRequest) -> str:
             _prefix_states.update(new)
             while len(_prefix_states) > FINGERPRINT_CACHE_SIZE:
                 del _prefix_states[next(iter(_prefix_states))]
+    # the keys after "messages" as json.dumps writes them: ChatRequest took a
+    # format from RESPONSE_FORMATS, which needs no escaping, and a finite int
+    # or float temperature, which json.dumps writes with its type's repr
     t = request.temperature
-    state.update(_tail_json(request.response_format, t, repr(t)))
+    state.update(
+        f'], "response_format": "{request.response_format}", "temperature": '
+        f"{(float if isinstance(t, float) else int).__repr__(t)}}}".encode()
+    )
     return state.hexdigest()
 
 
+def _replies(value, where: str) -> list[str]:
+    """A copy of value, a list of reply strings; DiverError naming the first
+    entry that is not one."""
+    if not isinstance(value, list):
+        raise DiverError(f"replay script {where} must be a list of strings, got {value!r:.60}")
+    for i, reply in enumerate(value):
+        if not isinstance(reply, str):
+            raise DiverError(f"replay script {where} entry {i} must be a string, got {reply!r:.60}")
+    return list(value)
+
+
 class ScriptedSession:
-    """Replay client. Accepts a plain list (sequence mode), or a dict with
-    "by_fingerprint" (per-request queues)."""
+    """Replay client. Accepts a list of replies (sequence mode), or
+    {"by_fingerprint": {fingerprint: [reply, ...]}} (per-request queues);
+    anything else raises DiverError before any request."""
 
     def __init__(self, script: list[str] | dict):
         self._sequence: list[str] | None = None
         self._by_fingerprint: dict[str, list[str]] | None = None
         if isinstance(script, list):
-            self._sequence = list(script)
-        elif isinstance(script, dict) and "by_fingerprint" in script:
-            self._by_fingerprint = {k: list(v) for k, v in script["by_fingerprint"].items()}
+            self._sequence = _replies(script, "list")
+        elif isinstance(script, dict) and script.keys() == {"by_fingerprint"}:
+            queues = script["by_fingerprint"]
+            if not isinstance(queues, dict):
+                raise DiverError(
+                    f"replay script by_fingerprint must be an object, got {queues!r:.60}"
+                )
+            self._by_fingerprint = {
+                k: _replies(v, f"by_fingerprint[{k!r}]") for k, v in queues.items()
+            }
         else:
             raise DiverError("script must be a list or {'by_fingerprint': {...}}")
         self.consumed = 0

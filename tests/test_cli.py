@@ -527,6 +527,34 @@ def test_embedder_endpoint_alone_selects_the_remote_embedder():
     assert isinstance(cli._build_embedder(parse(base)), cli.LexicalEmbedder)
 
 
+MALFORMED_SCRIPTS = [
+    ({"by_fingerprint": [1, 2]}, "replay script by_fingerprint must be an object, got [1, 2]"),
+    (
+        {"by_fingerprint": {"ab12": "hello"}},
+        "replay script by_fingerprint['ab12'] must be a list of strings, got 'hello'",
+    ),
+    ([1, None], "replay script list entry 0 must be a string, got 1"),
+]
+
+
+@pytest.mark.parametrize("script, message", MALFORMED_SCRIPTS)
+def test_run_refuses_a_malformed_script_before_any_database_open(
+    tmp_path, db_root, monkeypatch, capsys, script, message
+):
+    opened = []
+    monkeypatch.setattr(cli, "run_question", lambda *args: opened.append(args))
+    dataset = write_dataset(tmp_path / "dataset.json", DATASET)
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(run_args(dataset, db_root, out, path)) == 2
+    assert opened == []
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # --- trace-stats ---
 
 
@@ -579,6 +607,16 @@ def test_trace_stats_human_output(happy_run, capsys):
     text = capsys.readouterr().out
     assert "value_in" in text
     assert "1.800" in text
+
+
+def test_trace_stats_refuses_a_path_that_is_not_a_directory(tmp_path, capsys):
+    path = tmp_path / "trace.json"
+    path.write_text("{}", encoding="utf-8")
+    for missing_or_file in (tmp_path / "nowhere", path):
+        assert cli.main(["trace-stats", "--trace-dir", str(missing_or_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {missing_or_file} is not a directory\n"
 
 
 # --- eval ---

@@ -305,9 +305,8 @@ TRICKY = st.sampled_from(
     ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "ש", "数", "\u2028", "😀"]
 )
 TEXT = st.text(TRICKY | st.characters(exclude_categories=("Cs",)), max_size=10)
-SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | TEXT
-# a tool call's args refuse non-finite floats; feedback results keep them
-ARG_SCALARS = (
+# a tool call's args and a feedback result both refuse non-finite floats
+SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
     | TEXT
 )
@@ -332,7 +331,7 @@ TURNS = st.builds(
     tool_call=st.builds(
         ToolCall,
         tool=st.sampled_from(TOOL_NAMES) | TEXT,
-        args=st.dictionaries(TEXT, ARG_SCALARS, max_size=3),
+        args=st.dictionaries(TEXT, SCALARS, max_size=3),
     ),
     feedback=FEEDBACK,
 )
@@ -551,6 +550,46 @@ def test_tool_call_rejects_a_non_finite_number(value):
     # json.loads reads NaN and Infinity, which a strict JSON parser refuses
     with pytest.raises(SchemaViolation, match="must be a finite number"):
         ToolCall("head", {"table": "t", "n": value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_feedback_result_rejects_a_non_finite_number(value):
+    # toolbox writes an infinite REAL cell as "Inf" or "-Inf" before it gets here
+    with pytest.raises(SchemaViolation, match="must be a finite number"):
+        ToolFeedback.standard({"rows": [[1, value]]})
+    # json.dumps writes NaN and Infinity, and json.loads reads them back
+    payload = json.loads(GOLDEN_TRACE.read_text(encoding="utf-8"))
+    standard = [t for c in payload["turns"] for t in c if t["feedback"]["kind"] == "standard"]
+    standard[0]["feedback"]["result"]["v"] = value
+    with pytest.raises(SchemaViolation, match="must be a finite number"):
+        deserialize(json.dumps(payload))
+
+
+def _facts(args, result):
+    return Turn("t", ToolCall("probe", args), ToolFeedback.standard(result)).facts
+
+
+def test_turn_facts_are_what_the_result_affirms():
+    where = {"table": "ledger", "column": "party"}
+    # a refuted value is no fact; the resolved table and column are
+    absent = {"exists": False, "match_count": 0}
+    assert _facts({**where, "value": "Acme Corporation"}, absent) == {"ledger", "party", "0"}
+    present = {"exists": True, "match_count": 2}
+    assert _facts({**where, "value": 7}, present) == {"ledger", "party", "7", "2"}
+    # a query text, k, n and limit are affirmed only by what the result holds
+    matches = {"matches": [{"value": "Acme Corp", "score": 0.5}], "pool_size": 3}
+    assert _facts({**where, "query_text": "Zeta Ltd", "k": 4}, matches) == {
+        "ledger", "party", "Acme Corp", "0.5", "3"
+    }
+    assert _facts({"table": "ledger", "n": 9}, {"columns": ["party"], "rows": []}) == {
+        "ledger", "party"
+    }
+    # a drawn seed stays a fact through the result that repeats it
+    rows = {"columns": ["party"], "rows": [["Acme Corp"]], "seed": 11}
+    assert _facts({"table": "ledger", "n": 1, "seed": 11}, rows) == {
+        "ledger", "party", "Acme Corp", "11"
+    }
+    assert Turn("t", ToolCall("value_in", where), ToolFeedback.corrective("no")).facts == set()
 
 
 def test_question_keeps_no_dataset_answer():

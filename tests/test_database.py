@@ -28,7 +28,7 @@ from diver.database import (
     parse_description_file,
     sql_tokens,
 )
-from diver.errors import DescriptionParseError, DiverError, ParseFailure, SqlError
+from diver.errors import DescriptionParseError, DiverError, SqlError
 from diver.toolbox import uniq_value, value_in
 
 
@@ -523,7 +523,7 @@ def test_mapped_handle_reads_a_file_shrunk_between_statements(tmp_path):
 
 def _loop_tokenize(sql: str) -> list[tuple[str, str]]:
     """The character loop eval used before sql_tokens, kept as the oracle:
-    (kind, value) tokens, or ParseFailure."""
+    (kind, value) tokens, or SqlError."""
     word_re = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
     num_re = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
     closers = {'"': '"', "`": "`", "[": "]"}
@@ -541,7 +541,7 @@ def _loop_tokenize(sql: str) -> list[tuple[str, str]]:
         if sql.startswith("/*", i):
             j = sql.find("*/", i + 2)
             if j < 0:
-                raise ParseFailure("unterminated block comment")
+                raise SqlError("unterminated block comment")
             i = j + 2
             continue
         if ch == "'":
@@ -549,7 +549,7 @@ def _loop_tokenize(sql: str) -> list[tuple[str, str]]:
             buf: list[str] = []
             while True:
                 if j >= n:
-                    raise ParseFailure("unterminated string literal")
+                    raise SqlError("unterminated string literal")
                 if sql[j] == "'":
                     if j + 1 < n and sql[j + 1] == "'":
                         buf.append("'")
@@ -564,7 +564,7 @@ def _loop_tokenize(sql: str) -> list[tuple[str, str]]:
         if ch in closers:
             j = sql.find(closers[ch], i + 1)
             if j < 0:
-                raise ParseFailure("unterminated quoted identifier")
+                raise SqlError("unterminated quoted identifier")
             toks.append(("quoted", sql[i + 1 : j]))
             i = j + 1
             continue
@@ -587,7 +587,7 @@ def _loop_tokenize(sql: str) -> list[tuple[str, str]]:
             toks.append(("op", ch))
             i += 1
             continue
-        raise ParseFailure(f"unexpected character {ch!r}")
+        raise SqlError(f"unexpected character {ch!r}")
     return toks
 
 
@@ -606,8 +606,8 @@ _SQL_PIECES = st.sampled_from(
 def _outcome(tokenize, sql):
     try:
         return list(tokenize(sql))
-    except ParseFailure:
-        return ParseFailure
+    except SqlError:
+        return SqlError
 
 
 @settings(max_examples=500, deadline=None)

@@ -17,9 +17,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diver.database import (
+    ColumnInfo,
     DatabaseHandle,
     ResultSet,
     SchemaCatalog,
+    TableInfo,
     catalog as build_catalog,
     open_database,
 )
@@ -232,6 +234,67 @@ def test_cte_name_is_not_a_schema_table(cat):
     assert "big" not in out.schema_entities
     assert {"frpm", "frpm.cdscode", "frpm.enrollment (k-12)"} <= out.schema_entities
     assert out.value_entities == {"100"}
+
+
+ORDERS_CUSTOMERS = SchemaCatalog(
+    [
+        TableInfo("orders", [ColumnInfo(c, "") for c in ("id", "amount", "cust_id")]),
+        TableInfo("customers", [ColumnInfo(c, "") for c in ("id", "name")]),
+    ]
+)
+
+CTE_SHAPES = [
+    # WITH RECURSIVE and a CTE column list: the CTE and its column are no schema
+    (
+        "WITH RECURSIVE n(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM n WHERE x < 5)"
+        " SELECT x FROM n",
+        set(),
+        {"5"},
+    ),
+    # a derived table left unclosed runs to the end of the statement
+    (
+        "SELECT name FROM customers WHERE customers.id IN"
+        " (SELECT cust_id FROM (SELECT cust_id FROM orders WHERE amount > 5",
+        {"customers", "customers.id", "customers.name", "orders", "orders.cust_id",
+         "orders.amount"},
+        {"5"},
+    ),
+]
+
+
+@pytest.mark.parametrize("sql, schema, values", CTE_SHAPES)
+def test_cte_and_unclosed_group_shapes(sql, schema, values):
+    assert extract_entities(sql, ORDERS_CUSTOMERS) == LinkingSets(schema, values)
+
+
+def test_a_second_cte_after_a_comma_is_not_a_schema_table():
+    sql = "WITH a AS (SELECT 1), b AS (SELECT 2) SELECT * FROM a, b, orders"
+    assert extract_entities(sql, ORDERS_CUSTOMERS).schema_entities == {"orders"}
+
+
+SCOPED_CTE_SHAPES = [
+    (
+        "WITH big(oid) AS (SELECT id FROM orders WHERE amount > 100)"
+        " SELECT name FROM customers JOIN big ON big.oid = customers.id",
+        {"orders", "orders.id", "orders.amount", "customers", "customers.name",
+         "customers.id"},
+        {"100"},
+    ),
+    (
+        "WITH a AS (SELECT id FROM orders), b AS (SELECT id FROM customers)"
+        " SELECT a.id FROM a, b WHERE a.id = b.id",
+        {"orders", "orders.id", "customers", "customers.id"},
+        set(),
+    ),
+]
+
+
+# each CTE body has one table, but one flat scope over the statement sees two
+# tables that both have `id`, so the bare `id` inside the body goes unowned
+@pytest.mark.xfail(strict=True, reason="flat scope; ROADMAP item 8")
+@pytest.mark.parametrize("sql, schema, values", SCOPED_CTE_SHAPES)
+def test_a_column_inside_a_cte_body_belongs_to_its_table(sql, schema, values):
+    assert extract_entities(sql, ORDERS_CUSTOMERS) == LinkingSets(schema, values)
 
 
 def test_unterminated_string_flags_parse_failure(cat):
@@ -555,6 +618,22 @@ def test_evaluate_skips_a_database_it_cannot_open(eval_db, tmp_path):
     assert report["count"] == 1
     assert report["ex"] == 1.0
     assert [w.split(" (")[0] for w in report["warnings"]] == ["gone: cannot open database"]
+
+
+def test_evaluate_warns_for_each_sample_on_a_database_it_cannot_open(eval_db, tmp_path):
+    good, gone = "SELECT id FROM orders", tmp_path / "missing.sqlite"
+    samples = [
+        sample(gone, good, good, qid="g1"),
+        sample(gone, good, good, qid="g2"),
+        sample(eval_db, good, good, qid="ok"),
+        sample(gone, good, good, qid="g3"),
+    ]
+    report = evaluate(samples, metrics=("ex",), iterations=10)
+    assert report["count"] == 1
+    assert report["warnings"] == [
+        f"{qid}: cannot open database (database file does not exist: {gone})"
+        for qid in ("g1", "g2", "g3")
+    ]
 
 
 def test_evaluate_per_difficulty_breakdown(eval_db):

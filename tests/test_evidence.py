@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sqlite3
 from contextlib import closing
 
 import pytest
@@ -26,6 +27,7 @@ from diver.database import (
     catalog as build_catalog,
     open_database,
 )
+from diver.embedding import LexicalEmbedder
 from diver.evidence import (
     STYLES,
     _split_sentences,
@@ -36,6 +38,7 @@ from diver.evidence import (
     self_consistency,
 )
 from diver.llm import ScriptedSession
+from diver.lookup import harvest_linkings
 from diver.pipeline import PipelineConfig
 from diver.prompts import (
     EVIDENCE_CONCISE_SYSTEM,
@@ -43,6 +46,7 @@ from diver.prompts import (
     EVIDENCE_LONG_SYSTEM,
     MERGE_SYSTEM,
 )
+from diver.toolbox import ToolContext, dispatch
 
 from replay import RecordingSession
 
@@ -94,6 +98,54 @@ def test_document_facts_ignores_corrective_turns():
         )
     )
     assert "SecretCol" not in document_facts(doc)
+
+
+@pytest.fixture
+def ledger(tmp_path):
+    path = tmp_path / "ledger.sqlite"
+    with closing(sqlite3.connect(path)) as conn:
+        conn.execute("CREATE TABLE ledger (id INTEGER PRIMARY KEY, party TEXT, amount REAL)")
+        conn.executemany(
+            "INSERT INTO ledger (party, amount) VALUES (?, ?)",
+            [("Acme Corp", 10.0), ("Globex Inc", 20.0), ("Initech", 5.0)],
+        )
+        conn.commit()
+    with closing(open_database(path)) as handle:
+        yield ToolContext(handle, build_catalog(handle), LexicalEmbedder(), random.Random(0))
+
+
+def test_a_value_the_database_refuted_grounds_nothing(ledger):
+    text = "What did Acme Corporation and Zeta Ltd pay?"
+    doc = CoTFDocument(Question("q", "ledger", text), token_refine(text, []))
+    where = {"table": "ledger", "column": "party"}
+    for call in (
+        ToolCall("value_in", {**where, "value": "Acme Corporation"}),
+        ToolCall("sim_value_in", {**where, "query_text": "Zeta Ltd"}),
+        ToolCall("value_in", {**where, "value": "Initech"}),
+    ):
+        doc.turns[0].append(Turn("probe", call, dispatch(call, ledger)))
+    refuted, fuzzy, affirmed = (t.feedback.result for t in doc.turns[0])
+    assert refuted == {"exists": False, "match_count": 0}
+    assert "Acme Corp" in [m["value"] for m in fuzzy["matches"]]
+    assert affirmed == {"exists": True, "match_count": 1}
+
+    def linking(literal, turn):
+        return {**where, "kind": "value", "literal": literal, "rationale": "probed",
+                "source_turn": [0, turn]}
+
+    proposals = [linking("Acme Corporation", 0), linking("Zeta Ltd", 1),
+                 linking("Acme Corp", 1), linking("Initech", 2)]
+    kept = harvest_linkings(doc, ScriptedSession([json.dumps(proposals)]))
+    assert [(k.literal, k.source_turn) for k in kept] == [("Acme Corp", (0, 1)), ("Initech", (0, 2))]
+
+    evidence = (
+        "Acme Corporation is `party` = 'Acme Corporation'. Zeta Ltd is `party` = 'Zeta Ltd'."
+        " The stored name is `party` = 'Acme Corp'."
+    )
+    assert grounding_filter(evidence, doc, ledger.catalog) == {
+        "text": "The stored name is `party` = 'Acme Corp'.",
+        "removed_claims": ["Acme Corporation", "Zeta Ltd"],
+    }
 
 
 # --- grounding_filter ---

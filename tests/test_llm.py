@@ -268,6 +268,32 @@ def test_scripted_from_dict_and_file(tmp_path):
         session.chat(_req())
 
 
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ([1, None], "replay script list entry 0 must be a string, got 1"),
+        (["ok", ["nested"]], "replay script list entry 1 must be a string, got ['nested']"),
+        ({"by_fingerprint": [1, 2]}, "replay script by_fingerprint must be an object, got [1, 2]"),
+        (
+            {"by_fingerprint": {"ab12": "hello"}},
+            "replay script by_fingerprint['ab12'] must be a list of strings, got 'hello'",
+        ),
+        (
+            {"by_fingerprint": {"ab12": ["fine"], "cd34": ["fine", 7]}},
+            "replay script by_fingerprint['cd34'] entry 1 must be a string, got 7",
+        ),
+        (
+            {"by_fingerprint": {}, "extra": []},
+            "script must be a list or {'by_fingerprint': {...}}",
+        ),
+    ],
+)
+def test_scripted_session_names_the_first_bad_entry(script, message):
+    with pytest.raises(DiverError) as exc:
+        ScriptedSession(script)
+    assert str(exc.value) == message
+
+
 def test_scripted_by_fingerprint():
     req_a, req_b = _req("alpha"), _req("beta")
     script = {
