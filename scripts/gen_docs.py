@@ -26,6 +26,8 @@ def lookup_doc() -> str:
         + prompts.LOOKUP_THOUGHT_USER
         + "\n\n--- tool call request (sent after the thought) ---\n\n"
         + prompts.LOOKUP_TOOL_USER.format()
+        + "\n\n--- repair request (sent after a tool call that does not parse) ---\n\n"
+        + prompts.REPAIR_USER.format(error="{error}")
     )
 
 

@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .cotf import DEFAULT_MAX_TURNS, FEEDBACK_KINDS, Question, deserialize, serialize
+from .cotf import DEFAULT_MAX_TURNS, FEEDBACK_KINDS, Question, _is_utf8, deserialize, serialize
 from .database import db_path_for, description_dir_for
 from .embedding import LexicalEmbedder, RemoteEmbedder
 from .errors import DiverError
@@ -41,20 +41,25 @@ def _load_json(path: str | Path, what: str):
         raise DiverError(f"cannot load {what} from {path}: {exc}") from exc
 
 
+def _row(i: int, row) -> tuple[str, dict | str]:
+    """(question id, row), or (i, the text that refuses the row)."""
+    if not isinstance(row, dict):
+        return str(i), f"row {i} is not a JSON object"
+    qid = str(row.get("question_id", i))
+    # a JSON escape such as "\ud800" gives an id no file name can hold
+    return (qid, row) if _is_utf8(qid) else (str(i), f"row {i} question_id is not valid UTF-8")
+
+
 def _load_dataset(path: str) -> list[tuple[str, dict | str]]:
     """The dataset's rows in file order, each with its question id: the row's
-    question_id, else its index in the list. A row that is not a JSON object
-    comes as the text that refuses it, and its id is its index. A question id
-    that two rows share is refused."""
+    question_id, else its index in the list. A row that is not a JSON object,
+    or whose question_id is not valid UTF-8, comes as the text that refuses
+    it, and its id is its index. A question id that two rows share is
+    refused."""
     rows = _load_json(path, "dataset")
     if not isinstance(rows, list):
         raise DiverError(f"dataset {path} must be a JSON list")
-    ordered = [
-        (str(row.get("question_id", i)), row)
-        if isinstance(row, dict)
-        else (str(i), f"row {i} is not a JSON object")
-        for i, row in enumerate(rows)
-    ]
+    ordered = [_row(i, row) for i, row in enumerate(rows)]
     first_row: dict[str, int] = {}
     for i, (qid, _) in enumerate(ordered):
         first = first_row.setdefault(qid, i)
@@ -224,11 +229,13 @@ def cmd_run(args) -> int:
 
 def _optional_text(row: dict, key: str, qid: str, warnings: list[str]) -> str | None:
     """The row's text under key; None when the key is absent or null, and
-    None with a warning when it holds anything but a string."""
+    None with a warning when it holds anything but a valid UTF-8 string (a
+    difficulty names a section of the report, which must encode)."""
     value = row.get(key)
-    if value is None or isinstance(value, str):
+    if value is None or isinstance(value, str) and _is_utf8(value):
         return value
-    warnings.append(f"{qid}: {key} is not a string; ignored")
+    what = "valid UTF-8" if isinstance(value, str) else "a string"
+    warnings.append(f"{qid}: {key} is not {what}; ignored")
     return None
 
 
@@ -248,6 +255,9 @@ def cmd_eval(args) -> int:
         db_id = row.get("db_id")
         if not (isinstance(gold, str) and gold and isinstance(db_id, str) and db_id):
             warnings.append(f"{qid}: lacks SQL or db_id; skipped")
+            continue
+        if not _is_utf8(db_id):  # it would name a path no file system takes
+            warnings.append(f"{qid}: db_id is not valid UTF-8; skipped")
             continue
         pred = predictions.get(qid)
         samples.append(

@@ -98,10 +98,15 @@ class Question:
     difficulty: InitVar[str | None] = None
 
     def __post_init__(self, *_answers: str | None) -> None:
+        # the messages never echo a value: one that is no UTF-8 cannot be written
         for name in ("question_id", "db_id", "text"):
             v = getattr(self, name)
             if not isinstance(v, str) or not v:
                 raise SchemaViolation(f"question.{name} must be a non-empty string")
+            if not _is_utf8(v):
+                raise SchemaViolation(f"question.{name} is not valid UTF-8")
+        if not tokenize(self.text):
+            raise SchemaViolation("question.text has no tokens")
 
     @cached_property
     def _json(self) -> str:
@@ -296,8 +301,6 @@ class CoTFDocument:
 
     def _check_partition(self) -> None:
         toks = tokenize(self.question.text)
-        if not toks:
-            raise SchemaViolation("question text has no tokens")
         expect_start = 0
         for i, cl in enumerate(self.clauses):
             if cl.index != i:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 One class per decision a caller makes. The probing loop never sees an
-exception: the toolbox turns every probe failure into feedback. A class below
+exception from a probe or a malformed tool call: the toolbox turns every
+probe failure into feedback, and lookup.structured_tool_call returns a call
+that stays malformed after its repair together with its error. A class below
 DiverError exists only because some caller in the package catches it apart
 from its base; the rest of the package raises DiverError itself (a missing
 database file, a bad dataset, missing credentials). cli.main is the one place
@@ -39,17 +41,6 @@ class EmbedderUnavailable(DiverError):
 
 class LlmError(DiverError):
     """A chat client failed: the endpoint kept failing or a replay script ran
-    out. The probing loop aborts the clause and keeps the partial trace."""
-
-
-class MalformedToolCall(LlmError):
-    """Model output could not be parsed into a valid tool call, even after the
-    single repair round-trip. Carries the call the probing loop records for
-    the corrective turn: ToolCall(<name>, {}), where <name> is the first
-    reply's tool name if ToolCall accepts it, else the second reply's, else
-    ""."""
-
-    def __init__(self, message: str, call):
-        super().__init__(message)
-        self.call = call
+    out. This is the probing loop's one abort path: it ends the clause and
+    keeps the partial trace."""
 

@@ -376,7 +376,9 @@ class _Extractor:
                             continue
                         end = _skip_parens(toks, i + 1)
                         j = i + 2
-                        while j < end - 1:
+                        # through the closing ")", which is no literal, or to
+                        # the statement's end when the list is left unclosed
+                        while j < end:
                             lit = self._literal_at(j)
                             if lit is None:
                                 j += 1

@@ -6,8 +6,6 @@ replays canned responses, either in sequence or keyed by request
 fingerprint; running out of script is always an error, never a silent
 repetition.
 
-structured_tool_call() layers the tool-call wire schema on top of either
-client, with exactly one repair round-trip for malformed output.
 replace_surrogates() makes a free-text reply safe to encode as UTF-8.
 """
 
@@ -23,8 +21,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cotf import ToolCall
-from .errors import DiverError, LlmError, MalformedToolCall, SchemaViolation
+from .errors import DiverError, LlmError
 
 logger = logging.getLogger(__name__)
 
@@ -294,60 +291,3 @@ def extract_json(text: str, kind: type) -> dict | list | None:
                 return obj
         start = text.find(opener, start + 1)
     return None
-
-
-def _parse_tool_call(text: str) -> tuple[ToolCall | None, str | None]:
-    """(call, None) for a valid tool call. Otherwise (named, error), where
-    named is ToolCall(<name>, {}) if the reply names a tool ToolCall accepts,
-    else None: the call to record should the reply stay malformed."""
-    obj = extract_json(text, dict)
-    if obj is None:
-        return None, "response did not contain a JSON object"
-    if "tool" not in obj:
-        return None, 'response JSON lacks the "tool" key'
-    args = obj.get("args", {})
-    if not isinstance(args, dict):
-        error = '"args" must be an object'
-    else:
-        try:
-            return ToolCall(tool=obj["tool"], args=args), None
-        except SchemaViolation as exc:
-            error = str(exc)
-    try:
-        return ToolCall(tool=obj["tool"], args={}), error
-    except SchemaViolation:
-        return None, error
-
-
-def structured_tool_call(client, request: ChatRequest) -> ToolCall:
-    """Ask for a tool call and parse it, with exactly one repair round-trip.
-
-    The repair prompt replays the model's own output plus the parse error.
-    If the second attempt is still malformed, MalformedToolCall carries the
-    call the loop records: the first named tool, else the second, else "".
-    """
-    first = client.chat(request)
-    first_call, error = _parse_tool_call(first)
-    if error is None:
-        return first_call
-
-    repair = ChatRequest(
-        messages=list(request.messages)
-        + [
-            ChatMessage("assistant", first),
-            ChatMessage(
-                "user",
-                f"Your tool call was invalid: {error}. Reply with exactly one"
-                ' JSON object of the form {"tool": "<name>", "args": {...}}'
-                " and nothing else.",
-            ),
-        ],
-        temperature=request.temperature,
-        response_format=request.response_format,
-    )
-    call, error = _parse_tool_call(client.chat(repair))
-    if error is None:
-        return call
-    raise MalformedToolCall(
-        f"tool call malformed after repair: {error}", first_call or call or ToolCall("", {})
-    )

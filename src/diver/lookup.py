@@ -1,7 +1,8 @@
 """Per-clause probing orchestrator.
 
 Each clause runs a loop of two chat calls: a free-text thought over the full
-serialized workspace, then a structured tool call. A call identical to an
+serialized workspace, then a structured tool call, with one repair
+round-trip for a reply that does not parse. A call identical to an
 earlier one in the same clause is answered, instead of the database, with
 the next-broader probe named in the reroute column of the tool table
 toolbox.TOOLS; everything else goes through the toolbox dispatcher. After
@@ -17,6 +18,7 @@ from dataclasses import replace
 
 from .cotf import (
     CoTFDocument,
+    ToolCall,
     ToolFeedback,
     Turn,
     VerifiedLinking,
@@ -24,12 +26,55 @@ from .cotf import (
     clause_open,
     serialize,
 )
-from .errors import LlmError, MalformedToolCall, SchemaViolation
-from .llm import ChatMessage, extract_json, replace_surrogates, structured_tool_call
-from .prompts import HARVEST, LOOKUP_THOUGHT, LOOKUP_TOOL
+from .errors import LlmError, SchemaViolation
+from .llm import ChatMessage, ChatRequest, extract_json, replace_surrogates
+from .prompts import HARVEST, LOOKUP_THOUGHT, LOOKUP_TOOL, REPAIR
 from .toolbox import TOOLS, ToolContext, dispatch
 
 logger = logging.getLogger(__name__)
+
+
+def _parse_tool_call(text: str) -> tuple[ToolCall | None, str | None]:
+    """(call, None) for a valid tool call. Otherwise (named, error), where
+    named is ToolCall(<name>, {}) if the reply names a tool ToolCall accepts,
+    else None: the call to record should the reply stay malformed."""
+    obj = extract_json(text, dict)
+    if obj is None:
+        return None, "response did not contain a JSON object"
+    if "tool" not in obj:
+        return None, 'response JSON lacks the "tool" key'
+    args = obj.get("args", {})
+    if not isinstance(args, dict):
+        error = '"args" must be an object'
+    else:
+        try:
+            return ToolCall(tool=obj["tool"], args=args), None
+        except SchemaViolation as exc:
+            error = str(exc)
+    try:
+        return ToolCall(tool=obj["tool"], args={}), error
+    except SchemaViolation:
+        return None, error
+
+
+def structured_tool_call(llm, request: ChatRequest) -> tuple[ToolCall, str | None]:
+    """Ask for a tool call and parse it, with exactly one repair round-trip:
+    the REPAIR stage replays the model's own output plus the parse error.
+
+    Returns (call, None) for a valid call. If the repaired reply is still
+    malformed, returns the call to record, ToolCall(<name>, {}) with the
+    first reply's tool name if ToolCall accepts it, else the second's, else
+    "", and the error "tool call malformed after repair: <parse error>".
+    """
+    first = llm.chat(request)
+    first_call, error = _parse_tool_call(first)
+    if error is None:
+        return first_call, None
+    repair = REPAIR.request(*request.messages[1:], ChatMessage("assistant", first), error=error)
+    call, error = _parse_tool_call(llm.chat(repair))
+    if error is None:
+        return call, None
+    return first_call or call or ToolCall("", {}), f"tool call malformed after repair: {error}"
 
 
 def run_clause(
@@ -42,9 +87,9 @@ def run_clause(
 
     A probe identical to an earlier call of the clause gets guiding feedback
     naming the tool's reroute instead of a database answer. A call that
-    stays malformed after the repair round-trip is recorded as a corrective
-    turn and the loop continues; any other client failure aborts the
-    clause, keeping the partial trace.
+    stays malformed after the repair round-trip is recorded with its error
+    as a corrective turn and the loop continues; a client failure (LlmError)
+    aborts the clause, keeping the partial trace.
     """
     clause = doc.clauses[clause_index]
 
@@ -56,26 +101,25 @@ def run_clause(
         )
         try:
             thought = replace_surrogates(llm.chat(ask_thought))
-            call = structured_tool_call(
+            call, error = structured_tool_call(
                 llm,
                 LOOKUP_TOOL.request(*ask_thought.messages[1:], ChatMessage("assistant", thought)),
             )
-        except MalformedToolCall as exc:
-            call, feedback = exc.call, ToolFeedback.corrective(str(exc))
         except LlmError as exc:
             logger.warning("clause %d aborted with a partial trace: %s", clause_index, exc)
             break
+        # a repeat of a probe never reaches the database; a repeated unknown
+        # tool is dispatched for its corrective message
+        tool = TOOLS.get(call.tool)
+        repeat = any(t.tool_call == call for t in doc.turns[clause_index])
+        if error is not None:
+            feedback = ToolFeedback.corrective(error)
+        elif repeat and tool is not None and tool.reroute is not None:
+            feedback = ToolFeedback.guiding(
+                f"This tool has been called before. Consider using {tool.reroute}."
+            )
         else:
-            # a repeat of a probe never reaches the database; a repeated
-            # unknown tool is dispatched for its corrective message
-            tool = TOOLS.get(call.tool)
-            repeat = any(t.tool_call == call for t in doc.turns[clause_index])
-            if repeat and tool is not None and tool.reroute is not None:
-                feedback = ToolFeedback.guiding(
-                    f"This tool has been called before. Consider using {tool.reroute}."
-                )
-            else:
-                feedback = dispatch(call, context)
+            feedback = dispatch(call, context)
         append_turn(doc, clause_index, Turn(thought=thought, tool_call=call, feedback=feedback))
     return doc
 

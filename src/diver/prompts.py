@@ -49,6 +49,11 @@ LOOKUP_TOOL_USER = """\
 Now make the probe you just described. Reply with exactly one JSON object \
 of the form {{"tool": "<name>", "args": {{...}}}} and nothing else."""
 
+# sent after a tool call reply that does not parse, behind that reply
+REPAIR_USER = """\
+Your tool call was invalid: {error}. Reply with exactly one JSON object of \
+the form {{"tool": "<name>", "args": {{...}}}} and nothing else."""
+
 HARVEST_SYSTEM = """\
 You extract verified linkings from a completed probing workspace. A linking \
 is only valid if a standard tool feedback in the workspace proves it: cite \
@@ -137,6 +142,7 @@ class Stage:
 SEGMENTATION = Stage(SEGMENTATION_SYSTEM, SEGMENTATION_USER, 0.2, "free_text")
 LOOKUP_THOUGHT = Stage(LOOKUP_SYSTEM, LOOKUP_THOUGHT_USER, 0.7, "free_text")
 LOOKUP_TOOL = Stage(LOOKUP_SYSTEM, LOOKUP_TOOL_USER, 0.7, "tool_call_schema")
+REPAIR = Stage(LOOKUP_SYSTEM, REPAIR_USER, 0.7, "tool_call_schema")
 # linking extraction is a parsing task, keep it near-deterministic
 HARVEST = Stage(HARVEST_SYSTEM, HARVEST_USER, 0.2, "free_text")
 EVIDENCE_LONG = Stage(EVIDENCE_LONG_SYSTEM, EVIDENCE_LONG_USER, 0.7, "free_text")

@@ -200,6 +200,47 @@ def test_run_row_that_is_not_an_object_fails_only_that_row(tmp_path, db_root, ca
     assert [r for r in caplog.records if r.exc_info] == []
 
 
+# json.dumps writes a lone surrogate as the JSON escape \ud800
+UNREADABLE_ROWS = [
+    ({"question_id": "q\ud800"}, "0", "row 0 question_id is not valid UTF-8"),
+    ({"db_id": "california\ud800"}, "12", "question.db_id is not valid UTF-8"),
+    ({"question": "Which \ud800 schools?"}, "12", "question.text is not valid UTF-8"),
+    ({"question": " \t\n"}, "12", "question.text has no tokens"),
+]
+
+
+@pytest.mark.parametrize(
+    "change, qid, message", UNREADABLE_ROWS, ids=["question_id", "db_id", "text", "blank"]
+)
+def test_run_fails_a_row_it_cannot_read_before_any_model_request(
+    tmp_path, db_root, monkeypatch, caplog, capsys, change, qid, message
+):
+    calls = []
+
+    class Counting(cli.ScriptedSession):
+        def chat(self, request):
+            calls.append(request)
+            return super().chat(request)
+
+    monkeypatch.setattr(cli, "ScriptedSession", Counting)
+    dataset = write_dataset(tmp_path / "dataset.json", [dict(DATASET[1], **change), DATASET[0]])
+    b = ScriptBuilder()
+    b.responses = build_happy_script().build()[:14]
+    script = b.write(tmp_path / "script.json")
+    out = tmp_path / "out"
+    assert cli.main(run_args(dataset, db_root, out, script)) == 1
+    report = json.loads((out / "run_report.json").read_text(encoding="utf-8"))
+    assert report["completed"] == ["11"]
+    assert report["failed"] == {qid: message}
+    assert len(calls) == 14  # the good row's script, and nothing more
+    assert capsys.readouterr().out.splitlines() == [
+        f"{qid}\tfailed\t{message}",
+        "11\tok",
+        "completed 1  skipped 0  failed 1",
+    ]
+    assert [r for r in caplog.records if r.exc_info] == []
+
+
 def test_run_fails_a_question_id_that_is_not_a_file_name(tmp_path, db_root, caplog):
     bad = ["../../escaped", "a/b", "a\0b"]
     rows = [dict(DATASET[0], question_id=qid) for qid in bad] + [DATASET[0]]
@@ -741,6 +782,30 @@ def test_eval_skips_a_row_whose_sql_or_db_id_is_not_a_string(tmp_path, db_root, 
     assert report["warnings"] == ["2: lacks SQL or db_id; skipped"]
 
 
+@pytest.mark.parametrize(
+    "row, warning",
+    [
+        (dict(EVAL_DATASET[1], db_id="eval\ud800"), "2: db_id is not valid UTF-8; skipped"),
+        (
+            dict(EVAL_DATASET[1], question_id="\ud800"),
+            "0: row 0 question_id is not valid UTF-8; skipped",
+        ),
+    ],
+    ids=["db_id", "question_id"],
+)
+def test_eval_skips_a_row_whose_id_is_not_valid_utf8(tmp_path, db_root, capsys, row, warning):
+    dataset = write_dataset(tmp_path / "eval.json", [row, EVAL_DATASET[0]])
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps({"1": EVAL_DATASET[0]["SQL"]}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cli.main(eval_args(dataset, pred_path, db_root, out)) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["count"] == 1
+    assert report["ex"] == 1.0
+    assert report["warnings"] == [warning]
+    assert warning in capsys.readouterr().out
+
+
 def test_eval_skips_a_row_that_is_not_an_object(tmp_path, db_root):
     dataset = write_dataset(tmp_path / "eval.json", [5, EVAL_DATASET[0]])
     pred_path = tmp_path / "preds.json"
@@ -823,6 +888,23 @@ def test_eval_reads_a_non_string_difficulty_or_evidence_as_absent(
         # the empty evidence is still scored
         assert report["overlap"]["count"] == 2
         assert report["overlap"]["min"] == 0.0
+
+
+@pytest.mark.parametrize("field", ["difficulty", "evidence"])
+def test_eval_reads_a_difficulty_or_evidence_that_is_not_valid_utf8_as_absent(
+    tmp_path, db_root, field
+):
+    rows = [EVAL_DATASET[0], dict(EVAL_DATASET[1], **{field: "simple\ud800"})]
+    dataset = write_dataset(tmp_path / "eval.json", rows)
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps({str(r["question_id"]): r["SQL"] for r in rows}), "utf-8")
+    out = tmp_path / "report.json"
+    assert cli.main(eval_args(dataset, pred_path, db_root, out, "ex,overlap")) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["count"] == 2
+    assert report["warnings"] == [f"2: {field} is not valid UTF-8; ignored"]
+    counts = {name: sub["count"] for name, sub in report["per_difficulty"].items()}
+    assert counts == ({"simple": 2} if field == "evidence" else {"simple": 1})
 
 
 def test_eval_scores_ves_zero_when_a_timed_run_fails(tmp_path, db_root, monkeypatch):

@@ -259,6 +259,8 @@ CTE_SHAPES = [
          "orders.amount"},
         {"5"},
     ),
+    # an IN list left unclosed keeps its last value
+    ("SELECT * FROM orders WHERE id IN (1, 2", {"orders", "orders.id"}, {"1", "2"}),
 ]
 
 

@@ -14,15 +14,10 @@ from hypothesis import strategies as st
 
 from diver import llm
 from diver.cotf import ToolCall
-from diver.errors import DiverError, LlmError, MalformedToolCall
-from diver.llm import (
-    ChatMessage,
-    ChatRequest,
-    LiveClient,
-    ScriptedSession,
-    fingerprint,
-    structured_tool_call,
-)
+from diver.errors import DiverError, LlmError
+from diver.llm import ChatMessage, ChatRequest, LiveClient, ScriptedSession, fingerprint
+from diver.lookup import structured_tool_call
+from diver.prompts import LOOKUP_SYSTEM, REPAIR
 
 from replay import RecordingSession
 
@@ -324,14 +319,15 @@ def test_structured_tool_call_parses_plain_and_fenced():
             'First {"tool": "none", "args": {}} then:\n```json\n{"tool": "head", "args": {}}\n```',
         ]
     )
-    call = structured_tool_call(session, _req(fmt="tool_call_schema"))
-    assert call == ToolCall("none", {})
-    call = structured_tool_call(session, _req(fmt="tool_call_schema"))
-    assert call == ToolCall("head", {"table": "frpm", "n": 3})
-    call = structured_tool_call(session, _req(fmt="tool_call_schema"))
-    assert call == ToolCall("value_in", {"table": "t", "column": "c", "value": "a}b"})
-    call = structured_tool_call(session, _req(fmt="tool_call_schema"))
-    assert call == ToolCall("none", {})
+    ask = _req(fmt="tool_call_schema")
+    assert structured_tool_call(session, ask) == (ToolCall("none", {}), None)
+    head = ToolCall("head", {"table": "frpm", "n": 3})
+    assert structured_tool_call(session, ask) == (head, None)
+    assert structured_tool_call(session, ask) == (
+        ToolCall("value_in", {"table": "t", "column": "c", "value": "a}b"}),
+        None,
+    )
+    assert structured_tool_call(session, ask) == (ToolCall("none", {}), None)
     assert session.consumed == 4  # no repair round-trip
 
 
@@ -343,20 +339,26 @@ def test_structured_tool_call_repairs_once():
             '{"tool": "value_in", "args": {"table": "frpm", "column": "Low Grade", "value": "K"}}',
         ]
     )
-    call = structured_tool_call(session, _req(fmt="tool_call_schema"))
-    assert call.args["value"] == "K"
+    ask = _req(fmt="tool_call_schema")
+    call, error = structured_tool_call(session, ask)
+    assert call.args["value"] == "K" and error is None
     assert session.consumed == 2
-    # the repair request carried the model's own output and the parse error back
-    repair_request = session.requests[1]
-    assert repair_request.messages[-2] == ChatMessage("assistant", first)
-    assert 'lacks the "tool" key' in repair_request.messages[-1].content
+    # the repair request is the REPAIR stage's: the conversation, the model's
+    # own output and the parse error
+    assert session.requests[1] == REPAIR.request(
+        *ask.messages[1:],
+        ChatMessage("assistant", first),
+        error='response JSON lacks the "tool" key',
+    )
+    assert session.requests[1].messages[0].content == LOOKUP_SYSTEM
 
 
 def test_structured_tool_call_gives_up_after_one_repair():
     session = ScriptedSession(["not json at all", "still { not json"])
-    with pytest.raises(MalformedToolCall) as err:
-        structured_tool_call(session, _req(fmt="tool_call_schema"))
-    assert err.value.call == ToolCall("", {})
+    assert structured_tool_call(session, _req(fmt="tool_call_schema")) == (
+        ToolCall("", {}),
+        "tool call malformed after repair: response did not contain a JSON object",
+    )
     assert session.consumed == 2
 
 
@@ -370,9 +372,9 @@ def test_structured_tool_call_gives_up_after_one_repair():
 )
 def test_malformed_tool_call_carries_the_first_name_tool_call_accepts(first, second, name):
     session = ScriptedSession([first, second])
-    with pytest.raises(MalformedToolCall) as err:
-        structured_tool_call(session, _req(fmt="tool_call_schema"))
-    assert err.value.call == ToolCall(name, {})
+    call, error = structured_tool_call(session, _req(fmt="tool_call_schema"))
+    assert call == ToolCall(name, {})
+    assert error.startswith("tool call malformed after repair: ")
 
 
 def test_structured_tool_call_rejects_non_scalar_args_then_repairs():
@@ -383,7 +385,7 @@ def test_structured_tool_call_rejects_non_scalar_args_then_repairs():
         ]
     )
     call = structured_tool_call(session, _req(fmt="tool_call_schema"))
-    assert call == ToolCall("head", {"table": "frpm", "n": 2})
+    assert call == (ToolCall("head", {"table": "frpm", "n": 2}), None)
 
 
 def test_structured_tool_call_repairs_a_lone_surrogate():
@@ -397,8 +399,9 @@ def test_structured_tool_call_repairs_a_lone_surrogate():
         ]
     )
     call = structured_tool_call(session, _req(fmt="tool_call_schema"))
-    assert call == ToolCall(
-        "sim_value_in", {"table": "ledger", "column": "party", "query_text": "abc"}
+    assert call == (
+        ToolCall("sim_value_in", {"table": "ledger", "column": "party", "query_text": "abc"}),
+        None,
     )
     assert session.consumed == 2
     assert "is not valid UTF-8" in session.requests[1].messages[-1].content
@@ -414,7 +417,7 @@ def test_structured_tool_call_repairs_a_non_finite_number(constant):
         ]
     )
     call = structured_tool_call(session, _req(fmt="tool_call_schema"))
-    assert call == ToolCall("head", {"table": "frpm", "n": 2})
+    assert call == (ToolCall("head", {"table": "frpm", "n": 2}), None)
     assert session.consumed == 2
     assert "must be a finite number" in session.requests[1].messages[-1].content
 

@@ -1,14 +1,18 @@
 """docs/ is the golden copy of scripts/gen_docs.py's output. The concise-style
 examples in src/diver/data/concise_shots.json have no generator: the JSON is
 their one source, so it must stay canonical and every workspace in it must
-round-trip through the trace codec."""
+round-trip through the trace codec. Every request the model sees is built by
+the stage table."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import test_golden_trace
 from diver.cotf import deserialize, serialize
+from diver.prompts import Stage
 from diver.toolbox import render_guidance
+from replay import RecordingSession
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ROOT / "docs"
@@ -65,3 +69,29 @@ def test_concise_shots_are_canonical_round_tripping_workspaces():
         # deserialize enforces the clause partition and the turn rules
         assert json.loads(serialize(deserialize(json.dumps(shot["cotf"])))) == shot["cotf"]
         assert shot["evidence"].strip()
+
+
+def test_every_request_a_client_receives_comes_from_the_stage_table(
+    schools_db, schools_desc_dir, monkeypatch
+):
+    # the golden scenario holds a repaired call and one still malformed after
+    # its repair, besides every other stage
+    built, sessions = [], []
+    request = Stage.request
+
+    def recording_request(self, *history, **fields):
+        built.append(request(self, *history, **fields))
+        return built[-1]
+
+    class Session(RecordingSession):
+        def __init__(self, script):
+            super().__init__(script)
+            sessions.append(self)
+
+    monkeypatch.setattr(Stage, "request", recording_request)
+    monkeypatch.setattr(test_golden_trace, "RecordingSession", Session)
+    test_golden_trace.run_golden(schools_db, schools_desc_dir)
+    stage_built = {id(r) for r in built}
+    (session,) = sessions
+    assert session.requests
+    assert [r for r in session.requests if id(r) not in stage_built] == []
