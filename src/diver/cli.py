@@ -37,7 +37,7 @@ def _load_json(path: str | Path, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise DiverError(f"cannot load {what} from {path}: {exc}") from exc
 
 
@@ -88,10 +88,10 @@ def _build_embedder(args):
 
 def _read_sidecar(path: Path) -> dict:
     """A question's {style: text} evidence sidecar; {} when it is missing,
-    unreadable or not a JSON object."""
+    unreadable, not UTF-8, nested too deeply or not a JSON object."""
     try:
         texts = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError, RecursionError):
         return {}
     return texts if isinstance(texts, dict) else {}
 

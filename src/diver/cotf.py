@@ -32,6 +32,9 @@ from typing import Any
 from .errors import SchemaViolation
 from .tokens import tokenize
 
+# json.dumps(text, ensure_ascii=False) of one string
+_json_string = json.encoder.encode_basestring
+
 SCHEMA_VERSION = 2
 DEFAULT_MAX_TURNS = 5  # probing turns per clause unless a run sets its own
 
@@ -383,11 +386,42 @@ def append_turn(doc: CoTFDocument, clause_index: int, turn: Turn) -> CoTFDocumen
 
 
 def _fragment(payload: dict, depth: int) -> str:
-    """payload as it appears depth levels deep in the document. A JSON string
-    never holds a raw newline, so every newline is a line break of the layout
-    and takes the extra indent."""
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
-    return text.replace("\n", "\n" + "  " * depth)
+    """payload as it appears depth levels deep in the document: what
+    json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) writes,
+    with every line break taking the extra indent. json.dumps indents in pure
+    Python, one generator per container; _encode writes the same text into
+    one list, in under half the time, with json's own string escaper."""
+    parts: list[str] = []
+    _encode(payload, "\n" + "  " * depth, parts)
+    return "".join(parts)
+
+
+def _encode(value: Any, newline: str, parts: list[str]) -> None:
+    """Append value's indented JSON to parts; newline is the line break and
+    indent of the line value starts on."""
+    if isinstance(value, str):
+        parts.append(_json_string(value))
+    elif value is None or isinstance(value, bool):
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, (int, float)):
+        # json.dumps writes a number with its type's repr
+        parts.append((float if isinstance(value, float) else int).__repr__(value))
+    elif isinstance(value, (dict, list, tuple)):
+        is_dict = isinstance(value, dict)
+        if not value:
+            parts.append("{}" if is_dict else "[]")
+            return
+        inner = newline + "  "
+        parts.append("{" if is_dict else "[")
+        for i, item in enumerate(sorted(value.items()) if is_dict else value):
+            parts.append("," + inner if i else inner)
+            if is_dict:
+                key, item = item
+                parts.append(_json_string(key) + ": ")
+            _encode(item, inner, parts)
+        parts.append(newline + ("}" if is_dict else "]"))
+    else:
+        raise TypeError(f"not JSON-representable: {value!r}")
 
 
 def _wire(obj: Any) -> dict:
@@ -448,7 +482,8 @@ def _array(value: Any) -> list:
 def deserialize(data: bytes | str) -> CoTFDocument:
     """Parse canonical JSON back into a document. Every object is built by
     its own constructor, so it must carry exactly the keys serialize writes;
-    anything that does not match the schema raises SchemaViolation."""
+    anything that does not match the schema, is not UTF-8 or nests deeper
+    than the interpreter's recursion limit raises SchemaViolation."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -489,5 +524,5 @@ def deserialize(data: bytes | str) -> CoTFDocument:
         )
     except SchemaViolation:
         raise
-    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+    except (TypeError, ValueError, KeyError, AttributeError, RecursionError) as exc:
         raise SchemaViolation(f"malformed document: {exc}") from exc

@@ -314,7 +314,9 @@ def parse_description_file(path: Path) -> dict[str, str]:
 def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -> SchemaCatalog:
     """Walk sqlite_master + pragma_table_info into a SchemaCatalog, every
     statement through the memo; the catalog holds the schema only, no row
-    counts. A table the engine cannot describe (a virtual table whose module
+    counts, and leaves out only SQLite's own tables, whose names begin with
+    sqlite_ in any case (an escaped LIKE: a bare _ would match any
+    character). A table the engine cannot describe (a virtual table whose module
     is not loaded, say) is left out, with a warning the first time per file
     and table in the process. When description_dir is a directory, join its
     description CSVs (a malformed one only warns); otherwise, as for a
@@ -332,7 +334,7 @@ def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -
     tables = []
     names = handle.memo_query(
         "SELECT name FROM sqlite_master WHERE type = 'table'"
-        " AND name NOT LIKE 'sqlite_%' ORDER BY name"
+        " AND name NOT LIKE 'sqlite\\_%' ESCAPE '\\' ORDER BY name"
     ).rows
     for (table_name,) in names:
         table_desc = descriptions.get(table_name.lower(), {})

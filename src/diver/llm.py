@@ -31,7 +31,7 @@ RESPONSE_FORMATS = ("free_text", "tool_call_schema")
 LLM_ATTEMPTS = 3  # total tries of one chat request
 LLM_BACKOFF = 1.0  # seconds before the first retry, doubled for each later one
 LLM_TIMEOUT = 120.0  # seconds per HTTP request
-FINGERPRINT_CACHE_SIZE = 16  # request prefixes whose sha256 state fingerprint keeps
+FINGERPRINT_CACHE_SIZE = 16  # request prefixes, and message heads, fingerprint keeps
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,42 @@ class ChatRequest:
 # updated, so concurrent questions (--jobs) share them.
 _prefix_states: dict[tuple[str, ...], object] = {}
 _prefix_lock = threading.Lock()
-# json.dumps(text, ensure_ascii=False) without building an encoder per call
-_json_string = json.JSONEncoder(ensure_ascii=False).encode
+# json.dumps(text, ensure_ascii=False) of one string
+_json_string = json.encoder.encode_basestring
+_CHUNK = 1024  # characters of a message text escaped as one piece
+# the last message text longer than _CHUNK to begin with each leading chunk,
+# keyed by that chunk, with the UTF-8 escapes of its chunks; least recently
+# used first out, under _prefix_lock
+_escaped_heads: dict[str, tuple[str, list[bytes]]] = {}
+
+
+def _escaped(text: str) -> bytes:
+    """json.dumps(text, ensure_ascii=False) as UTF-8.
+
+    That encoder escapes each character on its own, so the escape of a text
+    is the concatenation of its chunks' escapes. A message text is escaped
+    in chunks of _CHUNK characters, and the leading chunks it shares with the
+    last text that began with the same chunk reuse that text's escapes: a
+    workspace resent with one more turn pays only for its new tail."""
+    if len(text) <= _CHUNK:
+        return _json_string(text).encode("utf-8")
+    head = text[:_CHUNK]
+    with _prefix_lock:
+        last = _escaped_heads.pop(head, None)
+    pieces: list[bytes] = []
+    if last is not None:
+        old, old_pieces = last
+        for at, piece in zip(range(0, len(text), _CHUNK), old_pieces):
+            if text[at : at + _CHUNK] != old[at : at + _CHUNK]:
+                break
+            pieces.append(piece)
+    for at in range(len(pieces) * _CHUNK, len(text), _CHUNK):
+        pieces.append(_json_string(text[at : at + _CHUNK])[1:-1].encode("utf-8"))
+    with _prefix_lock:
+        _escaped_heads[head] = text, pieces
+        while len(_escaped_heads) > FINGERPRINT_CACHE_SIZE:
+            del _escaped_heads[next(iter(_escaped_heads))]
+    return b'"' + b"".join(pieces) + b'"'
 
 
 def fingerprint(request: ChatRequest) -> str:
@@ -83,7 +117,8 @@ def fingerprint(request: ChatRequest) -> str:
 
     Consecutive requests resend the same system prompt, conversation and
     workspace, so the hash starts from a copy of the state of the longest
-    cached prefix of the messages and is fed only the messages after it."""
+    cached prefix of the messages and is fed only the messages after it,
+    each escaped by _escaped."""
     messages = request.messages
     n = len(messages)
     key = tuple([text for m in messages for text in (m.role, m.content)])
@@ -102,7 +137,7 @@ def fingerprint(request: ChatRequest) -> str:
         if i:
             state.update(b", ")
         state.update(b'{"content": ')
-        state.update(_json_string(messages[i].content).encode("utf-8"))
+        state.update(_escaped(messages[i].content))
         state.update(f', "role": {json.dumps(messages[i].role)}}}'.encode("utf-8"))
         if i >= n - FINGERPRINT_CACHE_SIZE:  # an earlier prefix would be evicted at once
             new.append((key[: 2 * i + 2], state.copy()))
@@ -163,7 +198,7 @@ class ScriptedSession:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
             raise DiverError(f"cannot load replay script {path}: {exc}") from exc
 
     @property
@@ -277,14 +312,15 @@ def replace_surrogates(text: str) -> str:
 def extract_json(text: str, kind: type) -> dict | list | None:
     """The first JSON value of type kind (dict or list) in model output: the
     decoder reads from each opening bracket in turn, so code fences,
-    surrounding prose and brackets inside strings do not matter."""
+    surrounding prose and brackets inside strings do not matter, and a value
+    nested deeper than the interpreter's recursion limit counts as malformed."""
     opener = "{" if kind is dict else "["
     decoder = json.JSONDecoder()
     start = text.find(opener)
     while start != -1:
         try:
             obj, _ = decoder.raw_decode(text, start)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             pass
         else:
             if isinstance(obj, kind):

@@ -12,6 +12,7 @@ never an exception into the loop.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random as _random_mod
@@ -27,6 +28,7 @@ POOL_CAP = 10_000  # embed the whole distinct-value pool up to this size
 PREFILTER_SIZE = 1_000  # larger pools are cut down by trigram overlap first
 DEFAULT_K = 5
 DEFAULT_SAMPLE_LIMIT = 20
+RANK_CACHE_SIZE = 64  # lexical rankings _rank keeps
 
 
 @dataclass
@@ -319,13 +321,25 @@ def info(
     }
 
 
+@functools.lru_cache(maxsize=RANK_CACHE_SIZE)
+def _lexical_top_k(query_text: str, candidates: tuple[str, ...], k: int) -> tuple:
+    """top_k by the LexicalEmbedder, whose ranking is a function of the
+    texts and k alone, so the last RANK_CACHE_SIZE rankings are kept: a
+    clause that asks sim_columns again, or a question that asks what an
+    earlier one did, embeds nothing. A tuple, so no caller can change it."""
+    return tuple(top_k(LexicalEmbedder(), query_text, list(candidates), k))
+
+
 def _rank(embedder, query_text: str, candidates: list[str], k: int):
     """top_k, falling back to the offline lexical embedder when the
-    embedding provider is unavailable."""
+    embedding provider is unavailable. Any other embedder than the
+    LexicalEmbedder is asked every time."""
     try:
+        if type(embedder) is LexicalEmbedder:
+            return list(_lexical_top_k(query_text, tuple(candidates), k)), "embedding"
         return top_k(embedder, query_text, candidates, k), "embedding"
     except EmbedderUnavailable:
-        return top_k(LexicalEmbedder(), query_text, candidates, k), "lexical"
+        return list(_lexical_top_k(query_text, tuple(candidates), k)), "lexical"
 
 
 def _prefilter(query_text: str, pool: list[str]) -> list[str]:

@@ -132,6 +132,10 @@ def test_segment_tolerates_fences_and_garbage():
     assert segment("q", session) == []
 
 
+def test_segment_falls_back_on_an_array_nested_too_deeply():
+    assert segment("q", ScriptedSession(["[" * 1000])) == []
+
+
 def test_segment_propagates_client_errors():
     session = ScriptedSession([])
     with pytest.raises(LlmError, match=r"^replay script exhausted after 0 responses$"):

@@ -291,6 +291,65 @@ def test_rerun_redoes_a_truncated_trace(happy_run, tmp_path, db_root):
     assert sorted(p.name for p in out.rglob("*.tmp")) == []
 
 
+def test_rerun_redoes_a_trace_nested_too_deeply(happy_run, tmp_path, db_root, capsys):
+    rc, dataset, _, out = happy_run
+    assert rc == 0
+    trace = out / "traces" / "12.json"
+    whole = trace.read_bytes()
+    trace.write_bytes(b"[" * 100_000)
+    capsys.readouterr()
+    assert cli.main(["trace-stats", "--trace-dir", str(out / "traces"), "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert (stats["traces"], stats["skipped"]) == (2, ["12.json"])
+    b = ScriptBuilder()
+    b.responses = build_happy_script().build()[14:-10]  # q2's block alone
+    assert cli.main(run_args(dataset, db_root, out, b.write(tmp_path / "q2.json"))) == 0
+    report = json.loads((out / "run_report.json").read_text())
+    assert set(report["skipped"]) == {"11", "13"}
+    assert report["completed"] == ["12"]
+    assert trace.read_bytes() == whole
+
+
+def test_a_sidecar_that_is_not_utf8_is_redone_and_the_report_written(
+    happy_run, tmp_path, db_root
+):
+    rc, dataset, _, out = happy_run
+    assert rc == 0
+    sidecar = out / "evidence" / "12.json"
+    whole = sidecar.read_bytes()
+    sidecar.write_bytes(b'{"concise": "' + bytes([0xFF, 0xFE]) + b'"}')
+    stray = out / "evidence" / "stray.json"  # no question of the dataset
+    stray.write_bytes(bytes([0xFF, 0xFE]))
+    b = ScriptBuilder()
+    b.responses = build_happy_script().build()[14:-10]  # q2's block alone
+    assert cli.main(run_args(dataset, db_root, out, b.write(tmp_path / "q2.json"))) == 0
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["completed"] == ["12"]
+    assert sidecar.read_bytes() == whole
+    evidence = json.loads((out / "evidence_concise.json").read_text())
+    assert evidence == {"11": Q1_EVIDENCE, "12": Q2_EVIDENCE, "13": Q3_EVIDENCE}
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_a_dataset_that_is_not_utf8_or_nested_too_deeply_is_refused(
+    tmp_path, db_root, capsys, command
+):
+    for name, data in (("latin1.json", '[{"question": "caf\xe9"}]'.encode("latin-1")),
+                       ("deep.json", b"[" * 100_000)):
+        dataset = tmp_path / name
+        dataset.write_bytes(data)
+        args = (
+            run_args(dataset, db_root, tmp_path / "out", tmp_path / "none.json")
+            if command == "run"
+            else eval_args(dataset, tmp_path / "none.json", db_root, tmp_path / "r.json")
+        )
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot load dataset from {dataset}: ")
+        assert "Traceback" not in captured.err
+
+
 def test_a_sidecar_holds_only_its_own_traces_evidence(tmp_path, db_root, open_db):
     dataset = write_dataset(tmp_path / "dataset.json", DATASET[:1])
     out = tmp_path / "out"

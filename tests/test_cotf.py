@@ -23,6 +23,7 @@ from diver.cotf import (
     ToolFeedback,
     Turn,
     VerifiedLinking,
+    _fragment,
     append_turn,
     deserialize,
     document_facts,
@@ -315,6 +316,14 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
     max_leaves=6,
 )
+# arrays as lists and as tuples, nested deeper than a record's own
+DEEP_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=30,
+)
 FEEDBACK = (
     st.builds(
         ToolFeedback,
@@ -336,6 +345,13 @@ TURNS = st.builds(
     feedback=FEEDBACK,
 )
 LINKINGS = st.tuples(st.integers(0, 99), TEXT.filter(bool), st.none() | TEXT, TEXT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(TEXT, DEEP_VALUES, max_size=4), st.integers(0, 3))
+def test_a_fragment_is_what_json_dumps_writes_at_its_depth(payload, depth):
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
+    assert _fragment(payload, depth) == text.replace("\n", "\n" + "  " * depth)
 
 
 @st.composite
@@ -458,6 +474,12 @@ def at(payload, path):
     for step in path:
         payload = payload[step]
     return payload
+
+
+def test_deserialize_rejects_a_document_nested_too_deeply():
+    for data in (b"[" * 100_000, "[" * 100_000, b'{"a": ' * 100_000):
+        with pytest.raises(SchemaViolation, match="^malformed document: maximum recursion depth"):
+            deserialize(data)
 
 
 def test_deserialize_rejects_malformed():

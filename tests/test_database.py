@@ -55,12 +55,13 @@ def _oracle_catalog(path: Path) -> dict[str, list[tuple[str, str]]]:
     conn = sqlite3.connect(path)
     out = {}
     try:
+        # SQLite reserves names that begin with sqlite_, in any ASCII case
         tables = [
             r[0]
             for r in conn.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table'"
-                " AND name NOT LIKE 'sqlite_%' ORDER BY name"
+                "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name"
             )
+            if not re.match("(?ai)sqlite_", r[0])
         ]
         for t in tables:
             quoted = '"' + t.replace('"', '""') + '"'

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -129,6 +130,58 @@ def test_fingerprint_equals_one_shot_encoding_past_the_cache_bound():
     assert len(llm._prefix_states) <= llm.FINGERPRINT_CACHE_SIZE
 
 
+# characters the JSON encoder escapes, characters it passes through, and
+# characters UTF-8 writes in two, three and four bytes
+_ESCAPE_ALPHABET = st.sampled_from(list('ab "\\/\n\t\x00\x1f\x7fé\u2028\ufeff😀'))
+
+
+@st.composite
+def texts_sharing_prefixes(draw):
+    """Texts in the order a run sends them: each keeps a prefix of an earlier
+    one and adds its own tail."""
+    texts = [draw(st.text(_ESCAPE_ALPHABET, max_size=40))]
+    for _ in range(draw(st.integers(0, 8))):
+        base = texts[draw(st.integers(0, len(texts) - 1))]
+        cut = draw(st.integers(0, len(base)))
+        texts.append(base[:cut] + draw(st.text(_ESCAPE_ALPHABET, max_size=12)))
+    return texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts_sharing_prefixes(), st.sampled_from([1, 2, 3, 7]))
+def test_chunked_escape_equals_one_shot_json(texts, chunk):
+    saved = llm._CHUNK
+    llm._CHUNK = chunk  # small chunks, so short texts cross many boundaries
+    llm._escaped_heads.clear()
+    try:
+        for text in texts:
+            assert llm._escaped(text) == json.dumps(text, ensure_ascii=False).encode("utf-8")
+        assert len(llm._escaped_heads) <= llm.FINGERPRINT_CACHE_SIZE
+    finally:
+        llm._CHUNK = saved
+        llm._escaped_heads.clear()
+
+
+def test_a_resent_workspace_escapes_only_its_new_chunks(monkeypatch):
+    escaped = []
+    encode = llm._json_string
+    monkeypatch.setattr(
+        llm, "_json_string", lambda text: escaped.append(len(text)) or encode(text)
+    )
+    monkeypatch.setattr(llm, "_escaped_heads", {})
+    turns = [f'{{"thought": "turn {i} \\ \u00e9\u2028", "rows": [{i}, "\\"x\\""]}}' * 40
+             for i in range(6)]
+    for n in range(1, len(turns) + 1):
+        # each turn lands inside the workspace, before what follows "turns"
+        workspace = '{"turns": [' + ", ".join(turns[:n]) + '], "verified": []}'
+        request = _req(workspace)
+        escaped.clear()
+        assert fingerprint(request) == one_shot_fingerprint(request)
+        if n > 1:
+            assert sum(escaped) < len(workspace) // 2 + 2 * llm._CHUNK
+    assert len(llm._escaped_heads) == 1
+
+
 def _grown(request: ChatRequest, *texts: str, fmt: str | None = None) -> ChatRequest:
     """request with messages appended, alternating assistant and user."""
     more = [ChatMessage(("assistant", "user")[i % 2], t) for i, t in enumerate(texts)]
@@ -188,7 +241,11 @@ def test_fingerprint_from_threads_sharing_prefixes():
     system = ChatMessage("system", "shared system prompt " * 50)
     requests = []
     for q in range(8):
-        request = ChatRequest([system, ChatMessage("user", f"question {q % 3}")], 0.7, "free_text")
+        # workspaces longer than an escape chunk that share their leading
+        # chunks, so threads also replace each other's escaped heads
+        head = "shared workspace head \u00e9 " * 60
+        workspace = head + f"question {q % 3} \\ " * (80 * (q % 4 + 1))
+        request = ChatRequest([system, ChatMessage("user", workspace)], 0.7, "free_text")
         for turn in range(6):
             requests.append(request)
             request = _grown(request, f"reply {turn} of {q}", f"ask {turn}")
@@ -261,6 +318,22 @@ def test_scripted_from_dict_and_file(tmp_path):
     assert session.chat(_req()) == "only"
     with pytest.raises(LlmError, match=r"^replay script exhausted after 1 responses$"):
         session.chat(_req())
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        ('["caf\u00e9"]'.encode("latin-1"), "'utf-8' codec can't decode"),
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["latin-1", "deep"],
+)
+def test_a_script_that_is_not_utf8_or_nested_too_deeply_is_refused(tmp_path, data, reason):
+    path = tmp_path / "script.json"
+    path.write_bytes(data)
+    refused = f"^cannot load replay script {re.escape(str(path))}: {reason}"
+    with pytest.raises(DiverError, match=refused):
+        ScriptedSession.from_file(path)
 
 
 @pytest.mark.parametrize(
@@ -351,6 +424,22 @@ def test_structured_tool_call_repairs_once():
         error='response JSON lacks the "tool" key',
     )
     assert session.requests[1].messages[0].content == LOOKUP_SYSTEM
+
+
+def test_extract_json_reads_a_value_nested_past_the_recursion_limit_as_malformed():
+    assert llm.extract_json("[" * 1000, list) is None
+    assert llm.extract_json('{"a": ' * 1000, dict) is None
+    # the scan goes on past the deep value to the next one
+    assert llm.extract_json("[" * 1000 + " then [1, 2]", list) == [1, 2]
+
+
+def test_structured_tool_call_repairs_a_reply_nested_too_deeply():
+    session = ScriptedSession(['{"tool": ' * 1000, '{"tool": "none", "args": {}}'])
+    assert structured_tool_call(session, _req(fmt="tool_call_schema")) == (
+        ToolCall("none", {}),
+        None,
+    )
+    assert session.consumed == 2
 
 
 def test_structured_tool_call_gives_up_after_one_repair():

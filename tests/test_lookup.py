@@ -411,6 +411,10 @@ def test_harvest_keeps_grounded_value_linking():
     assert '"samples"' in req.messages[-1].content
 
 
+def test_harvest_keeps_none_of_an_array_nested_too_deeply():
+    assert harvest_linkings(probe_doc(), ScriptedSession(["[" * 1000])) == []
+
+
 def test_harvest_replaces_a_lone_surrogate_in_the_rationale():
     doc = probe_doc()
     # json.dumps escapes the surrogate as \ud800, which is how JSON carries it

@@ -7,6 +7,8 @@ import json
 import random
 import re
 import sqlite3
+import sys
+import threading
 from contextlib import closing
 
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from diver.breakup import token_refine
 from diver.cotf import CoTFDocument, Question, ToolCall, Turn, append_turn, serialize
 from diver.database import ColumnInfo, SchemaCatalog, TableInfo, catalog, open_database
-from diver.embedding import LexicalEmbedder, trigrams
+from diver.embedding import LexicalEmbedder, top_k, trigrams
 from diver import toolbox
 from diver.errors import EmbedderUnavailable, SqlError
 from diver.toolbox import (
@@ -312,6 +314,127 @@ def test_sim_value_in_prefilters_huge_pools(tmp_path, open_db):
     assert got["prefiltered"] is True
     assert got["matches"][0]["value"] == "entry number 00042"
     assert got["matches"][0]["score"] == pytest.approx(1.0)
+
+
+class _CountingLexical(LexicalEmbedder):
+    """A lexical embedder of another class, as a remote one would be."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def embed(self, texts):
+        self.calls += 1
+        return super().embed(texts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(["grade", "school", "Fresno", "K", "kinder garten", "é"]),
+             min_size=1, max_size=12),
+    st.integers(1, 6),
+)
+def test_a_kept_lexical_ranking_is_what_top_k_returns(queries, k):
+    candidates = ["frpm.Low Grade", "frpm.High Grade", "schools.City Fresno", "schools.Phone"]
+    for query in queries:
+        got = toolbox._rank(LexicalEmbedder(), query, list(candidates), k)
+        assert got == (top_k(LexicalEmbedder(), query, candidates, k), "embedding")
+        got[0].clear()  # a caller's edits stay its own
+    assert toolbox._lexical_top_k.cache_info().currsize <= toolbox.RANK_CACHE_SIZE
+
+
+def test_a_repeated_lexical_ranking_embeds_nothing_and_stays_bounded(monkeypatch):
+    toolbox._lexical_top_k.cache_clear()
+    embedded = []
+    lexical_embed = LexicalEmbedder.embed
+    monkeypatch.setattr(
+        LexicalEmbedder,
+        "embed",
+        lambda self, texts: embedded.append(len(texts)) or lexical_embed(self, texts),
+    )
+    candidates = ["frpm.Low Grade", "frpm.High Grade", "schools.City"]
+    first = toolbox._rank(LexicalEmbedder(), "grade", candidates, 2)
+    assert toolbox._rank(LexicalEmbedder(), "grade", candidates, 2) == first
+    assert embedded == [4]
+    # another k, query or candidate list is another ranking
+    toolbox._rank(LexicalEmbedder(), "grade", candidates, 3)
+    toolbox._rank(LexicalEmbedder(), "grade", candidates[:2], 2)
+    assert embedded == [4, 4, 3]
+    # least recently used first out
+    for i in range(toolbox.RANK_CACHE_SIZE):
+        toolbox._rank(LexicalEmbedder(), f"query {i}", candidates, 2)
+    assert toolbox._lexical_top_k.cache_info().currsize == toolbox.RANK_CACHE_SIZE
+    embedded.clear()
+    toolbox._rank(LexicalEmbedder(), "grade", candidates, 2)
+    toolbox._rank(LexicalEmbedder(), f"query {toolbox.RANK_CACHE_SIZE - 1}", candidates, 2)
+    assert embedded == [4]
+
+
+def test_rankings_shared_by_threads_stay_exact_and_bounded():
+    toolbox._lexical_top_k.cache_clear()
+    candidates = ["frpm.Low Grade", "frpm.High Grade", "schools.City", "schools.Phone"]
+    queries = [f"grade {i}" for i in range(2 * toolbox.RANK_CACHE_SIZE)]
+    expected = {q: top_k(LexicalEmbedder(), q, candidates, 2) for q in queries}
+    mismatches, errors = [], []
+
+    def work(offset):
+        try:
+            for i in range(3 * len(queries)):
+                query = queries[(i * 7 + offset) % len(queries)]
+                if toolbox._rank(LexicalEmbedder(), query, candidates, 2)[0] != expected[query]:
+                    mismatches.append(query)
+        except Exception as exc:  # a thread's exception would otherwise go unseen
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert (errors, mismatches) == ([], [])
+    assert toolbox._lexical_top_k.cache_info().currsize <= toolbox.RANK_CACHE_SIZE
+
+
+def test_an_embedder_that_is_not_the_lexical_one_is_asked_every_time():
+    toolbox._lexical_top_k.cache_clear()
+    remote = _CountingLexical()
+    candidates = ["frpm.Low Grade", "frpm.High Grade"]
+    for _ in range(3):
+        assert toolbox._rank(remote, "grade", candidates, 2) == (
+            top_k(LexicalEmbedder(), "grade", candidates, 2),
+            "embedding",
+        )
+    assert remote.calls == 3
+    assert toolbox._lexical_top_k.cache_info().currsize == 0
+    # the lexical fallback of a failing endpoint is kept like any lexical ranking
+    assert toolbox._rank(_DownEmbedder(), "grade", candidates, 2)[1] == "lexical"
+    assert toolbox._lexical_top_k.cache_info().currsize == 1
+
+
+def test_a_table_whose_name_only_looks_reserved_is_in_the_catalog(tmp_path, open_db):
+    db = tmp_path / "lookalike.sqlite"
+    with closing(sqlite3.connect(db)) as conn:
+        conn.execute("CREATE TABLE ledger (amount INTEGER)")
+        conn.execute("CREATE TABLE sqlites (code TEXT)")
+        conn.execute('CREATE TABLE "SQLiteData" (note TEXT)')
+        conn.execute("CREATE TABLE seq (id INTEGER PRIMARY KEY AUTOINCREMENT)")
+        conn.execute("INSERT INTO sqlites VALUES ('X1')")
+        conn.execute("INSERT INTO seq DEFAULT VALUES")  # fills sqlite_sequence
+        conn.commit()
+        with pytest.raises(sqlite3.OperationalError, match="reserved"):
+            conn.execute("CREATE TABLE SQLITE_x (a)")  # the prefix is reserved in any case
+    handle = open_db(db)
+    cat = catalog(handle)
+    assert [t.name for t in cat.tables] == ["SQLiteData", "ledger", "seq", "sqlites"]
+    assert info(handle, cat, "sqlites")["row_count"] == 1
+    assert info(handle, cat, "SQLiteData", "note")["declared_type"] == "TEXT"
+    matches = sim_columns(cat, LexicalEmbedder(), "sqlites code", k=1)["matches"]
+    assert matches == [{"table": "sqlites", "column": "code", "score": matches[0]["score"]}]
 
 
 # --- sim_columns ---
