@@ -6,12 +6,13 @@ the end. The whole document serializes to canonical JSON (sorted keys, UTF-8,
 two-space indent, trailing newline) so replayed runs are byte-identical.
 
 The workspace is re-serialized on every probing round and by every evidence
-candidate, so each record encodes itself once and keeps that text, and a turn
-collects its facts once and keeps them. A record therefore never changes once
-it is in a document. Question, Clause and VerifiedLinking are frozen; nothing
-in this package assigns to a Turn, its ToolCall or its ToolFeedback once the
-turn is appended (the toolbox records a drawn random seed into the call's args
-before the turn is built).
+candidate. One encoder, _encode, writes the records and the document around
+them; each record (Question, Clause, Turn, VerifiedLinking) keeps the text
+written for it the first time, and a turn collects its facts once and keeps
+them. So a record never changes once it is in a document: all four are
+frozen. A turn's ToolCall and ToolFeedback are not (the toolbox records a
+drawn random seed into the call's args before the turn is built), and nothing
+in this package assigns to them once their turn is built.
 
 Tool names are not validated here: a call keeps whatever name the model gave,
 and the tool table toolbox.TOOLS judges it at dispatch time. The only tool
@@ -111,10 +112,6 @@ class Question:
         if not tokenize(self.text):
             raise SchemaViolation("question.text has no tokens")
 
-    @cached_property
-    def _json(self) -> str:
-        return _fragment(_wire(self), 1)
-
 
 @dataclass(frozen=True)
 class Clause:
@@ -135,10 +132,6 @@ class Clause:
             or not 0 <= span[0] < span[1]
         ):
             raise SchemaViolation(f"clause.token_span malformed: {span!r}")
-
-    @cached_property
-    def _json(self) -> str:
-        return _fragment(_wire(self), 2)
 
 
 @dataclass
@@ -203,7 +196,7 @@ class ToolFeedback:
         return cls(kind="guiding", message=message, result=None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Turn:
     thought: str
     tool_call: ToolCall
@@ -216,10 +209,6 @@ class Turn:
             raise SchemaViolation("turn.tool_call must be a ToolCall")
         if not isinstance(self.feedback, ToolFeedback):
             raise SchemaViolation("turn.feedback must be a ToolFeedback")
-
-    @cached_property
-    def _json(self) -> str:
-        return _fragment(_wire(self), 3)
 
     @cached_property
     def facts(self) -> frozenset[str]:
@@ -267,10 +256,6 @@ class VerifiedLinking:
             or not all(_is_int(x) and x >= 0 for x in st)
         ):
             raise SchemaViolation(f"linking.source_turn malformed: {st!r}")
-
-    @cached_property
-    def _json(self) -> str:
-        return _fragment(_wire(self), 2)
 
 
 @dataclass
@@ -385,21 +370,35 @@ def append_turn(doc: CoTFDocument, clause_index: int, turn: Turn) -> CoTFDocumen
     return doc
 
 
-def _fragment(payload: dict, depth: int) -> str:
-    """payload as it appears depth levels deep in the document: what
-    json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) writes,
-    with every line break taking the extra indent. json.dumps indents in pure
-    Python, one generator per container; _encode writes the same text into
-    one list, in under half the time, with json's own string escaper."""
-    parts: list[str] = []
-    _encode(payload, "\n" + "  " * depth, parts)
-    return "".join(parts)
+# the records a document holds: each is frozen and sits at the same depth in
+# every document, so the text first written for it stays its text
+_RECORDS = frozenset((Question, Clause, Turn, VerifiedLinking))
+
+
+def _object(obj: Any) -> dict:
+    """A dataclass as its wire object: its fields by name."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def _encode(value: Any, newline: str, parts: list[str]) -> None:
     """Append value's indented JSON to parts; newline is the line break and
-    indent of the line value starts on."""
-    if isinstance(value, str):
+    indent of the line value starts on. The text is what json.dumps(value,
+    sort_keys=True, ensure_ascii=False, indent=2) writes, with a dataclass
+    written as the object of its fields. json.dumps indents in pure Python,
+    one generator per container; this writes into one list, in under half
+    the time, with json's own string escaper.
+
+    A record keeps the text of its first write in its instance dict, where
+    cached_property would keep it, so writing a document again copies its
+    records' texts."""
+    if type(value) in _RECORDS:
+        text = value.__dict__.get("_text")
+        if text is None:
+            own: list[str] = []
+            _encode(_object(value), newline, own)
+            text = value.__dict__["_text"] = "".join(own)
+        parts.append(text)
+    elif isinstance(value, str):
         parts.append(_json_string(value))
     elif value is None or isinstance(value, bool):
         parts.append("null" if value is None else "true" if value else "false")
@@ -420,47 +419,22 @@ def _encode(value: Any, newline: str, parts: list[str]) -> None:
                 parts.append(_json_string(key) + ": ")
             _encode(item, inner, parts)
         parts.append(newline + ("}" if is_dict else "]"))
+    elif is_dataclass(value):
+        _encode(_object(value), newline, parts)
     else:
         raise TypeError(f"not JSON-representable: {value!r}")
-
-
-def _wire(obj: Any) -> dict:
-    """obj's fields as its wire object, a field holding a dataclass as that
-    object's own. Tuples stay tuples, which json.dumps writes as arrays, and
-    payloads are not copied."""
-    return {
-        f.name: _wire(v) if is_dataclass(v := getattr(obj, f.name)) else v for f in fields(obj)
-    }
-
-
-def _layout_array(items: list[str], indent: str) -> str:
-    """What json.dumps(indent=2) writes for an array whose closing bracket
-    sits at indent, given its items already laid out one level deeper."""
-    if not items:
-        return "[]"
-    inner = "\n" + indent + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
 def serialize(doc: CoTFDocument) -> bytes:
     """Canonical JSON bytes: sorted keys, UTF-8, indent 2, trailing newline.
 
     Byte-identical to json.dumps(payload, sort_keys=True, ensure_ascii=False,
-    indent=2) of the whole document, but the question, each clause, each turn
-    and each verified linking encodes itself once; a call only lays out the
-    encoded pieces."""
-    members = {
-        "schema_version": json.dumps(SCHEMA_VERSION),
-        "question": doc.question._json,
-        "clauses": _layout_array([c._json for c in doc.clauses], "  "),
-        "turns": _layout_array(
-            [_layout_array([t._json for t in column], "    ") for column in doc.turns], "  "
-        ),
-        "verified": _layout_array([v._json for v in doc.verified], "  "),
-        "max_turns": json.dumps(doc.max_turns),
-    }
-    body = ",\n  ".join(f'"{key}": {members[key]}' for key in sorted(members))
-    return ("{\n  " + body + "\n}\n").encode("utf-8")
+    indent=2) of the whole document; each record is encoded once, by
+    _encode, and copied after that."""
+    parts: list[str] = []
+    _encode({**_object(doc), "schema_version": SCHEMA_VERSION}, "\n", parts)
+    parts.append("\n")
+    return "".join(parts).encode("utf-8")
 
 
 def _build(cls, obj: dict, **parsed: Any) -> Any:

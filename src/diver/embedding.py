@@ -68,7 +68,7 @@ class LexicalEmbedder:
     def embed(self, texts: list[str]) -> list[Vector]:
         if not texts:
             raise ValueError("embed() needs at least one text")
-        texts = [_truncate(t) for t in texts]
+        texts = _truncate(texts)
         counts = [Counter(_grams(t)) for t in texts]
         df: Counter = Counter()
         for c in counts:
@@ -102,7 +102,7 @@ class RemoteEmbedder:
             raise ValueError("embed() needs at least one text")
         import requests  # only a remote embedder needs it; a lexical run skips its import
 
-        texts = [_truncate(t) for t in texts]
+        texts = _truncate(texts)
         rows: list[list[float]] = []
         for start in range(0, len(texts), REMOTE_BATCH_SIZE):
             batch = texts[start : start + REMOTE_BATCH_SIZE]
@@ -166,13 +166,20 @@ def _finite(x) -> float | None:
     return w if math.isfinite(w) else None
 
 
-def _truncate(text: str) -> str:
-    if len(text) > DEFAULT_MAX_LENGTH:
-        logger.warning(
-            "truncating %d-char text to %d chars for embedding", len(text), DEFAULT_MAX_LENGTH
-        )
-        return text[:DEFAULT_MAX_LENGTH]
-    return text
+def _truncate(texts: list[str]) -> list[str]:
+    """texts cut to DEFAULT_MAX_LENGTH characters each, with one warning for
+    the call however many of them were longer."""
+    longer = [len(t) for t in texts if len(t) > DEFAULT_MAX_LENGTH]
+    if not longer:
+        return texts
+    logger.warning(
+        "truncating %d of %d texts (the longest %d chars) to %d chars for embedding",
+        len(longer),
+        len(texts),
+        max(longer),
+        DEFAULT_MAX_LENGTH,
+    )
+    return [t[:DEFAULT_MAX_LENGTH] for t in texts]
 
 
 def _norm(v: Vector) -> float:

@@ -138,7 +138,8 @@ def fingerprint(request: ChatRequest) -> str:
             state.update(b", ")
         state.update(b'{"content": ')
         state.update(_escaped(messages[i].content))
-        state.update(f', "role": {json.dumps(messages[i].role)}}}'.encode("utf-8"))
+        # ChatMessage took one of three roles, which need no escaping
+        state.update(f', "role": "{messages[i].role}"}}'.encode())
         if i >= n - FINGERPRINT_CACHE_SIZE:  # an earlier prefix would be evicted at once
             new.append((key[: 2 * i + 2], state.copy()))
     if new:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diver import cotf
 from diver.cotf import (
     SCHEMA_VERSION,
     Clause,
@@ -23,7 +24,7 @@ from diver.cotf import (
     ToolFeedback,
     Turn,
     VerifiedLinking,
-    _fragment,
+    _encode,
     append_turn,
     deserialize,
     document_facts,
@@ -351,7 +352,9 @@ LINKINGS = st.tuples(st.integers(0, 99), TEXT.filter(bool), st.none() | TEXT, TE
 @given(st.dictionaries(TEXT, DEEP_VALUES, max_size=4), st.integers(0, 3))
 def test_a_fragment_is_what_json_dumps_writes_at_its_depth(payload, depth):
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
-    assert _fragment(payload, depth) == text.replace("\n", "\n" + "  " * depth)
+    parts: list[str] = []
+    _encode(payload, "\n" + "  " * depth, parts)
+    assert "".join(parts) == text.replace("\n", "\n" + "  " * depth)
 
 
 @st.composite
@@ -456,6 +459,27 @@ def test_question_and_linking_cannot_change_once_built():
         doc.question.text = "Another question"
     with pytest.raises(FrozenInstanceError):
         doc.verified[0].rationale = "another rationale"
+    with pytest.raises(FrozenInstanceError):
+        doc.turns[0][0].thought = "another thought"
+
+
+@pytest.mark.parametrize("n_turns", [1, 4, 8])
+def test_a_document_written_again_escapes_only_its_own_keys(n_turns, monkeypatch):
+    doc = small_doc(max_turns=8)
+    for i in range(n_turns):
+        feedback = ToolFeedback.standard({"rows": [[i, "café"]], "note": "n"})
+        append_turn(doc, 0, Turn(f"thought {i}", ToolCall("head", {"table": "t"}), feedback))
+    doc.add_verified(
+        VerifiedLinking("schema", "t", None, None, "seen in a probe", source_turn=(0, 0))
+    )
+    first = serialize(doc)
+    escaped: list[str] = []
+    encode = cotf._json_string
+    monkeypatch.setattr(cotf, "_json_string", lambda text: escaped.append(text) or encode(text))
+    # every record keeps the text of its first write, so a second write
+    # escapes no string of a record, however many turns the document holds
+    assert serialize(doc) == first
+    assert escaped == ["clauses", "max_turns", "question", "schema_version", "turns", "verified"]
 
 
 # paths to one object of each kind in a serialized golden_doc()

@@ -46,7 +46,7 @@ def similarity_score(a: dict, b: dict) -> float:
 def reference_embed(texts: list[str]) -> list[dict]:
     """Oracle: the lexical embedder written as the formula, one bucket lookup
     and one sign * (1 + log tf) * idf product per gram of each text."""
-    texts = [embedding._truncate(t) for t in texts]
+    texts = [t[:DEFAULT_MAX_LENGTH] for t in texts]
     counts = [Counter(embedding._grams(t)) for t in texts]
     df: Counter = Counter()
     for c in counts:
@@ -288,6 +288,20 @@ def test_remote_embedder_malformed_response_raises_unavailable(stub_server, repl
     _StubHandler.reply = reply
     with pytest.raises(EmbedderUnavailable, match=message):
         RemoteEmbedder(endpoint=stub_server).embed(["hello"])
+
+
+@pytest.mark.parametrize("backend", ["lexical", "remote"])
+def test_truncation_warns_once_per_embed_call(backend, stub_server, caplog):
+    texts = ["y" * 9_001] * 4 + ["short", "z" * 9_500]
+    emb = LexicalEmbedder() if backend == "lexical" else RemoteEmbedder(endpoint=stub_server)
+    with caplog.at_level("WARNING", logger="diver.embedding"):
+        rows = emb.embed(texts)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"truncating 5 of 6 texts (the longest 9500 chars) to {DEFAULT_MAX_LENGTH} chars"
+        " for embedding"
+    ]
+    # the vectors are those of the cut texts
+    assert rows == emb.embed([t[:DEFAULT_MAX_LENGTH] for t in texts])
 
 
 def test_remote_embedder_unreachable_raises(monkeypatch):
