@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, NamedTuple, Sequence
 
-from .errors import DescriptionParseError, DiverError, SqlError
+from .errors import DiverError, SqlError
 
 logger = logging.getLogger(__name__)
 
@@ -280,8 +280,8 @@ def parse_description_file(path: Path) -> dict[str, str]:
     """Read one BIRD-style description CSV into {column name -> description}.
 
     Joins column_description and value_description with ' | '. Raises
-    DescriptionParseError when the file cannot be decoded or lacks the
-    original_column_name header.
+    DiverError when the file cannot be decoded or lacks the
+    original_column_name header; catalog warns and skips such a file.
     """
     last_error: Exception | None = None
     for encoding in DESCRIPTION_ENCODINGS:
@@ -289,9 +289,7 @@ def parse_description_file(path: Path) -> dict[str, str]:
             with open(path, "r", encoding=encoding, newline="") as fh:
                 reader = csv.DictReader(fh)
                 if not reader.fieldnames or "original_column_name" not in reader.fieldnames:
-                    raise DescriptionParseError(
-                        f"{path}: missing original_column_name header"
-                    )
+                    raise DiverError(f"{path}: missing original_column_name header")
                 out: dict[str, str] = {}
                 for row in reader:
                     name = (row.get("original_column_name") or "").strip()
@@ -308,7 +306,7 @@ def parse_description_file(path: Path) -> dict[str, str]:
         except (UnicodeDecodeError, csv.Error, OSError) as exc:
             last_error = exc
             continue
-    raise DescriptionParseError(f"{path}: cannot parse ({last_error})")
+    raise DiverError(f"{path}: cannot parse ({last_error})")
 
 
 def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -> SchemaCatalog:
@@ -328,7 +326,7 @@ def catalog(handle: DatabaseHandle, description_dir: str | Path | None = None) -
                 continue
             try:
                 descriptions[f.stem.lower()] = parse_description_file(f)
-            except DescriptionParseError as exc:
+            except DiverError as exc:
                 logger.warning("skipping description file: %s", exc)
 
     tables = []

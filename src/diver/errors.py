@@ -30,10 +30,6 @@ class SqlError(DiverError):
     the message to the model as corrective feedback."""
 
 
-class DescriptionParseError(DiverError):
-    """A description CSV could not be parsed. Non-fatal: callers warn and skip."""
-
-
 class EmbedderUnavailable(DiverError):
     """Embedding provider cannot be reached or sent a malformed response;
     callers fall back to lexical scoring."""

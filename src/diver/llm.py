@@ -4,7 +4,9 @@ LiveClient talks to a chat-completions style HTTP endpoint (credentials via
 DIVER_LLM_API_KEY) and retries only transient failures. ScriptedSession
 replays canned responses, either in sequence or keyed by request
 fingerprint; running out of script is always an error, never a silent
-repetition.
+repetition. fingerprint() hashes each request from the sha256 states its
+thread kept for its last request, so a resent message or chunk is not hashed
+again.
 
 replace_surrogates() makes a free-text reply safe to encode as UTF-8.
 """
@@ -15,6 +17,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import re
 import threading
 import time
@@ -29,9 +32,8 @@ API_KEY_ENV = "DIVER_LLM_API_KEY"
 RESPONSE_FORMATS = ("free_text", "tool_call_schema")
 
 LLM_ATTEMPTS = 3  # total tries of one chat request
-LLM_BACKOFF = 1.0  # seconds before the first retry, doubled for each later one
+LLM_BACKOFF = 1.0  # most seconds before the first retry, doubled for each later one
 LLM_TIMEOUT = 120.0  # seconds per HTTP request
-FINGERPRINT_CACHE_SIZE = 16  # request prefixes, and message heads, fingerprint keeps
 
 
 @dataclass(frozen=True)
@@ -66,48 +68,13 @@ class ChatRequest:
         object.__setattr__(self, "messages", tuple(self.messages))
 
 
-# sha256 states of the canonical JSON up to the end of a request's messages
-# or of a prefix of them, keyed by that prefix's roles and contents in order;
-# least recently used first out. A cached state is only ever copied, never
-# updated, so concurrent questions (--jobs) share them.
-_prefix_states: dict[tuple[str, ...], object] = {}
-_prefix_lock = threading.Lock()
 # json.dumps(text, ensure_ascii=False) of one string
 _json_string = json.encoder.encode_basestring
-_CHUNK = 1024  # characters of a message text escaped as one piece
-# the last message text longer than _CHUNK to begin with each leading chunk,
-# keyed by that chunk, with the UTF-8 escapes of its chunks; least recently
-# used first out, under _prefix_lock
-_escaped_heads: dict[str, tuple[str, list[bytes]]] = {}
-
-
-def _escaped(text: str) -> bytes:
-    """json.dumps(text, ensure_ascii=False) as UTF-8.
-
-    That encoder escapes each character on its own, so the escape of a text
-    is the concatenation of its chunks' escapes. A message text is escaped
-    in chunks of _CHUNK characters, and the leading chunks it shares with the
-    last text that began with the same chunk reuse that text's escapes: a
-    workspace resent with one more turn pays only for its new tail."""
-    if len(text) <= _CHUNK:
-        return _json_string(text).encode("utf-8")
-    head = text[:_CHUNK]
-    with _prefix_lock:
-        last = _escaped_heads.pop(head, None)
-    pieces: list[bytes] = []
-    if last is not None:
-        old, old_pieces = last
-        for at, piece in zip(range(0, len(text), _CHUNK), old_pieces):
-            if text[at : at + _CHUNK] != old[at : at + _CHUNK]:
-                break
-            pieces.append(piece)
-    for at in range(len(pieces) * _CHUNK, len(text), _CHUNK):
-        pieces.append(_json_string(text[at : at + _CHUNK])[1:-1].encode("utf-8"))
-    with _prefix_lock:
-        _escaped_heads[head] = text, pieces
-        while len(_escaped_heads) > FINGERPRINT_CACHE_SIZE:
-            del _escaped_heads[next(iter(_escaped_heads))]
-    return b'"' + b"".join(pieces) + b'"'
+_CHUNK = 1024  # characters of a message text escaped and hashed as one piece
+# .request is this thread's last fingerprinted request: its messages, and for
+# each the sha256 states after its opening, after each _CHUNK characters of its
+# text and after its closing. A state is only ever copied, never updated.
+_last = threading.local()
 
 
 def fingerprint(request: ChatRequest) -> str:
@@ -115,42 +82,49 @@ def fingerprint(request: ChatRequest) -> str:
     of json.dumps({"messages": [{"role", "content"}, ...], "temperature",
     "response_format"}, sort_keys=True, ensure_ascii=False).
 
-    Consecutive requests resend the same system prompt, conversation and
-    workspace, so the hash starts from a copy of the state of the longest
-    cached prefix of the messages and is fed only the messages after it,
-    each escaped by _escaped."""
+    A thread sends a question's requests one after another, and each resends
+    most of the one before. So the hash starts from the states of the
+    thread's last request: every leading message equal to that request's
+    message at the same position is reused whole, and in the first message
+    that differs, the leading chunks equal to its counterpart's. Only the
+    rest is escaped and hashed; ensure_ascii=False escapes each character on
+    its own, so a text's escape is its chunks' escapes joined. The record is
+    replaced only once the request hashed without error."""
     messages = request.messages
-    n = len(messages)
-    key = tuple([text for m in messages for text in (m.role, m.content)])
-    start, state = 0, None
-    with _prefix_lock:
-        # probe only the prefix lengths cached, longest first
-        for size in sorted({len(k) // 2 for k in _prefix_states if len(k) <= 2 * n}, reverse=True):
-            state = _prefix_states.pop(key[: 2 * size], None)
-            if state is not None:
-                _prefix_states[key[: 2 * size]] = state  # now the most recently used
-                start = size
-                break
-    state = state.copy() if state is not None else hashlib.sha256(b'{"messages": [')
-    new = []
-    for i in range(start, n):
-        if i:
-            state.update(b", ")
-        state.update(b'{"content": ')
-        state.update(_escaped(messages[i].content))
+    last_messages, last_states = getattr(_last, "request", ((), []))
+    same = 0
+    while same < min(len(messages), len(last_messages)) and messages[same] == last_messages[same]:
+        same += 1
+    states = last_states[:same]
+    state = states[-1][-1] if states else hashlib.sha256(b'{"messages": [')
+    for i in range(same, len(messages)):
+        text = messages[i].content
+        if i == same < len(last_messages):
+            old, old_states = last_messages[i].content, last_states[i]
+            kept = [old_states[0]]
+            for at in range(0, len(text), _CHUNK):
+                if text[at : at + _CHUNK] != old[at : at + _CHUNK]:
+                    break
+                kept.append(old_states[len(kept)])
+        else:
+            state = state.copy()
+            state.update(b', {"content": "' if i else b'{"content": "')
+            kept = [state]
+        for at in range((len(kept) - 1) * _CHUNK, len(text), _CHUNK):
+            state = kept[-1].copy()
+            state.update(_json_string(text[at : at + _CHUNK])[1:-1].encode("utf-8"))
+            kept.append(state)
+        state = kept[-1].copy()
         # ChatMessage took one of three roles, which need no escaping
-        state.update(f', "role": "{messages[i].role}"}}'.encode())
-        if i >= n - FINGERPRINT_CACHE_SIZE:  # an earlier prefix would be evicted at once
-            new.append((key[: 2 * i + 2], state.copy()))
-    if new:
-        with _prefix_lock:
-            _prefix_states.update(new)
-            while len(_prefix_states) > FINGERPRINT_CACHE_SIZE:
-                del _prefix_states[next(iter(_prefix_states))]
+        state.update(f'", "role": "{messages[i].role}"}}'.encode())
+        kept.append(state)
+        states.append(kept)
+    _last.request = messages, states
     # the keys after "messages" as json.dumps writes them: ChatRequest took a
     # format from RESPONSE_FORMATS, which needs no escaping, and a finite int
     # or float temperature, which json.dumps writes with its type's repr
     t = request.temperature
+    state = states[-1][-1].copy()
     state.update(
         f'], "response_format": "{request.response_format}", "temperature": '
         f"{(float if isinstance(t, float) else int).__repr__(t)}}}".encode()
@@ -247,8 +221,9 @@ def _reply_text(resp) -> str:
 @dataclass
 class LiveClient:
     """Chat-completions HTTP client. It retries a connection error, a timeout,
-    a 429 and a 5xx, waiting the doubling backoff or a longer delta-seconds
-    Retry-After (at most LLM_TIMEOUT); any other failure raises LlmError at
+    a 429 and a 5xx. After attempt a it waits a uniform draw from [b/2, b],
+    b = LLM_BACKOFF * 2**a ("equal jitter"), or a longer delta-seconds
+    Retry-After, at most LLM_TIMEOUT; any other failure raises LlmError at
     once."""
 
     base_url: str
@@ -280,11 +255,10 @@ class LiveClient:
         for attempt in range(LLM_ATTEMPTS):
             if attempt:
                 time.sleep(wait)
-            backoff = LLM_BACKOFF * 2**attempt  # before the next try
             try:
                 resp = requests.post(url, json=payload, headers=headers, timeout=LLM_TIMEOUT)
             except (requests.ConnectionError, requests.Timeout) as exc:
-                last_error, wait = exc, backoff
+                last_error, asked = exc, 0.0
             except requests.RequestException as exc:
                 raise LlmError(f"chat request failed: {exc}") from exc
             else:
@@ -293,8 +267,10 @@ class LiveClient:
                     return _reply_text(resp)
                 if status != 429 and status < 500:
                     raise LlmError(f"chat endpoint refused the request with HTTP {status}")
-                last_error = f"HTTP {status}"
-                wait = min(max(backoff, _retry_after(resp)), LLM_TIMEOUT)
+                last_error, asked = f"HTTP {status}", _retry_after(resp)
+            # equal jitter: uniform over the upper half of the doubling backoff
+            backoff = LLM_BACKOFF * 2**attempt
+            wait = min(max(random.uniform(backoff / 2, backoff), asked), LLM_TIMEOUT)
             logger.warning("chat attempt %d/%d failed: %s", attempt + 1, LLM_ATTEMPTS, last_error)
         raise LlmError(f"chat endpoint failed after {LLM_ATTEMPTS} attempts: {last_error}")
 

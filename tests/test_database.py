@@ -28,7 +28,7 @@ from diver.database import (
     parse_description_file,
     sql_tokens,
 )
-from diver.errors import DescriptionParseError, DiverError, SqlError
+from diver.errors import DiverError, SqlError
 from diver.toolbox import uniq_value, value_in
 
 
@@ -307,7 +307,7 @@ def test_malformed_description_csv_is_nonfatal(schools_db, tmp_path, caplog):
 def test_parse_description_file_raises_on_junk(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("no_useful_header\n1,2,3\n", encoding="utf-8")
-    with pytest.raises(DescriptionParseError):
+    with pytest.raises(DiverError, match=r"t\.csv: missing original_column_name header$"):
         parse_description_file(p)
 
 

@@ -18,7 +18,7 @@ from diver.cotf import ToolCall
 from diver.errors import DiverError, LlmError
 from diver.llm import ChatMessage, ChatRequest, LiveClient, ScriptedSession, fingerprint
 from diver.lookup import structured_tool_call
-from diver.prompts import LOOKUP_SYSTEM, REPAIR
+from diver.prompts import LOOKUP_SYSTEM, LOOKUP_THOUGHT, LOOKUP_TOOL, REPAIR
 
 from replay import RecordingSession
 
@@ -122,12 +122,11 @@ def test_fingerprint_equals_one_shot_encoding(requests):
 
 
 def test_fingerprint_equals_one_shot_encoding_past_the_cache_bound():
-    texts = [f"workspace {i}: \"é\u2028😀\\" * (i + 1) for i in range(3 * llm.FINGERPRINT_CACHE_SIZE)]
-    # twice round, so the second pass finds every early text evicted
+    texts = [f"workspace {i}: \"é\u2028😀\\" * (i + 1) for i in range(48)]
+    # there and back, so each request follows both a shorter and a longer one
     for text in texts + texts[::-1] + texts:
         request = _req(text, fmt="tool_call_schema")
         assert fingerprint(request) == one_shot_fingerprint(request)
-    assert len(llm._prefix_states) <= llm.FINGERPRINT_CACHE_SIZE
 
 
 # characters the JSON encoder escapes, characters it passes through, and
@@ -150,25 +149,29 @@ def texts_sharing_prefixes(draw):
 @settings(max_examples=300, deadline=None)
 @given(texts_sharing_prefixes(), st.sampled_from([1, 2, 3, 7]))
 def test_chunked_escape_equals_one_shot_json(texts, chunk):
-    saved = llm._CHUNK
-    llm._CHUNK = chunk  # small chunks, so short texts cross many boundaries
-    llm._escaped_heads.clear()
+    saved = llm._CHUNK, llm._last
+    # small chunks, so short texts cross many boundaries; states kept under
+    # another chunk size do not apply, so the record starts empty
+    llm._CHUNK, llm._last = chunk, threading.local()
     try:
         for text in texts:
-            assert llm._escaped(text) == json.dumps(text, ensure_ascii=False).encode("utf-8")
-        assert len(llm._escaped_heads) <= llm.FINGERPRINT_CACHE_SIZE
+            request = _req(text)
+            assert fingerprint(request) == one_shot_fingerprint(request)
     finally:
-        llm._CHUNK = saved
-        llm._escaped_heads.clear()
+        llm._CHUNK, llm._last = saved
 
 
-def test_a_resent_workspace_escapes_only_its_new_chunks(monkeypatch):
-    escaped = []
+@pytest.fixture()
+def escaped(monkeypatch):
+    """The length of each text fingerprint escapes, from a fresh record."""
+    lengths: list[int] = []
     encode = llm._json_string
-    monkeypatch.setattr(
-        llm, "_json_string", lambda text: escaped.append(len(text)) or encode(text)
-    )
-    monkeypatch.setattr(llm, "_escaped_heads", {})
+    monkeypatch.setattr(llm, "_json_string", lambda text: lengths.append(len(text)) or encode(text))
+    monkeypatch.setattr(llm, "_last", threading.local())
+    return lengths
+
+
+def test_a_resent_workspace_escapes_only_its_new_chunks(escaped):
     turns = [f'{{"thought": "turn {i} \\ \u00e9\u2028", "rows": [{i}, "\\"x\\""]}}' * 40
              for i in range(6)]
     for n in range(1, len(turns) + 1):
@@ -179,7 +182,39 @@ def test_a_resent_workspace_escapes_only_its_new_chunks(monkeypatch):
         assert fingerprint(request) == one_shot_fingerprint(request)
         if n > 1:
             assert sum(escaped) < len(workspace) // 2 + 2 * llm._CHUNK
-    assert len(llm._escaped_heads) == 1
+
+
+def _thought_then_tool() -> tuple[ChatRequest, ChatRequest]:
+    """A lookup thought request over a workspace of several escape chunks,
+    and the tool request that resends it with the thought."""
+    workspace = '{"turns": [' + ", ".join(['{"thought": "\u00e9 \\"x\\""}'] * 400) + "]}"
+    thought = LOOKUP_THOUGHT.request(workspace=workspace, clause_index=0, clause_text="schools")
+    tool = LOOKUP_TOOL.request(*thought.messages[1:], ChatMessage("assistant", "Probe the city."))
+    assert len(workspace) > 4 * llm._CHUNK
+    return thought, tool
+
+
+def test_a_tool_request_escapes_only_the_messages_after_its_thought_request(escaped):
+    thought, tool = _thought_then_tool()
+    repair = REPAIR.request(*tool.messages[1:], ChatMessage("assistant", "{"), error="not JSON")
+    fingerprint(thought)
+    for request in (tool, repair):
+        escaped.clear()
+        assert fingerprint(request) == one_shot_fingerprint(request)
+        # every message the request before it sent is reused whole
+        assert escaped == [len(m.content) for m in request.messages[-2:]]
+
+
+def test_a_request_from_another_thread_in_between_keeps_a_thread_its_reuse(escaped):
+    thought, tool = _thought_then_tool()
+    fingerprint(thought)
+    other = threading.Thread(target=fingerprint, args=(_req("another question " * 200),))
+    other.start()
+    other.join(timeout=60)
+    assert not other.is_alive()
+    escaped.clear()
+    assert fingerprint(tool) == one_shot_fingerprint(tool)
+    assert escaped == [len(m.content) for m in tool.messages[-2:]]
 
 
 def _grown(request: ChatRequest, *texts: str, fmt: str | None = None) -> ChatRequest:
@@ -220,16 +255,15 @@ def test_fingerprint_of_conversations_grown_the_way_a_run_grows_them():
     ]
     for request in copies + [evidence] * 3:
         check(request)
-    # prefixes evicted past the bound: every long conversation's states went
-    # out before it comes round again
+    # conversations that share only the system prompt, each followed by
+    # itself grown by one message
     conversations = [
         _grown(ChatRequest([system], 0.2, "free_text"), *(f"{c}:{i}" for i in range(c % 5 + 1)))
-        for c in range(3 * llm.FINGERPRINT_CACHE_SIZE)
+        for c in range(48)
     ]
     for request in conversations + conversations[::-1]:
         check(request)
         check(_grown(request, "one more"))
-    assert len(llm._prefix_states) <= llm.FINGERPRINT_CACHE_SIZE
     # one request of 2,000 messages, hashed in a loop rather than a recursion
     long = _grown(ChatRequest([system], 0.7, "free_text"), *(f"m{i}" for i in range(1999)))
     assert len(long.messages) == 2000
@@ -242,7 +276,7 @@ def test_fingerprint_from_threads_sharing_prefixes():
     requests = []
     for q in range(8):
         # workspaces longer than an escape chunk that share their leading
-        # chunks, so threads also replace each other's escaped heads
+        # chunks, so each thread's next request reuses part of its last one
         head = "shared workspace head \u00e9 " * 60
         workspace = head + f"question {q % 3} \\ " * (80 * (q % 4 + 1))
         request = ChatRequest([system, ChatMessage("user", workspace)], 0.7, "free_text")
@@ -561,10 +595,12 @@ def chat_stub():
 @pytest.fixture()
 def sleeps(monkeypatch):
     """Sets a test API key; records the seconds LiveClient waits between
-    attempts instead of sleeping them."""
+    attempts instead of sleeping them, with each jitter draw taken at the top
+    of its range."""
     monkeypatch.setenv("DIVER_LLM_API_KEY", "sk-test")
     waited: list[float] = []
     monkeypatch.setattr(llm.time, "sleep", waited.append)
+    monkeypatch.setattr(llm.random, "uniform", lambda low, high: high)
     return waited
 
 
@@ -664,3 +700,19 @@ def test_live_client_does_not_retry_a_request_it_cannot_send(sleeps):
     with pytest.raises(LlmError, match=r"^chat request failed: "):
         client.chat(_req())
     assert sleeps == []
+
+
+def test_live_client_draws_each_wait_from_the_upper_half_of_its_backoff(chat_stub, monkeypatch):
+    monkeypatch.setenv("DIVER_LLM_API_KEY", "sk-test")
+    waited: list[float] = []
+    monkeypatch.setattr(llm.time, "sleep", waited.append)
+    client = LiveClient(base_url=chat_stub, model="m")
+    for _ in range(20):
+        _ChatStub.responses = [(503, {}, b""), (429, {"Retry-After": "0"}, b"")]
+        assert client.chat(_req()).startswith("reply ")
+    firsts, seconds = waited[0::2], waited[1::2]
+    assert len(firsts) == len(seconds) == 20
+    assert all(0.5 * llm.LLM_BACKOFF <= w <= llm.LLM_BACKOFF for w in firsts)
+    assert all(llm.LLM_BACKOFF <= w <= 2 * llm.LLM_BACKOFF for w in seconds)
+    # drawn, not fixed: 20 equal draws from a continuous range do not happen
+    assert len(set(firsts)) > 1 and len(set(seconds)) > 1
