@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .cotf import DEFAULT_MAX_TURNS, FEEDBACK_KINDS, Question, _is_utf8, deserialize, serialize
+from .cotf import DEFAULT_MAX_TURNS, FEEDBACK_KINDS, Question, _is_utf8, deserialize, dumps, serialize
 from .database import db_path_for, description_dir_for
 from .embedding import LexicalEmbedder, RemoteEmbedder
 from .errors import DiverError
@@ -27,10 +27,6 @@ from .pipeline import DEFAULT_CANDIDATES, PipelineConfig, run_question
 from .toolbox import TOOL_NAMES
 
 log = logging.getLogger(__name__)
-
-
-def _dump_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def _load_json(path: str | Path, what: str):
@@ -104,6 +100,10 @@ def _write_atomic(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def _write_json(path: Path, payload) -> None:
+    _write_atomic(path, (dumps(payload) + "\n").encode("utf-8"))
+
+
 def _already_done(trace_dir: Path, evidence_dir: Path, qid: str, styles) -> bool:
     """True when the question's trace deserializes and its sidecar holds
     every style."""
@@ -131,7 +131,7 @@ def _run_one(row: dict, qid: str, args, llm, embedder, config, trace_dir, eviden
     sidecar.unlink(missing_ok=True)
     _write_atomic(trace_dir / f"{qid}.json", serialize(doc))
     texts = {style: ev.text for style, ev in evidences.items()}
-    _write_atomic(sidecar, _dump_json(texts).encode("utf-8"))
+    _write_json(sidecar, texts)
 
 
 def cmd_run(args) -> int:
@@ -203,7 +203,7 @@ def cmd_run(args) -> int:
         aggregate = out_dir / f"evidence_{style}.json"
         if style in styles or aggregate.exists():
             mapping = {qid: texts[style] for qid, texts in sidecars.items() if style in texts}
-            _write_atomic(aggregate, _dump_json(mapping).encode("utf-8"))
+            _write_json(aggregate, mapping)
 
     report = {
         "completed": completed,
@@ -211,7 +211,7 @@ def cmd_run(args) -> int:
         "failed": failed,
         "styles": list(styles),
     }
-    _write_atomic(out_dir / "run_report.json", _dump_json(report).encode("utf-8"))
+    _write_json(out_dir / "run_report.json", report)
 
     for qid, _ in ordered:
         if qid in failed:
@@ -273,9 +273,9 @@ def cmd_eval(args) -> int:
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     report = evaluate(samples, metrics=metrics, iterations=args.iterations)
     report["warnings"] = warnings + report["warnings"]
-    print(_dump_json(report) if args.json else format_report(report), end="")
+    print(dumps(report) + "\n" if args.json else format_report(report), end="")
     if args.out:
-        _write_atomic(Path(args.out), _dump_json(report).encode("utf-8"))
+        _write_json(Path(args.out), report)
     return 0
 
 
@@ -315,7 +315,7 @@ def cmd_trace_stats(args) -> int:
         "skipped": skipped,
     }
     if args.json:
-        print(_dump_json(stats), end="")
+        print(dumps(stats))
     else:
         print(f"{'traces':<22}{traces}")
         print(f"{'clauses':<22}{clauses}")

@@ -2,24 +2,27 @@
 
 A document holds one question, its clause partition, one turn column per
 clause (thought, tool call, feedback), and the verified linkings harvested at
-the end. The whole document serializes to canonical JSON (sorted keys, UTF-8,
-two-space indent, trailing newline) so replayed runs are byte-identical.
+the end. Turns and linkings enter it only through append_turn and
+add_verified, the constructor's too, so a trace read back meets the probing
+loop's checks. dumps writes the one JSON layout of every file and prompt body
+diver writes (sorted keys, UTF-8, two-space indent); serialize writes the
+document in it, so replayed runs are byte-identical.
 
 The workspace is re-serialized on every probing round and by every evidence
-candidate. One encoder, _encode, writes the records and the document around
-them; each record (Question, Clause, Turn, VerifiedLinking) keeps the text
-written for it the first time, and a turn collects its facts once and keeps
-them. So a record never changes once it is in a document: all four are
-frozen. A turn's ToolCall and ToolFeedback are not (the toolbox records a
+candidate. Each record (Question, Clause, Turn, VerifiedLinking) keeps the
+text _encode wrote for it the first time, and a turn collects its facts once
+and keeps them. So a record never changes once it is in a document: all four
+are frozen. A turn's ToolCall and ToolFeedback are not (the toolbox records a
 drawn random seed into the call's args before the turn is built), and nothing
 in this package assigns to them once their turn is built.
 
 Tool names are not validated here: a call keeps whatever name the model gave,
 and the tool table toolbox.TOOLS judges it at dispatch time. The only tool
-this module knows is the stop signal "none", which ends a clause. The rule
-of what a standard turn affirms (Turn.facts) reads argument names and the
-result, not the tool table, which imports this module: a trace alone is
-enough to compute it.
+this module knows is the stop signal "none", which ends a clause. The rules
+of what a standard turn affirms (Turn.facts, and Turn.value_facts, which
+pairs each value with its table and column) read argument names and result
+keys, not the tool table, which imports this module: a trace alone is enough
+to compute them.
 """
 
 from __future__ import annotations
@@ -226,6 +229,35 @@ class Turn:
         _collect_strings(affirmed, facts)
         return frozenset(facts)
 
+    @cached_property
+    def value_facts(self) -> frozenset[tuple[str, str, str]]:
+        """The (table, column, value) triples a standard result affirms, names
+        lowercased as the catalog compares them and each value as its text in
+        facts: value_in's own arguments when the value exists, each match and
+        sample under the call's table and column (sim_value_in, uniq_value),
+        and each cell of a row under its column name (head, random)."""
+        args, result = self.tool_call.args, self.feedback.result
+        table, column = args.get("table"), args.get("column")
+        if self.feedback.kind != "standard" or not isinstance(table, str):
+            return frozenset()
+        pairs = [(column, args.get("value"))] if result.get("exists") is True else []
+        for key in ("matches", "samples"):
+            items = result.get(key)
+            if isinstance(items, list):
+                pairs += [(column, i.get("value") if isinstance(i, dict) else i) for i in items]
+        names, rows = result.get("columns"), result.get("rows")
+        if isinstance(names, list) and isinstance(rows, list):
+            pairs += [pair for row in rows if isinstance(row, list) for pair in zip(names, row)]
+        table = table.lower()
+        # str keeps a string and writes a number as _collect_strings does
+        return frozenset(
+            (table, name.lower(), str(value))
+            for name, value in pairs
+            if isinstance(name, str)
+            and isinstance(value, (str, int, float))
+            and not isinstance(value, bool)
+        )
+
 
 @dataclass(frozen=True)
 class VerifiedLinking:
@@ -272,20 +304,16 @@ class CoTFDocument:
         if not self.clauses:
             raise SchemaViolation("document needs at least one clause")
         self._check_partition()
-        if not self.turns:
-            self.turns = [[] for _ in self.clauses]
-        if len(self.turns) != len(self.clauses):
+        # the given turns and linkings enter the way the probing loop adds them
+        columns, linkings = self.turns or [[] for _ in self.clauses], self.verified
+        if len(columns) != len(self.clauses):
             raise SchemaViolation("turns must hold one list per clause")
-        for ci, column in enumerate(self.turns):
-            if len(column) > self.max_turns:
-                raise SchemaViolation(f"clause {ci} exceeds max_turns={self.max_turns}")
-            for ti, turn in enumerate(column):
-                if ti > 0 and column[ti - 1].tool_call.tool == "none":
-                    raise SchemaViolation(f"clause {ci} has a turn after its stop signal")
-                if not isinstance(turn, Turn):
-                    raise SchemaViolation("turns must contain Turn objects")
-        for link in self.verified:
-            self._check_source(link)
+        self.turns, self.verified = [[] for _ in self.clauses], []
+        for ci, column in enumerate(columns):
+            for turn in column:
+                append_turn(self, ci, turn)
+        for link in linkings:
+            self.add_verified(link)
 
     def _check_partition(self) -> None:
         toks = tokenize(self.question.text)
@@ -309,7 +337,9 @@ class CoTFDocument:
         if expect_start != len(toks):
             raise SchemaViolation("clauses do not cover the full question token sequence")
 
-    def _check_source(self, link: VerifiedLinking) -> None:
+    def add_verified(self, link: VerifiedLinking) -> None:
+        """Append a linking; SchemaViolation unless its source turn exists
+        and has standard feedback."""
         ci, ti = link.source_turn
         if ci >= len(self.clauses) or ti >= len(self.turns[ci]):
             raise SchemaViolation(f"linking source_turn {link.source_turn} does not exist")
@@ -317,9 +347,6 @@ class CoTFDocument:
             raise SchemaViolation(
                 f"linking source_turn {link.source_turn} is not a standard-feedback turn"
             )
-
-    def add_verified(self, link: VerifiedLinking) -> None:
-        self._check_source(link)
         self.verified.append(link)
 
 
@@ -359,8 +386,10 @@ def clause_open(doc: CoTFDocument, clause_index: int) -> bool:
 
 
 def append_turn(doc: CoTFDocument, clause_index: int, turn: Turn) -> CoTFDocument:
-    """Append a turn to one clause; SchemaViolation when the index is out of
-    range or the clause is no longer open."""
+    """Append a turn to one clause; SchemaViolation when it is no Turn, the
+    index is out of range or the clause is no longer open."""
+    if not isinstance(turn, Turn):
+        raise SchemaViolation(f"a turn must be a Turn, got {type(turn).__name__}")
     if not 0 <= clause_index < len(doc.clauses):
         raise SchemaViolation(f"clause index {clause_index} out of range")
     reason = _closed_reason(doc, clause_index)
@@ -370,8 +399,8 @@ def append_turn(doc: CoTFDocument, clause_index: int, turn: Turn) -> CoTFDocumen
     return doc
 
 
-# the records a document holds: each is frozen and sits at the same depth in
-# every document, so the text first written for it stays its text
+# the records a document holds: each is frozen, so the text written for it at
+# one depth stays its text there
 _RECORDS = frozenset((Question, Clause, Turn, VerifiedLinking))
 
 
@@ -381,22 +410,20 @@ def _object(obj: Any) -> dict:
 
 
 def _encode(value: Any, newline: str, parts: list[str]) -> None:
-    """Append value's indented JSON to parts; newline is the line break and
-    indent of the line value starts on. The text is what json.dumps(value,
-    sort_keys=True, ensure_ascii=False, indent=2) writes, with a dataclass
-    written as the object of its fields. json.dumps indents in pure Python,
+    """Append value's dumps text to parts; newline is the line break and
+    indent of the line value starts on. json.dumps indents in pure Python,
     one generator per container; this writes into one list, in under half
     the time, with json's own string escaper.
 
-    A record keeps the text of its first write in its instance dict, where
-    cached_property would keep it, so writing a document again copies its
-    records' texts."""
+    A record keeps the text written for it at each depth in its instance
+    dict, where cached_property would keep it, under the newline it was
+    written at; so writing a document again copies its records' texts."""
     if type(value) in _RECORDS:
-        text = value.__dict__.get("_text")
+        text = value.__dict__.get(newline)
         if text is None:
             own: list[str] = []
             _encode(_object(value), newline, own)
-            text = value.__dict__["_text"] = "".join(own)
+            text = value.__dict__[newline] = "".join(own)
         parts.append(text)
     elif isinstance(value, str):
         parts.append(_json_string(value))
@@ -425,16 +452,18 @@ def _encode(value: Any, newline: str, parts: list[str]) -> None:
         raise TypeError(f"not JSON-representable: {value!r}")
 
 
-def serialize(doc: CoTFDocument) -> bytes:
-    """Canonical JSON bytes: sorted keys, UTF-8, indent 2, trailing newline.
-
-    Byte-identical to json.dumps(payload, sort_keys=True, ensure_ascii=False,
-    indent=2) of the whole document; each record is encoded once, by
-    _encode, and copied after that."""
+def dumps(value: Any) -> str:
+    """The one JSON layout diver writes: json.dumps's text with sorted keys,
+    non-ASCII characters kept and a two-space indent, a dataclass written as
+    its fields. A file holds this text and a newline."""
     parts: list[str] = []
-    _encode({**_object(doc), "schema_version": SCHEMA_VERSION}, "\n", parts)
-    parts.append("\n")
-    return "".join(parts).encode("utf-8")
+    _encode(value, "\n", parts)
+    return "".join(parts)
+
+
+def serialize(doc: CoTFDocument) -> bytes:
+    """The document's file: its dumps text and a newline, in UTF-8."""
+    return (dumps({**_object(doc), "schema_version": SCHEMA_VERSION}) + "\n").encode("utf-8")
 
 
 def _build(cls, obj: dict, **parsed: Any) -> Any:

@@ -14,10 +14,10 @@ import logging
 import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from importlib import resources
+from pathlib import Path
 
 from . import prompts
-from .cotf import CoTFDocument, deserialize, document_facts, serialize
+from .cotf import CoTFDocument, deserialize, document_facts, dumps, serialize
 from .database import SchemaCatalog
 from .llm import ChatMessage, replace_surrogates
 
@@ -64,6 +64,10 @@ _DQUOTE_RE = re.compile(r'"([^"\n]+)"')
 # lookarounds keep possessive apostrophes from opening a quote
 _SQUOTE_RE = re.compile(r"(?<![\w])'([^'\n]+)'(?![\w])")
 _DOTTED_RE = re.compile(r"\b(\w+)\.(\w+)\b")
+# a value paired with its column, dotted or backticked: schools.City = 'Davis';
+# the lookbehind starts a name only where a word or a backtick does not
+_IDENT = r"(?:`[^`\n]+`|\w+)"
+_PAIR_RE = re.compile(rf"(?<![\w`])`?({_IDENT})\.({_IDENT})`?\s*=\s*(?:'([^'\n]+)'|\"([^\"\n]+)\")")
 
 
 def _split_sentences(text: str) -> list[str]:
@@ -94,7 +98,9 @@ def grounding_filter(text: str, doc: CoTFDocument, catalog: SchemaCatalog) -> di
     recorded facts nor by the catalog.
 
     A claim is grounded when it is a recorded fact (exactly), a catalog name
-    (case-insensitively) or a table.column the catalog has. Returns
+    (case-insensitively) or a table.column the catalog has. A pair
+    table.column = 'value' (or "value") is one more claim, grounded only
+    when a turn affirms that value in that column (Turn.value_facts). Returns
     {"text", "removed_claims"}; idempotent.
     """
     facts = document_facts(doc)
@@ -106,10 +112,17 @@ def grounding_filter(text: str, doc: CoTFDocument, catalog: SchemaCatalog) -> di
         info = catalog.table(m.group(1)) if m else None
         return info is not None and info.column(m.group(2)) is not None
 
+    def affirmed(pair: re.Match) -> bool:
+        table, column, single, double = pair.groups()
+        triple = (table.strip("`").lower(), column.strip("`").lower(), single or double)
+        return any(triple in turn.value_facts for turns in doc.turns for turn in turns)
+
     kept: list[str] = []
     removed: list[str] = []
     for sentence in _split_sentences(text):
         bad = [claim for claim in _sentence_claims(sentence) if not grounded(claim)]
+        pairs = _PAIR_RE.finditer(sentence) if "=" in sentence else ()
+        bad += [m.group(0) for m in pairs if not affirmed(m)]
         if bad:
             removed.extend(b for b in bad if b not in removed)
         else:
@@ -142,7 +155,7 @@ def shot_messages() -> tuple[ChatMessage, ...]:
     the user message with the example's workspace, then the assistant
     message with its one-line evidence. Each workspace is validated through
     deserialize and rendered once per process."""
-    blob = resources.files("diver").joinpath("data/concise_shots.json").read_text("utf-8")
+    blob = (Path(__file__).parent / "data" / "concise_shots.json").read_text("utf-8")
     messages = []
     for item in json.loads(blob):
         workspace = _workspace(deserialize(json.dumps(item["cotf"])))
@@ -182,6 +195,6 @@ def self_consistency(
     candidates = [generate(doc, llm, catalog) for _ in range(n)]
     if n == 1:
         return candidates[0]
-    body = json.dumps([c.text for c in candidates], ensure_ascii=False, indent=2)
+    body = dumps([c.text for c in candidates])
     raw = replace_surrogates(llm.chat(prompts.MERGE.request(candidates=body)))
     return _filtered(style, raw, doc, catalog)

@@ -19,6 +19,7 @@ import logging
 import os
 import random
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -286,21 +287,29 @@ def replace_surrogates(text: str) -> str:
     return _SURROGATE_RE.sub("\ufffd", text)
 
 
+# a run of one opening bracket, JSON whitespace allowed between them
+_OPENER_RUNS = {o: re.compile(rf"{re.escape(o)}(?:[ \t\n\r]*{re.escape(o)})*") for o in "{["}
+# one decoder for every reply, as json.loads keeps one
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def extract_json(text: str, kind: type) -> dict | list | None:
     """The first JSON value of type kind (dict or list) in model output: the
     decoder reads from each opening bracket in turn, so code fences,
     surrounding prose and brackets inside strings do not matter, and a value
-    nested deeper than the interpreter's recursion limit counts as malformed."""
+    nested deeper than the interpreter's recursion limit counts as malformed.
+    An opener that begins a run of that many openers is skipped undecoded, so
+    a run of n openers costs at most the limit's decodes, not n."""
     opener = "{" if kind is dict else "["
-    decoder = json.JSONDecoder()
-    start = text.find(opener)
-    while start != -1:
-        try:
-            obj, _ = decoder.raw_decode(text, start)
-        except (ValueError, RecursionError):
-            pass
-        else:
+    limit = sys.getrecursionlimit()
+    for run in _OPENER_RUNS[opener].finditer(text):
+        first, end = run.span()
+        starts = [i for i in range(first, end) if text[i] == opener] if end > first + 1 else [first]
+        for start in starts[max(0, len(starts) - limit + 1) :]:
+            try:
+                obj, _ = _raw_decode(text, start)
+            except (ValueError, RecursionError):
+                continue
             if isinstance(obj, kind):
                 return obj
-        start = text.find(opener, start + 1)
     return None

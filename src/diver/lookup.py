@@ -136,8 +136,9 @@ def harvest_linkings(doc: CoTFDocument, llm) -> list[VerifiedLinking]:
     proposals some single standard-feedback turn fully grounds.
 
     The grounding turn must contain every named field (table, column,
-    literal) verbatim; a proposal whose cited source_turn does not ground it
-    is re-pointed at the first turn that does, or dropped.
+    literal) verbatim, and for a value linking affirm the literal in that
+    table and column (Turn.value_facts); a proposal whose cited source_turn
+    does not ground it is re-pointed at the first turn that does, or dropped.
     """
     response = llm.chat(HARVEST.request(workspace=serialize(doc).decode("utf-8")))
     proposals = extract_json(response, list)
@@ -145,11 +146,12 @@ def harvest_linkings(doc: CoTFDocument, llm) -> list[VerifiedLinking]:
         logger.warning("linking harvest output was not a JSON array; keeping none")
         return []
 
-    grounded_turns: list[tuple[tuple[int, int], frozenset[str]]] = []
-    for ci, column in enumerate(doc.turns):
-        for ti, turn in enumerate(column):
-            if turn.feedback.kind == "standard":
-                grounded_turns.append(((ci, ti), turn.facts))
+    grounded_turns = [
+        ((ci, ti), turn)
+        for ci, column in enumerate(doc.turns)
+        for ti, turn in enumerate(column)
+        if turn.feedback.kind == "standard"
+    ]
 
     out: list[VerifiedLinking] = []
     for item in proposals:
@@ -172,12 +174,20 @@ def harvest_linkings(doc: CoTFDocument, llm) -> list[VerifiedLinking]:
         except SchemaViolation:
             continue
         needed = {f for f in (link.table, link.column, link.literal) if f is not None}
+        # a value must also be affirmed in the column it is linked to
+        value = link.kind == "value"
+        triple = (link.table.lower(), link.column.lower(), link.literal) if value else None
 
         # the cited turn first, then the rest in document order; comparing
         # with == takes whatever JSON the model cited
         cited = item.get("source_turn")
         candidates = sorted(grounded_turns, key=lambda g: list(g[0]) != cited)
-        source = next((idx for idx, facts in candidates if needed <= facts), None)
+        grounding = (
+            idx
+            for idx, turn in candidates
+            if needed <= turn.facts and (triple is None or triple in turn.value_facts)
+        )
+        source = next(grounding, None)
         if source is not None:
             out.append(replace(link, source_turn=source))
     return out

@@ -1198,3 +1198,38 @@ def test_jobs_four_and_jobs_one_write_identical_outputs(tmp_path, db_root, monke
     assert len(one) == 2 * len(TWO_DATABASE_DATASET) + 2
     assert one == four
     assert one == _tree(tmp_path / "out_seq")
+
+
+# --- one JSON layout ---
+
+
+def canonical(text: str) -> str:
+    """Oracle: the stdlib's text for the same JSON value."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_every_json_file_diver_writes_is_the_stdlib_layout(tmp_path, db_root, capsys):
+    from test_golden_eval import render
+    from test_golden_trace import GOLDEN, QUESTION, build_script
+
+    # the golden scenario, run through the command line
+    row = {"question_id": "golden", "db_id": "california_schools", "question": QUESTION}
+    dataset = write_dataset(tmp_path / "dataset.json", [row])
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(build_script()), encoding="utf-8")
+    out = tmp_path / "out"
+    extra = ("--max-turns", "40", "--candidates", "1", "--seed", "3")
+    assert cli.main(run_args(dataset, db_root, out, script, extra)) == 0
+    assert (out / "traces" / "golden.json").read_bytes() == GOLDEN.read_bytes()
+    written = {path.relative_to(out).as_posix(): path.read_text("utf-8") for path in out.rglob("*.json")}
+    assert sorted(written) == [
+        "evidence/golden.json", "evidence_concise.json", "run_report.json", "traces/golden.json"
+    ]
+
+    work = tmp_path / "eval"
+    work.mkdir()
+    written["eval --out"] = render(db_root, work, capsys)[2].decode("utf-8")
+    assert cli.main(["trace-stats", "--trace-dir", str(out / "traces"), "--json"]) == 0
+    written["trace-stats --json"] = capsys.readouterr().out
+    for name, text in written.items():
+        assert text == canonical(text), name

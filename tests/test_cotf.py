@@ -28,6 +28,7 @@ from diver.cotf import (
     append_turn,
     deserialize,
     document_facts,
+    dumps,
     serialize,
 )
 from diver.errors import SchemaViolation
@@ -100,6 +101,51 @@ def test_append_after_none_raises():
     append_turn(doc, 0, Turn("done", ToolCall("none", {}), ToolFeedback.standard({})))
     with pytest.raises(SchemaViolation, match=r"^clause 0 already ended with none$"):
         append_turn(doc, 0, Turn("again", ToolCall("none", {}), ToolFeedback.standard({})))
+
+
+def probe(i: int) -> Turn:
+    return Turn(
+        f"thought {i}",
+        ToolCall("head", {"table": "schools", "n": i + 1}),
+        ToolFeedback.standard({"rows": []}),
+    )
+
+
+STOP = Turn("done", ToolCall("none", {}), ToolFeedback.standard({}))
+
+
+@pytest.mark.parametrize(
+    "column, message",
+    [
+        ([probe(i) for i in range(6)], "clause 0 already holds 5 turns"),
+        ([probe(0), STOP, probe(1)], "clause 0 already ended with none"),
+    ],
+    ids=["six_turns", "turn_after_none"],
+)
+def test_a_trace_is_refused_with_the_probing_loops_message(column, message):
+    # the constructor and deserialize fill a document through append_turn
+    doc = small_doc(max_turns=5)
+    with pytest.raises(SchemaViolation, match=f"^{message}$"):
+        CoTFDocument(doc.question, doc.clauses, [column], max_turns=5)
+    payload = json.loads(serialize(doc))
+    payload["turns"] = [[asdict(turn) for turn in column]]
+    with pytest.raises(SchemaViolation, match=f"^{message}$"):
+        deserialize(json.dumps(payload))
+    for turn in column[:-1]:
+        append_turn(doc, 0, turn)
+    with pytest.raises(SchemaViolation, match=f"^{message}$"):
+        append_turn(doc, 0, column[-1])
+
+
+@pytest.mark.parametrize("bad", ["a thought", asdict(probe(0)), None])
+def test_a_turn_that_is_no_turn_is_refused_by_append_turn(bad):
+    doc = small_doc()
+    message = f"^a turn must be a Turn, got {type(bad).__name__}$"
+    with pytest.raises(SchemaViolation, match=message):
+        append_turn(doc, 0, bad)
+    with pytest.raises(SchemaViolation, match=message):
+        CoTFDocument(doc.question, doc.clauses, [[probe(0), bad]])
+    assert doc.turns == [[]]
 
 
 def test_feedback_kind_result_coupling():
@@ -355,6 +401,24 @@ def test_a_fragment_is_what_json_dumps_writes_at_its_depth(payload, depth):
     parts: list[str] = []
     _encode(payload, "\n" + "  " * depth, parts)
     assert "".join(parts) == text.replace("\n", "\n" + "  " * depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DEEP_VALUES)
+def test_dumps_is_what_json_dumps_writes(value):
+    assert dumps(value) == json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2)
+
+
+def test_a_record_written_alone_keeps_a_document_written_right():
+    # a record keeps its text per depth: written alone first, it still
+    # writes at its own depth inside the document, and again alone after
+    doc = golden_doc()
+    turn = doc.turns[0][0]
+    alone = json.dumps(asdict(turn), sort_keys=True, ensure_ascii=False, indent=2)
+    assert dumps(turn) == alone
+    assert serialize(doc) == one_shot_bytes(doc)
+    assert dumps(turn) == alone
+    assert dumps([turn]) == json.dumps([asdict(turn)], sort_keys=True, ensure_ascii=False, indent=2)
 
 
 @st.composite
@@ -636,6 +700,40 @@ def test_turn_facts_are_what_the_result_affirms():
         "ledger", "party", "Acme Corp", "11"
     }
     assert Turn("t", ToolCall("value_in", where), ToolFeedback.corrective("no")).facts == set()
+
+
+def _value_facts(args, result):
+    return Turn("t", ToolCall("probe", args), ToolFeedback.standard(result)).value_facts
+
+
+def test_turn_value_facts_pair_each_value_with_its_column():
+    where = {"table": "Ledger", "column": "Party"}
+    # value_in: its own arguments, only when the value exists; names lowercased
+    present = {"exists": True, "match_count": 2}
+    assert _value_facts({**where, "value": 7}, present) == {("ledger", "party", "7")}
+    absent = {"exists": False, "match_count": 0}
+    assert _value_facts({**where, "value": "Acme"}, absent) == set()
+    # sim_value_in matches and uniq_value samples: the call's table and column
+    matches = {"matches": [{"value": "Acme Corp", "score": 0.5}], "pool_size": 3}
+    assert _value_facts({**where, "query_text": "Zeta", "k": 4}, matches) == {
+        ("ledger", "party", "Acme Corp")
+    }
+    samples = {"distinct_count": 4, "samples": ["K", 264.0, 1, None, True]}
+    assert _value_facts(where, samples) == {
+        ("ledger", "party", "K"), ("ledger", "party", "264.0"), ("ledger", "party", "1")
+    }
+    # head and random: each cell under its own column name
+    rows = {"columns": ["City", "County"], "rows": [["Davis", "Yolo"], [None, 5]], "seed": 11}
+    assert _value_facts({"table": "schools", "n": 2, "seed": 11}, rows) == {
+        ("schools", "city", "Davis"), ("schools", "county", "Yolo"), ("schools", "county", "5")
+    }
+    # sim_columns names columns, not values; info holds no rows
+    ranked = {"matches": [{"table": "frpm", "column": "Low Grade", "score": 0.9}]}
+    assert _value_facts({"query_text": "grade"}, ranked) == set()
+    info = {"row_count": 3, "columns": [{"name": "City", "null_fraction": 0.0}]}
+    assert _value_facts({"table": "schools"}, info) == set()
+    corrective = ToolFeedback.corrective("no such table")
+    assert Turn("t", ToolCall("value_in", {**where, "value": 7}), corrective).value_facts == set()
 
 
 def test_question_keeps_no_dataset_answer():

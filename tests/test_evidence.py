@@ -16,6 +16,7 @@ from diver.cotf import (
     ToolCall,
     ToolFeedback,
     Turn,
+    append_turn,
     deserialize,
     document_facts,
 )
@@ -306,6 +307,60 @@ def test_a_dotted_claim_that_is_a_catalog_name_is_kept():
     text = "The table V.2 holds it."
     assert grounding_filter(text, empty_doc(), dotted) == {"text": text, "removed_claims": []}
     assert two_kind_filter(text, empty_doc(), dotted)["removed_claims"] == ["V.2"]
+
+
+def yolo_doc():
+    """One probe: value_in affirmed 'Yolo' in schools.County."""
+    text = "Which schools are in Yolo?"
+    doc = CoTFDocument(Question("q", "california_schools", text), token_refine(text, []))
+    call = ToolCall("value_in", {"table": "schools", "column": "County", "value": "Yolo"})
+    affirmed = ToolFeedback.standard({"exists": True, "match_count": 1})
+    return append_turn(doc, 0, Turn("probe", call, affirmed))
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        "schools.{} = 'Yolo'", "`schools`.`{}` = 'Yolo'", "`schools.{}` = 'Yolo'",
+        "SCHOOLS.{}='Yolo'", 'schools.{} = "Yolo"',
+    ],
+)
+def test_a_value_is_grounded_only_under_the_column_that_holds_it(cat, pair):
+    right = f"Yolo refers to {pair.format('County')}."
+    wrong = f"Yolo refers to {pair.format('City')}. "
+    assert grounding_filter(right, yolo_doc(), cat) == {"text": right, "removed_claims": []}
+    # each claim of the wrong pair alone is grounded: schools.City is in the
+    # catalog and 'Yolo' is a fact
+    assert two_kind_filter(wrong, yolo_doc(), cat)["removed_claims"] == []
+    out = grounding_filter(wrong + right, yolo_doc(), cat)
+    assert out == {"text": right, "removed_claims": [pair.format("City")]}
+
+
+def is_subsequence(part, whole):
+    rest = iter(whole)
+    return all(item in rest for item in part)
+
+
+PAIR_PIECES = st.sampled_from(
+    [
+        "schools.City", "schools.County", "`schools`.`City`", "`schools`.`County`",
+        "SCHOOLS.county", "frpm.CDSCode", "Ghost.x", " = ", "=", "'Yolo'", "'Davis'", "'K'", '"Yolo"',
+        "Yolo", "`", "'", " ", ". ", "\n",
+    ]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(PAIR_PIECES | st.text(alphabet="ab`'\"=. K\n", max_size=3), max_size=30).map("".join))
+def test_a_pair_claim_only_removes_sentences(cat, text):
+    # what the column-aware rule keeps, the rule of one claim at a time keeps
+    doc = yolo_doc()
+    rows = {"columns": ["City", "County"], "rows": [["Davis", "Yolo"]]}
+    call = ToolCall("head", {"table": "schools", "n": 1})
+    append_turn(doc, 0, Turn("look", call, ToolFeedback.standard(rows)))
+    new, old = grounding_filter(text, doc, cat), two_kind_filter(text, doc, cat)
+    assert is_subsequence(_split_sentences(new["text"]), _split_sentences(old["text"]))
+    assert set(old["removed_claims"]) <= set(new["removed_claims"])
 
 
 # --- generate_long ---

@@ -467,6 +467,25 @@ def test_extract_json_reads_a_value_nested_past_the_recursion_limit_as_malformed
     assert llm.extract_json("[" * 1000 + " then [1, 2]", list) == [1, 2]
 
 
+@pytest.mark.parametrize("gap", ["", " ", "\n\t "])
+def test_extract_json_decodes_a_run_of_openers_at_most_the_recursion_limit_times(gap, monkeypatch):
+    calls = 0
+    raw_decode = llm._raw_decode
+
+    def counted(text, start=0):
+        nonlocal calls
+        calls += 1
+        return raw_decode(text, start)
+
+    monkeypatch.setattr(llm, "_raw_decode", counted)
+    assert llm.extract_json(gap.join("[" * 100_000), list) is None
+    assert 0 < calls <= sys.getrecursionlimit()
+    # nesting well inside the limit still decodes, after a run that does not
+    assert json.dumps(llm.extract_json("[" * 50 + "1" + "]" * 50, list)) == "[" * 50 + "1" + "]" * 50
+    nested = llm.extract_json(gap.join("[" * 100_000) + " [" + "[" * 50 + "1" + "]" * 51, list)
+    assert json.dumps(nested) == "[" * 51 + "1" + "]" * 51
+
+
 def test_structured_tool_call_repairs_a_reply_nested_too_deeply():
     session = ScriptedSession(['{"tool": ' * 1000, '{"tool": "none", "args": {}}'])
     assert structured_tool_call(session, _req(fmt="tool_call_schema")) == (

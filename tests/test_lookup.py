@@ -7,6 +7,8 @@ import re
 from contextlib import closing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diver.cotf import (
     CoTFDocument,
@@ -444,6 +446,92 @@ def test_harvest_drops_ungrounded_proposals():
     assert harvest_linkings(doc, llm) == []
 
 
+def test_harvest_keeps_a_value_only_under_the_column_that_holds_it():
+    doc = one_clause_doc()
+    rows = {"columns": ["City", "County"], "rows": [["Davis", "Yolo"]]}
+    append_turn(
+        doc, 0, Turn("look", ToolCall("head", {"table": "schools", "n": 1}), ToolFeedback.standard(rows))
+    )
+    where = {"table": "schools", "literal": "Yolo"}
+    llm = ScriptedSession(
+        [json.dumps([proposal(**where, column="City"), proposal(**where, column="County")])]
+    )
+    # each field alone is in the turn: the flat facts would keep both
+    assert {"schools", "City", "County", "Yolo"} <= doc.turns[0][0].facts
+    assert [(l.column, l.literal) for l in harvest_linkings(doc, llm)] == [("County", "Yolo")]
+
+
+NAMES = st.sampled_from(["schools", "Schools", "City", "city", "County"])
+LITERALS = st.sampled_from(["Davis", "Yolo", "1", 1, 264.0, "264.0", "K"])
+
+
+@st.composite
+def standard_turns(draw):
+    table, column = draw(NAMES), draw(NAMES)
+    shape = draw(st.sampled_from(["value_in", "sim_value_in", "uniq_value", "head"]))
+    args = {"table": table, "column": column}
+    if shape == "value_in":
+        args["value"] = draw(LITERALS)
+        result = {"exists": draw(st.booleans()), "match_count": draw(st.integers(0, 2))}
+    elif shape == "sim_value_in":
+        values = draw(st.lists(LITERALS, max_size=3))
+        result = {"matches": [{"value": v, "score": 0.5} for v in values], "pool_size": 4}
+    elif shape == "uniq_value":
+        result = {"distinct_count": draw(st.integers(0, 9)), "samples": draw(st.lists(LITERALS, max_size=3))}
+    else:
+        args = {"table": table, "n": 2}
+        names = draw(st.lists(NAMES, min_size=1, max_size=3))
+        cells = st.lists(LITERALS, min_size=len(names), max_size=len(names))
+        result = {"columns": names, "rows": draw(st.lists(cells, max_size=3))}
+    return Turn("probe", ToolCall(shape, args), ToolFeedback.standard(result))
+
+
+PROPOSALS = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["value", "schema", "function"]),
+        "table": NAMES,
+        "column": NAMES | st.none(),
+        "literal": LITERALS | st.none(),
+        "rationale": st.just("probed"),
+        "source_turn": st.just([0, 0]),
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(standard_turns(), min_size=1, max_size=4), st.lists(PROPOSALS, max_size=6))
+def test_a_value_in_its_column_is_kept_only_where_each_field_alone_was(turns, proposals):
+    # oracle, the flat rule: one standard turn's facts hold every named field;
+    # the column-aware rule keeps a subsequence of what it keeps
+    doc = one_clause_doc(max_turns=len(turns))
+    for turn in turns:
+        append_turn(doc, 0, turn)
+
+    def fields(item):
+        literal = item["literal"]
+        return item["kind"], item["table"], item["column"], None if literal is None else str(literal)
+
+    flat = []
+    for item in proposals:
+        kind, table, column, literal = fields(item)
+        if kind == "value" and not (column and literal is not None):
+            continue
+        needed = {f for f in (table, column, literal) if f is not None}
+        if any(needed <= turn.facts for turn in turns):
+            flat.append((kind, table, column, literal))
+    kept = harvest_linkings(doc, ScriptedSession([json.dumps(proposals)]))
+    assert is_subsequence([(l.kind, l.table, l.column, l.literal) for l in kept], flat)
+    for link in kept:
+        ci, ti = link.source_turn
+        fields_named = {f for f in (link.table, link.column, link.literal) if f is not None}
+        assert fields_named <= doc.turns[ci][ti].facts
+
+
+def is_subsequence(part, whole):
+    rest = iter(whole)
+    return all(item in rest for item in part)
+
+
 def test_harvest_relocates_bad_source_turn():
     for cited in ([5, 9], [[0], 0], [0], "0,0", None):
         doc = probe_doc()
@@ -502,10 +590,10 @@ def test_harvest_mixed_keeps_only_grounded_in_order():
 
 def test_harvest_coerces_numeric_literal_to_text():
     doc = probe_doc()
-    llm = ScriptedSession([json.dumps([proposal(literal=4)])])
+    # 9 is a sample of Low Grade; 4 is only the distinct count, no value of it
+    llm = ScriptedSession([json.dumps([proposal(literal=9), proposal(literal=4)])])
     out = harvest_linkings(doc, llm)
-    assert len(out) == 1
-    assert out[0].literal == "4"
+    assert [link.literal for link in out] == ["9"]
 
 
 def test_harvest_on_corrective_only_doc_is_empty():
