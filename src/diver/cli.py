@@ -14,9 +14,10 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
-from .cotf import DEFAULT_MAX_TURNS, FEEDBACK_KINDS, Question, _is_utf8, deserialize, dumps, serialize
+from .cotf import DEFAULT_MAX_TURNS, FEEDBACK_KINDS, Question, deserialize, dumps, is_utf8, serialize
 from .database import db_path_for, description_dir_for
 from .embedding import LexicalEmbedder, RemoteEmbedder
 from .errors import DiverError
@@ -41,17 +42,22 @@ def _row(i: int, row) -> tuple[str, dict | str]:
     """(question id, row), or (i, the text that refuses the row)."""
     if not isinstance(row, dict):
         return str(i), f"row {i} is not a JSON object"
-    qid = str(row.get("question_id", i))
+    qid = row.get("question_id")
+    if qid is None:  # absent or null: the row's index
+        qid = i
+    if isinstance(qid, bool) or not isinstance(qid, (str, int)):
+        return str(i), f"row {i} question_id must be a string or an integer"
+    qid = str(qid)
     # a JSON escape such as "\ud800" gives an id no file name can hold
-    return (qid, row) if _is_utf8(qid) else (str(i), f"row {i} question_id is not valid UTF-8")
+    return (qid, row) if is_utf8(qid) else (str(i), f"row {i} question_id is not valid UTF-8")
 
 
 def _load_dataset(path: str) -> list[tuple[str, dict | str]]:
     """The dataset's rows in file order, each with its question id: the row's
-    question_id, else its index in the list. A row that is not a JSON object,
-    or whose question_id is not valid UTF-8, comes as the text that refuses
-    it, and its id is its index. A question id that two rows share is
-    refused."""
+    question_id, else (absent or null) its index in the list. A row that is
+    not a JSON object, or whose question_id is neither a string nor an
+    integer or is not valid UTF-8, comes as the text that refuses it, and
+    its id is its index. A question id that two rows share is refused."""
     rows = _load_json(path, "dataset")
     if not isinstance(rows, list):
         raise DiverError(f"dataset {path} must be a JSON list")
@@ -92,12 +98,22 @@ def _read_sidecar(path: Path) -> dict:
     return texts if isinstance(texts, dict) else {}
 
 
+@contextmanager
+def _writing(path: Path):
+    """Turn an OSError while writing path into DiverError."""
+    try:
+        yield
+    except OSError as exc:
+        raise DiverError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_atomic(path: Path, data: bytes) -> None:
     """Write through a temp file in the same directory, so that a killed run
     leaves the old file or the new one, never a part of one."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    with _writing(path):
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -128,7 +144,8 @@ def _run_one(row: dict, qid: str, args, llm, embedder, config, trace_dir, eviden
     # the sidecar holds this trace's evidence only; removed first, so a run
     # killed between the two writes leaves the question to be redone
     sidecar = evidence_dir / f"{qid}.json"
-    sidecar.unlink(missing_ok=True)
+    with _writing(sidecar):
+        sidecar.unlink(missing_ok=True)
     _write_atomic(trace_dir / f"{qid}.json", serialize(doc))
     texts = {style: ev.text for style, ev in evidences.items()}
     _write_json(sidecar, texts)
@@ -147,8 +164,9 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     trace_dir = out_dir / "traces"
     evidence_dir = out_dir / "evidence"
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    evidence_dir.mkdir(parents=True, exist_ok=True)
+    for directory in (trace_dir, evidence_dir):
+        with _writing(directory):
+            directory.mkdir(parents=True, exist_ok=True)
 
     config = PipelineConfig(
         style=args.style,
@@ -232,7 +250,7 @@ def _optional_text(row: dict, key: str, qid: str, warnings: list[str]) -> str | 
     None with a warning when it holds anything but a valid UTF-8 string (a
     difficulty names a section of the report, which must encode)."""
     value = row.get(key)
-    if value is None or isinstance(value, str) and _is_utf8(value):
+    if value is None or isinstance(value, str) and is_utf8(value):
         return value
     what = "valid UTF-8" if isinstance(value, str) else "a string"
     warnings.append(f"{qid}: {key} is not {what}; ignored")
@@ -256,7 +274,7 @@ def cmd_eval(args) -> int:
         if not (isinstance(gold, str) and gold and isinstance(db_id, str) and db_id):
             warnings.append(f"{qid}: lacks SQL or db_id; skipped")
             continue
-        if not _is_utf8(db_id):  # it would name a path no file system takes
+        if not is_utf8(db_id):  # it would name a path no file system takes
             warnings.append(f"{qid}: db_id is not valid UTF-8; skipped")
             continue
         pred = predictions.get(qid)

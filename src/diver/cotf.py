@@ -18,11 +18,13 @@ in this package assigns to them once their turn is built.
 
 Tool names are not validated here: a call keeps whatever name the model gave,
 and the tool table toolbox.TOOLS judges it at dispatch time. The only tool
-this module knows is the stop signal "none", which ends a clause. The rules
-of what a standard turn affirms (Turn.facts, and Turn.value_facts, which
-pairs each value with its table and column) read argument names and result
-keys, not the tool table, which imports this module: a trace alone is enough
-to compute them.
+this module knows is the stop signal "none", which ends a clause. What a
+standard turn affirms (Turn.facts, and Turn.value_facts, which pairs each
+value with its table and column; a value as its fact_text) is read from
+argument names and result keys, not the tool table, which imports this
+module. Turn.affirms is the one rule for a verified linking: add_verified
+refuses a linking its source turn does not affirm, and the harvest asks
+CoTFDocument.source_of for a turn that does.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_utf8(text: str) -> bool:
+def is_utf8(text: str) -> bool:
     """False for a string holding a lone surrogate: a JSON escape such as
     "\\ud800" decodes to one, and UTF-8, which SQLite and the trace need,
     cannot encode it."""
@@ -66,6 +68,16 @@ def _is_utf8(text: str) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+def fact_text(value: Any) -> str | None:
+    """The text a value grounds as: a string itself, a number its str; None
+    for a bool, null or a container."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    return None
 
 
 def jsonify(value: Any) -> Any:
@@ -110,7 +122,7 @@ class Question:
             v = getattr(self, name)
             if not isinstance(v, str) or not v:
                 raise SchemaViolation(f"question.{name} must be a non-empty string")
-            if not _is_utf8(v):
+            if not is_utf8(v):
                 raise SchemaViolation(f"question.{name} is not valid UTF-8")
         if not tokenize(self.text):
             raise SchemaViolation("question.text has no tokens")
@@ -147,7 +159,7 @@ class ToolCall:
         # replayed; the tool table is checked at dispatch time
         if not isinstance(self.tool, str):
             raise SchemaViolation("tool_call.tool must be a string")
-        if not _is_utf8(self.tool):
+        if not is_utf8(self.tool):
             raise SchemaViolation(f"tool_call.tool is not valid UTF-8: {self.tool!r}")
         if not isinstance(self.args, dict):
             raise SchemaViolation("tool_call.args must be a mapping")
@@ -159,7 +171,7 @@ class ToolCall:
             # json.loads takes NaN and Infinity, which strict JSON has no form for
             if isinstance(v, float) and not math.isfinite(v):
                 raise SchemaViolation(f"tool_call arg {k!r} must be a finite number, got {v!r}")
-            if not _is_utf8(k) or isinstance(v, str) and not _is_utf8(v):
+            if not is_utf8(k) or isinstance(v, str) and not is_utf8(v):
                 raise SchemaViolation(f"tool_call arg {k!r} is not valid UTF-8: {v!r}")
 
 
@@ -249,13 +261,22 @@ class Turn:
         if isinstance(names, list) and isinstance(rows, list):
             pairs += [pair for row in rows if isinstance(row, list) for pair in zip(names, row)]
         table = table.lower()
-        # str keeps a string and writes a number as _collect_strings does
         return frozenset(
-            (table, name.lower(), str(value))
+            (table, name.lower(), text)
             for name, value in pairs
-            if isinstance(name, str)
-            and isinstance(value, (str, int, float))
-            and not isinstance(value, bool)
+            if isinstance(name, str) and (text := fact_text(value)) is not None
+        )
+
+    def affirms(self, link: VerifiedLinking) -> bool:
+        """The one rule for a verified linking: the feedback is standard, the
+        facts hold every named field, and for a value linking the value facts
+        hold the literal under its table and column."""
+        if self.feedback.kind != "standard":
+            return False
+        if not {link.table, link.column, link.literal} - {None} <= self.facts:
+            return False
+        return link.kind != "value" or (
+            (link.table.lower(), link.column.lower(), link.literal) in self.value_facts
         )
 
 
@@ -339,30 +360,30 @@ class CoTFDocument:
 
     def add_verified(self, link: VerifiedLinking) -> None:
         """Append a linking; SchemaViolation unless its source turn exists
-        and has standard feedback."""
+        and affirms it (Turn.affirms)."""
         ci, ti = link.source_turn
         if ci >= len(self.clauses) or ti >= len(self.turns[ci]):
             raise SchemaViolation(f"linking source_turn {link.source_turn} does not exist")
-        if self.turns[ci][ti].feedback.kind != "standard":
-            raise SchemaViolation(
-                f"linking source_turn {link.source_turn} is not a standard-feedback turn"
-            )
+        if not self.turns[ci][ti].affirms(link):
+            raise SchemaViolation(f"linking source_turn {link.source_turn} does not affirm it")
         self.verified.append(link)
+
+    def source_of(self, link: VerifiedLinking, first: tuple | None = None) -> tuple | None:
+        """The (clause, turn) index of the turn that affirms link: first when
+        that turn does, else the first that does in document order; None
+        when no turn does. first is compared with ==, not checked."""
+        turns = [((ci, ti), t) for ci, col in enumerate(self.turns) for ti, t in enumerate(col)]
+        # sorted is stable: first, then the others in document order
+        ordered = sorted(turns, key=lambda pair: pair[0] != first)
+        return next((index for index, turn in ordered if turn.affirms(link)), None)
 
 
 def _collect_strings(value: Any, into: set[str]) -> None:
-    if isinstance(value, str):
-        into.add(value)
-    elif isinstance(value, bool):
-        pass
-    elif isinstance(value, (int, float)):
-        into.add(str(value))
-    elif isinstance(value, dict):
-        for v in value.values():
+    if isinstance(value, (dict, list, tuple)):
+        for v in value.values() if isinstance(value, dict) else value:
             _collect_strings(v, into)
-    elif isinstance(value, (list, tuple)):
-        for v in value:
-            _collect_strings(v, into)
+    elif (text := fact_text(value)) is not None:
+        into.add(text)
 
 
 def document_facts(doc: CoTFDocument) -> frozenset[str]:

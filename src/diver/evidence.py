@@ -61,13 +61,20 @@ _BOUNDARY_RE = re.compile(r"[.!?]+(?:(?=\s)\s+|$)|\n+\s*")
 
 _BACKTICK_RE = re.compile(r"`([^`\n]+)`")
 _DQUOTE_RE = re.compile(r'"([^"\n]+)"')
+# a single-quoted value, where SQL writes a ' as '' (_unquote reads it back)
+_SQUOTED = r"'((?:[^'\n]|'')+)'"
 # lookarounds keep possessive apostrophes from opening a quote
-_SQUOTE_RE = re.compile(r"(?<![\w])'([^'\n]+)'(?![\w])")
+_SQUOTE_RE = re.compile(rf"(?<![\w]){_SQUOTED}(?![\w])")
 _DOTTED_RE = re.compile(r"\b(\w+)\.(\w+)\b")
 # a value paired with its column, dotted or backticked: schools.City = 'Davis';
 # the lookbehind starts a name only where a word or a backtick does not
 _IDENT = r"(?:`[^`\n]+`|\w+)"
-_PAIR_RE = re.compile(rf"(?<![\w`])`?({_IDENT})\.({_IDENT})`?\s*=\s*(?:'([^'\n]+)'|\"([^\"\n]+)\")")
+_PAIR_RE = re.compile(rf"(?<![\w`])`?({_IDENT})\.({_IDENT})`?\s*=\s*(?:{_SQUOTED}|\"([^\"\n]+)\")")
+
+
+def _unquote(value: str) -> str:
+    """A single-quoted value as SQL reads it: '' is one '."""
+    return value.replace("''", "'")
 
 
 def _split_sentences(text: str) -> list[str]:
@@ -84,9 +91,9 @@ def _split_sentences(text: str) -> list[str]:
 def _sentence_claims(sentence: str) -> list[str]:
     """The quoted spans and table.column references of a sentence, in order."""
     claims: list[tuple[int, str]] = []
-    for rx in (_BACKTICK_RE, _DQUOTE_RE, _SQUOTE_RE):
+    for rx, read in ((_BACKTICK_RE, str), (_DQUOTE_RE, str), (_SQUOTE_RE, _unquote)):
         for m in rx.finditer(sentence):
-            claims.append((m.start(), m.group(1)))
+            claims.append((m.start(), read(m.group(1))))
     for m in _DOTTED_RE.finditer(sentence):
         if not (m.group(1).isdigit() and m.group(2).isdigit()):
             claims.append((m.start(), m.group(0)))
@@ -100,8 +107,9 @@ def grounding_filter(text: str, doc: CoTFDocument, catalog: SchemaCatalog) -> di
     A claim is grounded when it is a recorded fact (exactly), a catalog name
     (case-insensitively) or a table.column the catalog has. A pair
     table.column = 'value' (or "value") is one more claim, grounded only
-    when a turn affirms that value in that column (Turn.value_facts). Returns
-    {"text", "removed_claims"}; idempotent.
+    when a turn affirms that value in that column (Turn.value_facts). In a
+    single-quoted value, '' reads as one '. Returns {"text",
+    "removed_claims"}; idempotent.
     """
     facts = document_facts(doc)
 
@@ -114,7 +122,8 @@ def grounding_filter(text: str, doc: CoTFDocument, catalog: SchemaCatalog) -> di
 
     def affirmed(pair: re.Match) -> bool:
         table, column, single, double = pair.groups()
-        triple = (table.strip("`").lower(), column.strip("`").lower(), single or double)
+        value = _unquote(single) if single else double
+        triple = (table.strip("`").lower(), column.strip("`").lower(), value)
         return any(triple in turn.value_facts for turns in doc.turns for turn in turns)
 
     kept: list[str] = []

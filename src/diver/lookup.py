@@ -6,9 +6,9 @@ round-trip for a reply that does not parse. A call identical to an
 earlier one in the same clause is answered, instead of the database, with
 the next-broader probe named in the reroute column of the tool table
 toolbox.TOOLS; everything else goes through the toolbox dispatcher. After
-all clauses stop, harvest_linkings turns the accumulated standard feedback
-into verified linkings, dropping any proposal the recorded feedback does not
-actually support.
+all clauses stop, harvest_linkings turns the model's reading of the workspace
+into verified linkings, keeping a proposal only where a turn affirms it by
+the document's one linking rule (Turn.affirms).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .cotf import (
     VerifiedLinking,
     append_turn,
     clause_open,
+    fact_text,
     serialize,
 )
 from .errors import LlmError, SchemaViolation
@@ -133,12 +134,9 @@ def run_lookup(doc: CoTFDocument, llm, context: ToolContext) -> CoTFDocument:
 
 def harvest_linkings(doc: CoTFDocument, llm) -> list[VerifiedLinking]:
     """Ask the model to read the workspace back into linkings, then keep only
-    proposals some single standard-feedback turn fully grounds.
-
-    The grounding turn must contain every named field (table, column,
-    literal) verbatim, and for a value linking affirm the literal in that
-    table and column (Turn.value_facts); a proposal whose cited source_turn
-    does not ground it is re-pointed at the first turn that does, or dropped.
+    proposals some turn of the document affirms (Turn.affirms), each with
+    that turn as its source: the cited source_turn when it affirms the
+    proposal, else the first turn that does. Any other proposal is dropped.
     """
     response = llm.chat(HARVEST.request(workspace=serialize(doc).decode("utf-8")))
     proposals = extract_json(response, list)
@@ -146,48 +144,26 @@ def harvest_linkings(doc: CoTFDocument, llm) -> list[VerifiedLinking]:
         logger.warning("linking harvest output was not a JSON array; keeping none")
         return []
 
-    grounded_turns = [
-        ((ci, ti), turn)
-        for ci, column in enumerate(doc.turns)
-        for ti, turn in enumerate(column)
-        if turn.feedback.kind == "standard"
-    ]
-
     out: list[VerifiedLinking] = []
     for item in proposals:
         if not isinstance(item, dict):
             continue
-        literal = item.get("literal")
-        if isinstance(literal, (int, float)) and not isinstance(literal, bool):
-            literal = str(literal)
-        rationale = item.get("rationale")
+        literal, rationale = item.get("literal"), item.get("rationale")
         try:
-            # the source turn is filled in once a turn grounds the fields
+            # a number's literal is its text; a bool or a container stays and
+            # is refused. The source turn is filled in once a turn affirms it
             link = VerifiedLinking(
                 kind=item.get("kind"),
                 table=item.get("table"),
                 column=item.get("column"),
-                literal=literal,
+                literal=fact_text(literal) or literal,
                 rationale=replace_surrogates(rationale) if isinstance(rationale, str) else "",
                 source_turn=(0, 0),
             )
         except SchemaViolation:
             continue
-        needed = {f for f in (link.table, link.column, link.literal) if f is not None}
-        # a value must also be affirmed in the column it is linked to
-        value = link.kind == "value"
-        triple = (link.table.lower(), link.column.lower(), link.literal) if value else None
-
-        # the cited turn first, then the rest in document order; comparing
-        # with == takes whatever JSON the model cited
         cited = item.get("source_turn")
-        candidates = sorted(grounded_turns, key=lambda g: list(g[0]) != cited)
-        grounding = (
-            idx
-            for idx, turn in candidates
-            if needed <= turn.facts and (triple is None or triple in turn.value_facts)
-        )
-        source = next(grounding, None)
+        source = doc.source_of(link, tuple(cited) if isinstance(cited, list) else None)
         if source is not None:
             out.append(replace(link, source_turn=source))
     return out

@@ -1,5 +1,6 @@
 """Command-line surface: runs, resume, evaluation, trace statistics."""
 
+import errno
 import json
 import os
 import subprocess
@@ -257,6 +258,96 @@ def test_run_fails_a_question_id_that_is_not_a_file_name(tmp_path, db_root, capl
     assert sorted(p.name for p in outside) == ["dataset.json", "script.json"]
     assert sorted(p.name for p in (out / "traces").iterdir()) == ["11.json"]
     assert [r for r in caplog.records if r.exc_info] == []
+
+
+# JSON values that are neither a string nor an integer, nor null
+BAD_IDS = [True, False, 1.5, {"a": 1}, ["11"]]
+BAD_ID_IDS = ["true", "false", "float", "object", "array"]
+BAD_ID = "row 0 question_id must be a string or an integer"
+
+
+@pytest.mark.parametrize("bad", BAD_IDS, ids=BAD_ID_IDS)
+def test_run_fails_a_row_whose_question_id_is_no_string_or_integer(
+    tmp_path, db_root, caplog, capsys, bad
+):
+    rows = [dict(DATASET[1], question_id=bad), DATASET[0]]
+    dataset = write_dataset(tmp_path / "dataset.json", rows)
+    b = ScriptBuilder()
+    b.responses = build_happy_script().build()[:14]
+    script = b.write(tmp_path / "script.json")
+    out = tmp_path / "out"
+    assert cli.main(run_args(dataset, db_root, out, script)) == 1
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["completed"] == ["11"]
+    assert report["failed"] == {"0": BAD_ID}
+    assert f"0\tfailed\t{BAD_ID}" in capsys.readouterr().out
+    assert sorted(p.name for p in (out / "traces").iterdir()) == ["11.json"]
+    assert [r for r in caplog.records if r.exc_info] == []
+
+
+def test_run_reads_a_null_question_id_as_absent(tmp_path, db_root):
+    # two null ids are two rows' indices, not one id "None" twice
+    rows = [dict(DATASET[0], question_id=None), dict(DATASET[1], question_id=None)]
+    dataset = write_dataset(tmp_path / "dataset.json", rows)
+    b = ScriptBuilder()
+    b.responses = build_happy_script().build()[:-10]
+    script = b.write(tmp_path / "script.json")
+    out = tmp_path / "out"
+    assert cli.main(run_args(dataset, db_root, out, script)) == 0
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["completed"] == ["0", "1"]
+    assert sorted(p.name for p in (out / "traces").iterdir()) == ["0.json", "1.json"]
+
+
+def test_run_refuses_an_out_path_it_cannot_create(tmp_path, db_root, capsys):
+    dataset = write_dataset(tmp_path / "dataset.json", DATASET)
+    script = build_happy_script().write(tmp_path / "script.json")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("not a directory", encoding="utf-8")
+    assert cli.main(run_args(dataset, db_root, a_file, script)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = os.strerror(errno.ENOTDIR)
+    assert captured.err == f"error: cannot write {a_file / 'traces'}: {reason}\n"
+
+
+def test_a_question_whose_trace_cannot_be_written_fails_alone(tmp_path, db_root, caplog):
+    dataset = write_dataset(tmp_path / "dataset.json", DATASET)
+    script = build_happy_script().write(tmp_path / "script.json")
+    out = tmp_path / "out"
+    blocked = out / "traces" / "12.json"
+    blocked.mkdir(parents=True)
+    assert cli.main(run_args(dataset, db_root, out, script)) == 1
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["completed"] == ["11", "13"]
+    assert report["failed"] == {"12": f"cannot write {blocked}: {os.strerror(errno.EISDIR)}"}
+    assert [r for r in caplog.records if r.exc_info] == []
+
+
+def test_run_needs_a_script_or_an_endpoint(tmp_path, db_root, capsys):
+    dataset = write_dataset(tmp_path / "dataset.json", DATASET)
+    out = tmp_path / "out"
+    argv = ["run", "--dataset", str(dataset), "--db-root", str(db_root), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: need --mock-llm SCRIPT or --llm-endpoint URL\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("rows", [{"0": DATASET[0]}, "rows", None])
+def test_a_dataset_that_is_not_a_json_list_is_refused(tmp_path, db_root, capsys, command, rows):
+    dataset = write_dataset(tmp_path / "dataset.json", rows)
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text("{}", encoding="utf-8")
+    script = build_happy_script().write(tmp_path / "script.json")
+    out = tmp_path / "out"
+    if command == "run":
+        argv = run_args(dataset, db_root, out, script)
+    else:
+        argv = eval_args(dataset, pred_path, db_root, out)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: dataset {dataset} must be a JSON list\n"
+    assert not out.exists()
 
 
 def test_rerun_without_force_makes_no_llm_calls(happy_run, tmp_path):
@@ -681,11 +772,14 @@ def test_trace_stats_skips_corrupt_trace(happy_run, capsys):
     rc, _, _, out = happy_run
     assert rc == 0
     (out / "traces" / "broken.json").write_text("{not json", encoding="utf-8")
+    (out / "traces" / "empty.json").write_text("", encoding="utf-8")
     rc = cli.main(["trace-stats", "--trace-dir", str(out / "traces"), "--json"])
     assert rc == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["traces"] == 3
-    assert stats["skipped"] == ["broken.json"]
+    assert stats["skipped"] == ["broken.json", "empty.json"]
+    assert cli.main(["trace-stats", "--trace-dir", str(out / "traces")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"{'skipped':<22}broken.json, empty.json"
 
 
 def test_trace_stats_empty_dir(tmp_path, capsys):
@@ -863,6 +957,54 @@ def test_eval_skips_a_row_whose_id_is_not_valid_utf8(tmp_path, db_root, capsys, 
     assert report["ex"] == 1.0
     assert report["warnings"] == [warning]
     assert warning in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", BAD_IDS, ids=BAD_ID_IDS)
+def test_eval_skips_a_row_whose_question_id_is_no_string_or_integer(tmp_path, db_root, bad):
+    rows = [dict(EVAL_DATASET[1], question_id=bad), EVAL_DATASET[0]]
+    dataset = write_dataset(tmp_path / "eval.json", rows)
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps({"1": EVAL_DATASET[0]["SQL"]}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cli.main(eval_args(dataset, pred_path, db_root, out)) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["count"] == 1
+    assert report["warnings"] == [f"0: {BAD_ID}; skipped"]
+
+
+def test_eval_reads_a_null_question_id_as_absent(tmp_path, db_root):
+    rows = [dict(row, question_id=None) for row in EVAL_DATASET[:2]]
+    dataset = write_dataset(tmp_path / "eval.json", rows)
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps({"0": rows[0]["SQL"], "1": rows[1]["SQL"]}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cli.main(eval_args(dataset, pred_path, db_root, out)) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert (report["count"], report["ex"], report["warnings"]) == (2, 1.0, [])
+
+
+def test_eval_refuses_an_out_path_it_cannot_write(tmp_path, db_root, capsys):
+    dataset = write_dataset(tmp_path / "eval.json", EVAL_DATASET)
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text("{}", encoding="utf-8")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("not a directory", encoding="utf-8")
+    out = a_file / "report.json"
+    assert cli.main(eval_args(dataset, pred_path, db_root, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: {os.strerror(errno.ENOTDIR)}\n"
+    assert a_file.read_text(encoding="utf-8") == "not a directory"
+
+
+@pytest.mark.parametrize("predictions", [[], "SELECT 1", None])
+def test_eval_refuses_predictions_that_are_not_an_object(tmp_path, db_root, capsys, predictions):
+    dataset = write_dataset(tmp_path / "eval.json", EVAL_DATASET)
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps(predictions), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cli.main(eval_args(dataset, pred_path, db_root, out)) == 2
+    assert capsys.readouterr().err == f"error: predictions {pred_path} must be a JSON object\n"
+    assert not out.exists()
 
 
 def test_eval_skips_a_row_that_is_not_an_object(tmp_path, db_root):

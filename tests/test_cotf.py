@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +30,8 @@ from diver.cotf import (
     deserialize,
     document_facts,
     dumps,
+    fact_text,
+    jsonify,
     serialize,
 )
 from diver.errors import SchemaViolation
@@ -182,6 +185,67 @@ def test_linking_fields_are_strings_or_null():
         deserialize(json.dumps(payload).encode("utf-8"))
 
 
+def golden_linking_case(change):
+    """The golden trace's payload and its document, each with its linking
+    changed: a dict of linking fields, source_turn as written in JSON."""
+    payload = json.loads(GOLDEN_TRACE.read_text(encoding="utf-8"))
+    payload["verified"][0].update(change)
+    doc = deserialize(GOLDEN_TRACE.read_bytes())
+    fields = {k: tuple(v) if k == "source_turn" else v for k, v in change.items()}
+    return payload, doc, replace(doc.verified[0], **fields)
+
+
+@pytest.mark.parametrize(
+    "change, source",
+    [
+        # the source turn probed Low Grade for K; Traditional is a School Type
+        ({"literal": "Traditional"}, None),
+        # head rows hold Low Grade and Traditional, but not in one column
+        ({"literal": "Traditional", "source_turn": [0, 9]}, None),
+        # turn (0, 0) affirms the linking, as the harvest would re-point it
+        ({"source_turn": [1, 0]}, (0, 0)),
+        ({"source_turn": [0, 1]}, (0, 0)),
+    ],
+    ids=["literal_no_turn_affirms", "literal_in_another_column", "corrective", "guiding"],
+)
+def test_a_linking_its_source_turn_does_not_affirm_is_refused(change, source):
+    payload, doc, link = golden_linking_case(change)
+    message = "^" + re.escape(f"linking source_turn {link.source_turn} does not affirm it") + "$"
+    with pytest.raises(SchemaViolation, match=message):
+        deserialize(json.dumps(payload))
+    with pytest.raises(SchemaViolation, match=message):
+        CoTFDocument(doc.question, doc.clauses, doc.turns, [link], doc.max_turns)
+    before = list(doc.verified)
+    with pytest.raises(SchemaViolation, match=message):
+        doc.add_verified(link)
+    assert doc.verified == before
+    assert doc.source_of(link, link.source_turn) == source
+
+
+def test_a_linking_is_affirmed_by_any_turn_that_holds_it():
+    # head rows hold K under Low Grade, as value_in affirmed it
+    payload, doc, link = golden_linking_case({"source_turn": [0, 9]})
+    assert deserialize(json.dumps(payload)).verified == [link]
+    doc.add_verified(link)
+    assert doc.verified[-1] == link
+    assert [doc.source_of(link, first) for first in (None, (0, 9), (0, 1), (9, 9))] == [
+        (0, 0), (0, 9), (0, 0), (0, 0)
+    ]
+    turn = doc.turns[0][9]
+    assert {"frpm", "Low Grade", "Traditional"} <= turn.facts
+    assert not turn.affirms(replace(link, literal="Traditional"))
+    assert turn.affirms(replace(link, kind="schema", literal="Traditional"))
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [("K", "K"), ("", ""), (7, "7"), (-1, "-1"), (264.0, "264.0"), (1e-07, "1e-07"),
+     (True, None), (False, None), (None, None), ([1], None), ({"a": 1}, None)],
+)
+def test_fact_text_is_a_string_or_a_numbers_str(value, text):
+    assert fact_text(value) == text
+
+
 def test_clause_partition_enforced():
     q = Question(question_id="q3", db_id="db1", text="alpha beta gamma")
     # gap between spans
@@ -200,6 +264,9 @@ def test_clause_partition_enforced():
     # clause text not the verbatim span
     with pytest.raises(SchemaViolation):
         CoTFDocument(question=q, clauses=[Clause(0, "ALPHA BETA GAMMA", (0, 3))], max_turns=5)
+    # a span past the last token
+    with pytest.raises(SchemaViolation, match="^clause 0 span runs past the question$"):
+        CoTFDocument(question=q, clauses=[Clause(0, "alpha beta gamma", (0, 4))], max_turns=5)
 
 
 # --- codec ---
@@ -313,7 +380,8 @@ def random_doc(rng: random.Random) -> CoTFDocument:
                 fb = ToolFeedback.guiding("Consider using uniq_value to enumerate values.")
             args: dict = {"table": "t", "n": rng.randint(1, 5), "flag": rng.choice([True, None])}
             append_turn(doc, ci, Turn(f"thought {rng.random():.3f}", ToolCall(tool, args), fb))
-    # attach a linking when some clause has a standard turn
+    # attach a linking when some clause has a standard turn; its fields are
+    # facts of that turn: the table argument and a cell of its rows
     for ci, turns in enumerate(doc.turns):
         for ti, t in enumerate(turns):
             if t.feedback.kind == "standard":
@@ -321,7 +389,7 @@ def random_doc(rng: random.Random) -> CoTFDocument:
                     VerifiedLinking(
                         kind="schema",
                         table="t",
-                        column=rng.choice([None, "c"]),
+                        column=rng.choice([None, "a"]),
                         literal=None,
                         rationale="seen in probe output",
                         source_turn=(ci, ti),
@@ -391,7 +459,8 @@ TURNS = st.builds(
     ),
     feedback=FEEDBACK,
 )
-LINKINGS = st.tuples(st.integers(0, 99), TEXT.filter(bool), st.none() | TEXT, TEXT)
+# a source turn, and a table and a column as indices into its facts
+LINKINGS = st.tuples(st.integers(0, 99), st.integers(0, 99), st.none() | st.integers(0, 99), TEXT)
 
 
 @settings(max_examples=200, deadline=None)
@@ -456,23 +525,26 @@ def test_serialize_equals_one_shot_encoding_as_the_document_grows(case):
         if len(column) < doc.max_turns and not (column and column[-1].tool_call.tool == "none"):
             append_turn(doc, ci, turn)
             check()
+    # a schema linking names a table, so its source turn needs a non-empty fact
     sources = [
-        (ci, ti)
+        ((ci, ti), sorted(turn.facts))
         for ci, column in enumerate(doc.turns)
         for ti, turn in enumerate(column)
-        if turn.feedback.kind == "standard"
+        if turn.feedback.kind == "standard" and any(turn.facts)
     ]
     for pick, table, column, rationale in linkings:
         if not sources:
             break
+        source, facts = sources[pick % len(sources)]
+        tables = [fact for fact in facts if fact]
         doc.add_verified(
             VerifiedLinking(
                 kind="schema",
-                table=table,
-                column=column,
+                table=tables[table % len(tables)],
+                column=None if column is None else facts[column % len(facts)],
                 literal=None,
                 rationale=rationale,
-                source_turn=sources[pick % len(sources)],
+                source_turn=source,
             )
         )
         check()
@@ -612,6 +684,10 @@ def test_deserialize_rejects_malformed():
         deserialize(b"{not json")
     with pytest.raises(SchemaViolation):
         deserialize(b"[1, 2, 3]")
+    latin1 = serialize(golden_doc()).replace("café".encode(), "café".encode("latin-1"))
+    for data in (b"\xff", latin1):
+        with pytest.raises(SchemaViolation, match="^not valid UTF-8: 'utf-8' codec can't decode"):
+            deserialize(data)
 
 
 def test_turn_after_none_rejected_on_deserialize():
@@ -808,3 +884,44 @@ def test_mutation_fuzz_raises_schema_violation_or_round_trips():
         assert serialize(doc) == canonical.encode("utf-8")
         assert deserialize(serialize(doc)) == doc
     assert 0 < accepted < 500
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ({1: "a"}, "payload keys must be strings, got 1"),
+        ({"rows": [{("t",): 1}]}, r"payload keys must be strings, got \('t',\)"),
+        ({"when": {1, 2}}, r"payload value is not JSON-representable: \{1, 2\}"),
+        ([b"bytes"], "payload value is not JSON-representable: b'bytes'"),
+    ],
+)
+def test_jsonify_refuses_what_json_cannot_hold(value, message):
+    with pytest.raises(SchemaViolation, match=f"^{message}$"):
+        jsonify(value)
+    if isinstance(value, dict):
+        with pytest.raises(SchemaViolation, match=f"^{message}$"):
+            ToolFeedback.standard(value)
+
+
+def test_tool_call_refuses_an_argument_name_that_is_no_string():
+    with pytest.raises(SchemaViolation, match="^tool_call arg names must be strings$"):
+        ToolCall("head", {"table": "t", 1: 2})
+
+
+@pytest.mark.parametrize(
+    "tool_call, feedback, message",
+    [
+        ({"tool": "head"}, ToolFeedback.standard({}), "turn.tool_call must be a ToolCall"),
+        (ToolCall("head", {}), {"kind": "standard"}, "turn.feedback must be a ToolFeedback"),
+        (None, None, "turn.tool_call must be a ToolCall"),
+    ],
+)
+def test_turn_refuses_parts_of_another_type(tool_call, feedback, message):
+    with pytest.raises(SchemaViolation, match=f"^{message}$"):
+        Turn("t", tool_call, feedback)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {"a": object}, [b"x"], complex(1, 2)])
+def test_dumps_refuses_a_value_json_cannot_hold(value):
+    with pytest.raises(TypeError, match="^not JSON-representable: "):
+        dumps(value)

@@ -304,6 +304,32 @@ def test_malformed_description_csv_is_nonfatal(schools_db, tmp_path, caplog):
     assert any("description" in r.message.lower() for r in caplog.records)
 
 
+def test_a_description_row_without_a_column_name_is_skipped(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text(
+        "original_column_name,column_description,value_description\n"
+        ",orphan description,\n"
+        "  ,blank name,\n"
+        "City,the city,\n",
+        encoding="utf-8",
+    )
+    assert parse_description_file(p) == {"city": "the city"}
+
+
+def test_catalog_reads_only_the_csv_files_of_the_description_directory(
+    schools_db, tmp_path, caplog
+):
+    desc = tmp_path / "database_description"
+    desc.mkdir()
+    header = "original_column_name,column_description,value_description\n"
+    (desc / "frpm.txt").write_text(header + "Low Grade,not read,\n", encoding="utf-8")
+    (desc / "frpm.CSV").write_text(header + "Low Grade,lowest grade,\n", encoding="utf-8")
+    with closing(open_database(schools_db)) as handle, caplog.at_level("DEBUG"):
+        cat = catalog(handle, desc)
+    assert cat.table("frpm").column("Low Grade").description == "lowest grade"
+    assert caplog.records == []
+
+
 def test_parse_description_file_raises_on_junk(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("no_useful_header\n1,2,3\n", encoding="utf-8")

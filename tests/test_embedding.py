@@ -281,13 +281,32 @@ def test_remote_embedder_batches_of_64(stub_server):
             {"data": [{"embedding": [1.0, "x"]}]},
             r'^endpoint item 0 "embedding" has an entry that is not a finite number: \'x\'$',
         ),
+        # JSON has integers of any length; one past a float's range is no weight
+        (
+            {"data": [{"embedding": [1.0, 10**400]}]},
+            r'^endpoint item 0 "embedding" has an entry that is not a finite number: 1000',
+        ),
+        (
+            {"data": [{"embedding": [1.0]}, {"embedding": [2.0]}]},
+            r"^endpoint returned 2 vectors for 1 texts$",
+        ),
     ],
-    ids=["top-level-list", "data-null", "no-embedding", "embedding-not-list", "non-numeric"],
+    ids=[
+        "top-level-list", "data-null", "no-embedding", "embedding-not-list", "non-numeric",
+        "integer-too-long", "count-mismatch",
+    ],
 )
 def test_remote_embedder_malformed_response_raises_unavailable(stub_server, reply, message):
     _StubHandler.reply = reply
     with pytest.raises(EmbedderUnavailable, match=message):
         RemoteEmbedder(endpoint=stub_server).embed(["hello"])
+
+
+def test_remote_embedder_refuses_vectors_of_different_widths(stub_server):
+    _StubHandler.reply = {"data": [{"embedding": [1.0, 2.0]}, {"embedding": [3.0]}]}
+    message = r"^inconsistent vector widths from endpoint: \{1, 2\}$"
+    with pytest.raises(EmbedderUnavailable, match=message):
+        RemoteEmbedder(endpoint=stub_server).embed(["hello", "world"])
 
 
 @pytest.mark.parametrize("backend", ["lexical", "remote"])

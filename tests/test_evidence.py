@@ -234,7 +234,8 @@ def test_filter_is_idempotent_on_fuzzed_texts(cat):
 
 _BACKTICK_RE = re.compile(r"`([^`\n]+)`")
 _DQUOTE_RE = re.compile(r'"([^"\n]+)"')
-_SQUOTE_RE = re.compile(r"(?<![\w])'([^'\n]+)'(?![\w])")
+# a single-quoted span, in which SQL's '' reads as one '
+_SQUOTE_RE = re.compile(r"(?<![\w])'((?:[^'\n]|'')+)'(?![\w])")
 _DOTTED_RE = re.compile(r"\b(\w+)\.(\w+)\b")
 
 
@@ -260,7 +261,8 @@ def two_kind_filter(text, doc, catalog):
         claims = []
         for rx in (_BACKTICK_RE, _DQUOTE_RE, _SQUOTE_RE):
             for m in rx.finditer(sentence):
-                claims.append((m.start(), "span", m.group(1)))
+                span = m.group(1).replace("''", "'") if rx is _SQUOTE_RE else m.group(1)
+                claims.append((m.start(), "span", span))
         for m in _DOTTED_RE.finditer(sentence):
             if not (m.group(1).isdigit() and m.group(2).isdigit()):
                 claims.append((m.start(), "dotted", (m.group(0), m.group(1), m.group(2))))
@@ -307,6 +309,20 @@ def test_a_dotted_claim_that_is_a_catalog_name_is_kept():
     text = "The table V.2 holds it."
     assert grounding_filter(text, empty_doc(), dotted) == {"text": text, "removed_claims": []}
     assert two_kind_filter(text, empty_doc(), dotted)["removed_claims"] == ["V.2"]
+
+
+def test_a_doubled_apostrophe_in_a_quoted_value_reads_as_one(cat):
+    text = "Which school is in O'Neill?"
+    doc = CoTFDocument(Question("q", "california_schools", text), token_refine(text, []))
+    call = ToolCall("value_in", {"table": "schools", "column": "City", "value": "O'Neill"})
+    affirmed = ToolFeedback.standard({"exists": True, "match_count": 1})
+    append_turn(doc, 0, Turn("probe", call, affirmed))
+    kept = "O'Neill refers to schools.City = 'O''Neill'. The city is 'O''Neill'. "
+    wrong = "It is not schools.County = 'O''Neill'."
+    assert grounding_filter(kept + wrong, doc, cat) == {
+        "text": kept,
+        "removed_claims": ["schools.County = 'O''Neill'"],
+    }
 
 
 def yolo_doc():

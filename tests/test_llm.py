@@ -630,6 +630,26 @@ def test_live_client_requires_key(monkeypatch):
         LiveClient(base_url="http://127.0.0.1:1/v1", model="m")
 
 
+def test_live_client_requires_a_base_url(monkeypatch):
+    monkeypatch.setenv("DIVER_LLM_API_KEY", "sk-test")
+    with pytest.raises(DiverError, match="^base_url must be set$"):
+        LiveClient(base_url="", model="m")
+
+
+@pytest.mark.parametrize(
+    "role, content, message",
+    [
+        ("tool", "x", "^bad message role: 'tool'$"),
+        ("System", "x", "^bad message role: 'System'$"),
+        ("user", None, "^message content must be a string$"),
+        ("assistant", b"x", "^message content must be a string$"),
+    ],
+)
+def test_chat_message_refuses_a_bad_role_or_content(role, content, message):
+    with pytest.raises(ValueError, match=message):
+        ChatMessage(role, content)
+
+
 def test_live_client_posts_and_reads_reply(chat_stub, monkeypatch):
     monkeypatch.setenv("DIVER_LLM_API_KEY", "sk-test")
     client = LiveClient(base_url=chat_stub, model="test-model")

@@ -16,13 +16,14 @@ from diver.cotf import (
     ToolCall,
     ToolFeedback,
     Turn,
+    VerifiedLinking,
     append_turn,
     serialize,
 )
 from diver.breakup import token_refine
 from diver.database import catalog, open_database
 from diver.embedding import LexicalEmbedder
-from diver.errors import LlmError
+from diver.errors import LlmError, SchemaViolation
 from diver.llm import ChatMessage, ScriptedSession
 from diver.lookup import harvest_linkings, run_clause, run_lookup
 from diver.prompts import HARVEST, LOOKUP_SYSTEM, LOOKUP_THOUGHT, LOOKUP_TOOL_USER
@@ -525,6 +526,117 @@ def test_a_value_in_its_column_is_kept_only_where_each_field_alone_was(turns, pr
         ci, ti = link.source_turn
         fields_named = {f for f in (link.table, link.column, link.literal) if f is not None}
         assert fields_named <= doc.turns[ci][ti].facts
+
+
+def parent_harvest(doc, proposals):
+    """Reference: the harvest's own grounding rule before the document kept
+    it (Turn.affirms), as (kind, table, column, literal, source_turn)."""
+    grounded_turns = [
+        ((ci, ti), turn)
+        for ci, column in enumerate(doc.turns)
+        for ti, turn in enumerate(column)
+        if turn.feedback.kind == "standard"
+    ]
+    out = []
+    for item in proposals:
+        if not isinstance(item, dict):
+            continue
+        literal = item.get("literal")
+        if isinstance(literal, (int, float)) and not isinstance(literal, bool):
+            literal = str(literal)
+        try:
+            link = VerifiedLinking(
+                kind=item.get("kind"),
+                table=item.get("table"),
+                column=item.get("column"),
+                literal=literal,
+                rationale="",
+                source_turn=(0, 0),
+            )
+        except SchemaViolation:
+            continue
+        needed = {f for f in (link.table, link.column, link.literal) if f is not None}
+        value = link.kind == "value"
+        triple = (link.table.lower(), link.column.lower(), link.literal) if value else None
+        cited = item.get("source_turn")
+        candidates = sorted(grounded_turns, key=lambda g: list(g[0]) != cited)
+        grounding = (
+            idx
+            for idx, turn in candidates
+            if needed <= turn.facts and (triple is None or triple in turn.value_facts)
+        )
+        source = next(grounding, None)
+        if source is not None:
+            out.append((link.kind, link.table, link.column, link.literal, source))
+    return out
+
+
+def refused(feedback):
+    """A strategy of turns with standard_turns' calls and the given feedback."""
+    return standard_turns().map(lambda turn: Turn("probe", turn.tool_call, feedback))
+
+
+ANY_TURNS = st.one_of(
+    standard_turns(),
+    standard_turns(),
+    refused(ToolFeedback.corrective("no such column")),
+    refused(ToolFeedback.guiding("Consider using uniq_value.")),
+)
+CITED = st.one_of(
+    st.tuples(st.integers(0, 1), st.integers(0, 3)).map(list),
+    st.lists(st.integers(0, 3) | st.booleans() | st.floats(0, 3), max_size=3),
+    st.sampled_from([None, "0,0", {"clause": 0}]),
+)
+
+
+@st.composite
+def harvest_cases(draw):
+    """A two-clause document of any turns, and harvest output whose fields
+    come mostly from one of its turns, so that many are kept."""
+    doc = two_clause_doc(max_turns=4)
+    for ci, turn in draw(st.lists(st.tuples(st.integers(0, 1), ANY_TURNS), min_size=1, max_size=8)):
+        if len(doc.turns[ci]) < doc.max_turns:
+            append_turn(doc, ci, turn)
+    turns = [turn for column in doc.turns for turn in column]
+    proposals = []
+    for _ in range(draw(st.integers(1, 6))):
+        turn = draw(st.sampled_from(turns))
+        words = st.sampled_from(sorted(turn.facts)) if turn.facts else NAMES
+        # a value the turn pairs with its column, names as the turn writes them
+        table, column, value = draw(st.sampled_from(sorted(turn.value_facts) or [(None,) * 3]))
+        table, column = (
+            draw(st.sampled_from([f for f in sorted(turn.facts) if f.lower() == name] or [name]))
+            for name in (table, column)
+        )
+        item = {
+            "kind": st.sampled_from(["value", "value", "schema", "function", "other"]),
+            "table": st.one_of(st.just(table), st.just(table), words, NAMES, st.none(), st.just(0)),
+            "column": st.one_of(st.just(column), st.just(column), words, NAMES, st.none()),
+            "literal": st.one_of(
+                st.just(value), st.just(value), words, LITERALS,
+                st.none(), st.booleans(), st.just(["K"]),
+            ),
+            "rationale": st.just("probed"),
+            "source_turn": CITED,
+        }
+        other = st.sampled_from(["not an object", None, 3])
+        proposal = st.fixed_dictionaries(item)
+        proposals.append(draw(st.one_of(proposal, proposal, other)))
+    return doc, proposals
+
+
+@settings(max_examples=300, deadline=None)
+@given(harvest_cases())
+def test_harvest_keeps_what_the_parent_rule_kept_with_the_same_source_turns(case):
+    doc, proposals = case
+    kept = harvest_linkings(doc, ScriptedSession([json.dumps(proposals)]))
+    assert [
+        (l.kind, l.table, l.column, l.literal, l.source_turn) for l in kept
+    ] == parent_harvest(doc, proposals)
+    # each is what the pipeline adds to the document
+    for link in kept:
+        doc.add_verified(link)
+    assert doc.verified == kept
 
 
 def is_subsequence(part, whole):
