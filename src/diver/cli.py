@@ -3,13 +3,13 @@
 Every human-readable output has a JSON twin: run writes run_report.json,
 eval writes the report with --out, trace-stats prints JSON with --json. A
 command refuses bad input by raising DiverError; main alone turns that into
-`error: <message>` on stderr and exit status 2.
+`error: <message>` on stderr and exit status 2. Each JSON file a command
+reads (dataset, predictions, replay script, trace, sidecar) goes through cotf.load.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -17,7 +17,9 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
-from .cotf import DEFAULT_MAX_TURNS, FEEDBACK_KINDS, Question, deserialize, dumps, is_utf8, serialize
+from .cotf import (
+    DEFAULT_MAX_TURNS, FEEDBACK_KINDS, Question, deserialize, dumps, is_utf8, load, serialize
+)
 from .database import db_path_for, description_dir_for
 from .embedding import LexicalEmbedder, RemoteEmbedder
 from .errors import DiverError
@@ -28,14 +30,6 @@ from .pipeline import DEFAULT_CANDIDATES, PipelineConfig, run_question
 from .toolbox import TOOL_NAMES
 
 log = logging.getLogger(__name__)
-
-
-def _load_json(path: str | Path, what: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
-        raise DiverError(f"cannot load {what} from {path}: {exc}") from exc
 
 
 def _row(i: int, row) -> tuple[str, dict | str]:
@@ -58,7 +52,7 @@ def _load_dataset(path: str) -> list[tuple[str, dict | str]]:
     not a JSON object, or whose question_id is neither a string nor an
     integer or is not valid UTF-8, comes as the text that refuses it, and
     its id is its index. A question id that two rows share is refused."""
-    rows = _load_json(path, "dataset")
+    rows = load(path, "dataset")
     if not isinstance(rows, list):
         raise DiverError(f"dataset {path} must be a JSON list")
     ordered = [_row(i, row) for i, row in enumerate(rows)]
@@ -92,8 +86,8 @@ def _read_sidecar(path: Path) -> dict:
     """A question's {style: text} evidence sidecar; {} when it is missing,
     unreadable, not UTF-8, nested too deeply or not a JSON object."""
     try:
-        texts = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError):
+        texts = load(path, "evidence")
+    except DiverError:
         return {}
     return texts if isinstance(texts, dict) else {}
 
@@ -124,8 +118,8 @@ def _already_done(trace_dir: Path, evidence_dir: Path, qid: str, styles) -> bool
     """True when the question's trace deserializes and its sidecar holds
     every style."""
     try:
-        deserialize((trace_dir / f"{qid}.json").read_bytes())
-    except (DiverError, OSError):
+        deserialize(load(trace_dir / f"{qid}.json", "trace"))
+    except DiverError:
         return False
     texts = _read_sidecar(evidence_dir / f"{qid}.json")
     return all(s in texts for s in styles)
@@ -259,7 +253,7 @@ def _optional_text(row: dict, key: str, qid: str, warnings: list[str]) -> str | 
 
 def cmd_eval(args) -> int:
     rows = _load_dataset(args.dataset)
-    predictions = _load_json(args.predictions, "predictions")
+    predictions = load(args.predictions, "predictions")
     if not isinstance(predictions, dict):
         raise DiverError(f"predictions {args.predictions} must be a JSON object")
 
@@ -310,8 +304,8 @@ def cmd_trace_stats(args) -> int:
     skipped: list[str] = []
     for path in sorted(trace_dir.glob("*.json")):
         try:
-            doc = deserialize(path.read_bytes())
-        except (DiverError, OSError) as exc:
+            doc = deserialize(load(path, "trace"))
+        except DiverError as exc:
             log.warning("skipping corrupt trace %s: %s", path.name, exc)
             skipped.append(path.name)
             continue

@@ -6,7 +6,8 @@ the end. Turns and linkings enter it only through append_turn and
 add_verified, the constructor's too, so a trace read back meets the probing
 loop's checks. dumps writes the one JSON layout of every file and prompt body
 diver writes (sorted keys, UTF-8, two-space indent); serialize writes the
-document in it, so replayed runs are byte-identical.
+document in it, so replayed runs are byte-identical. load is the one reader
+of every JSON file diver reads; deserialize also takes its decoded value.
 
 The workspace is re-serialized on every probing round and by every evidence
 candidate. Each record (Question, Clause, Turn, VerifiedLinking) keeps the
@@ -33,9 +34,10 @@ import json
 import math
 from dataclasses import InitVar, dataclass, field, fields, is_dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Any
 
-from .errors import SchemaViolation
+from .errors import DiverError, SchemaViolation
 from .tokens import tokenize
 
 # json.dumps(text, ensure_ascii=False) of one string
@@ -315,7 +317,7 @@ class VerifiedLinking:
 class CoTFDocument:
     question: Question
     clauses: list[Clause]
-    turns: list[list[Turn]] = field(default_factory=list)
+    turns: list[list[Turn]] | None = None  # None: one empty column per clause
     verified: list[VerifiedLinking] = field(default_factory=list)
     max_turns: int = DEFAULT_MAX_TURNS
 
@@ -326,7 +328,8 @@ class CoTFDocument:
             raise SchemaViolation("document needs at least one clause")
         self._check_partition()
         # the given turns and linkings enter the way the probing loop adds them
-        columns, linkings = self.turns or [[] for _ in self.clauses], self.verified
+        columns = [[] for _ in self.clauses] if self.turns is None else self.turns
+        linkings = self.verified
         if len(columns) != len(self.clauses):
             raise SchemaViolation("turns must hold one list per clause")
         self.turns, self.verified = [[] for _ in self.clauses], []
@@ -503,9 +506,21 @@ def _array(value: Any) -> list:
     return value
 
 
-def deserialize(data: bytes | str) -> CoTFDocument:
-    """Parse canonical JSON back into a document. Every object is built by
-    its own constructor, so it must carry exactly the keys serialize writes;
+def load(path: str | Path, what: str) -> Any:
+    """The JSON value of a file read as strict UTF-8; DiverError("cannot load
+    <what> from <path>: <reason>") when the file is missing or unreadable, or
+    its text is not UTF-8, not JSON or nested past the recursion limit."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        raise DiverError(f"cannot load {what} from {path}: {exc}") from exc
+
+
+def deserialize(data: bytes | str | dict) -> CoTFDocument:
+    """A document from its file's bytes or text, or from the decoded JSON
+    object, which is left unchanged. Every object is built by its own
+    constructor, so it must carry exactly the keys serialize writes;
     anything that does not match the schema, is not UTF-8 or nests deeper
     than the interpreter's recursion limit raises SchemaViolation."""
     if isinstance(data, bytes):
@@ -514,13 +529,10 @@ def deserialize(data: bytes | str) -> CoTFDocument:
         except UnicodeDecodeError as exc:
             raise SchemaViolation(f"not valid UTF-8: {exc}") from exc
     try:
-        payload = json.loads(data)
+        payload = {**(json.loads(data) if isinstance(data, str) else data)}
         version = payload.pop("schema_version")
         if version != SCHEMA_VERSION:
             raise SchemaViolation(f"unsupported schema_version: {version!r}")
-        # the constructor would fill an empty turns list with empty columns
-        if not payload["turns"]:
-            raise SchemaViolation("turns must hold one list per clause")
         return _build(
             CoTFDocument,
             payload,

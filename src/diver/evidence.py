@@ -9,7 +9,6 @@ cannot back are removed, so hallucinated claims never leave this module.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from functools import lru_cache, partial
 from pathlib import Path
 
 from . import prompts
-from .cotf import CoTFDocument, deserialize, document_facts, dumps, serialize
+from .cotf import CoTFDocument, deserialize, document_facts, dumps, load, serialize
 from .database import SchemaCatalog
 from .llm import ChatMessage, replace_surrogates
 
@@ -164,10 +163,9 @@ def shot_messages() -> tuple[ChatMessage, ...]:
     the user message with the example's workspace, then the assistant
     message with its one-line evidence. Each workspace is validated through
     deserialize and rendered once per process."""
-    blob = (Path(__file__).parent / "data" / "concise_shots.json").read_text("utf-8")
     messages = []
-    for item in json.loads(blob):
-        workspace = _workspace(deserialize(json.dumps(item["cotf"])))
+    for item in load(Path(__file__).parent / "data" / "concise_shots.json", "concise shots"):
+        workspace = _workspace(deserialize(item["cotf"]))
         user = prompts.EVIDENCE_CONCISE.user.format(workspace=workspace)
         messages.append(ChatMessage("user", user))
         messages.append(ChatMessage("assistant", item["evidence"]))

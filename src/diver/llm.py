@@ -3,7 +3,8 @@
 LiveClient talks to a chat-completions style HTTP endpoint (credentials via
 DIVER_LLM_API_KEY) and retries only transient failures. ScriptedSession
 replays canned responses, either in sequence or keyed by request
-fingerprint; running out of script is always an error, never a silent
+fingerprint, from one mapping of queues; it reads a script file through
+cotf.load. Running out of script is always an error, never a silent
 repetition. fingerprint() hashes each request from the sha256 states its
 thread kept for its last request, so a resent message or chunk is not hashed
 again.
@@ -25,6 +26,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from .cotf import load
 from .errors import DiverError, LlmError
 
 logger = logging.getLogger(__name__)
@@ -147,22 +149,19 @@ def _replies(value, where: str) -> list[str]:
 class ScriptedSession:
     """Replay client. Accepts a list of replies (sequence mode), or
     {"by_fingerprint": {fingerprint: [reply, ...]}} (per-request queues);
-    anything else raises DiverError before any request."""
+    anything else raises DiverError before any request. Both are kept as
+    one mapping of queues, the sequence under the key None."""
 
     def __init__(self, script: list[str] | dict):
-        self._sequence: list[str] | None = None
-        self._by_fingerprint: dict[str, list[str]] | None = None
         if isinstance(script, list):
-            self._sequence = _replies(script, "list")
+            self._queues: dict[str | None, list[str]] = {None: _replies(script, "list")}
         elif isinstance(script, dict) and script.keys() == {"by_fingerprint"}:
             queues = script["by_fingerprint"]
             if not isinstance(queues, dict):
                 raise DiverError(
                     f"replay script by_fingerprint must be an object, got {queues!r:.60}"
                 )
-            self._by_fingerprint = {
-                k: _replies(v, f"by_fingerprint[{k!r}]") for k, v in queues.items()
-            }
+            self._queues = {k: _replies(v, f"by_fingerprint[{k!r}]") for k, v in queues.items()}
         else:
             raise DiverError("script must be a list or {'by_fingerprint': {...}}")
         self.consumed = 0
@@ -171,24 +170,17 @@ class ScriptedSession:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedSession":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls(json.load(fh))
-        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
-            raise DiverError(f"cannot load replay script {path}: {exc}") from exc
+        return cls(load(path, "replay script"))
 
     @property
     def is_sequential(self) -> bool:
         """Sequence scripts replay in strict order and cannot be shared
         across concurrent questions."""
-        return self._sequence is not None
+        return None in self._queues
 
     def chat(self, request: ChatRequest) -> str:
-        if self._sequence is not None:
-            queue, fp = self._sequence, None
-        else:
-            fp = fingerprint(request)
-            queue = self._by_fingerprint.get(fp)
+        fp = None if self.is_sequential else fingerprint(request)
+        queue = self._queues.get(fp)
         with self._lock:
             if queue:
                 self.consumed += 1

@@ -441,6 +441,51 @@ def test_a_dataset_that_is_not_utf8_or_nested_too_deeply_is_refused(
         assert "Traceback" not in captured.err
 
 
+# what cotf.load refuses: a missing file, bytes that are not UTF-8, text that
+# is not JSON and JSON nested past the recursion limit
+UNREADABLE = {
+    "missing": None,
+    "latin-1": '[{"question": "caf\xe9"}]'.encode("latin-1"),
+    "not-json": b"{not json",
+    "deep": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+@pytest.mark.parametrize("what", ["dataset", "predictions", "replay script"])
+def test_every_json_input_is_refused_with_one_message(tmp_path, db_root, capsys, what, case):
+    bad = tmp_path / "bad.json"
+    if UNREADABLE[case] is not None:
+        bad.write_bytes(UNREADABLE[case])
+    dataset = write_dataset(tmp_path / "dataset.json", DATASET[:1])
+    predictions = tmp_path / "predictions.json"
+    predictions.write_text("{}", encoding="utf-8")
+    if what == "replay script":
+        args = run_args(dataset, db_root, tmp_path / "out", bad)
+    else:
+        inputs = {"dataset": dataset, "predictions": predictions, what: bad}
+        args = eval_args(inputs["dataset"], inputs["predictions"], db_root, tmp_path / "r.json")
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot load {what} from {bad}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_rerun_redoes_a_truncated_sidecar(happy_run, tmp_path, db_root):
+    rc, dataset, _, out = happy_run
+    assert rc == 0
+    sidecar = out / "evidence" / "12.json"
+    whole = sidecar.read_bytes()
+    sidecar.write_bytes(whole[: len(whole) // 2])
+    b = ScriptBuilder()
+    b.responses = build_happy_script().build()[14:-10]  # q2's block alone
+    assert cli.main(run_args(dataset, db_root, out, b.write(tmp_path / "q2.json"))) == 0
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["completed"] == ["12"]
+    assert sidecar.read_bytes() == whole
+
+
 def test_a_sidecar_holds_only_its_own_traces_evidence(tmp_path, db_root, open_db):
     dataset = write_dataset(tmp_path / "dataset.json", DATASET[:1])
     out = tmp_path / "out"
@@ -768,7 +813,7 @@ def test_trace_stats_hand_tally(happy_run, capsys):
     assert stats["mean_turns_per_clause"] <= 5
 
 
-def test_trace_stats_skips_corrupt_trace(happy_run, capsys):
+def test_trace_stats_skips_corrupt_trace(happy_run, capsys, caplog):
     rc, _, _, out = happy_run
     assert rc == 0
     (out / "traces" / "broken.json").write_text("{not json", encoding="utf-8")
@@ -778,6 +823,11 @@ def test_trace_stats_skips_corrupt_trace(happy_run, capsys):
     stats = json.loads(capsys.readouterr().out)
     assert stats["traces"] == 3
     assert stats["skipped"] == ["broken.json", "empty.json"]
+    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert [w.split(": ")[:2] for w in warned] == [
+        [f"skipping corrupt trace {name}", f"cannot load trace from {out / 'traces' / name}"]
+        for name in ("broken.json", "empty.json")
+    ]
     assert cli.main(["trace-stats", "--trace-dir", str(out / "traces")]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"{'skipped':<22}broken.json, empty.json"
 

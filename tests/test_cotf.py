@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import re
@@ -39,6 +40,7 @@ from diver.tokens import tokenize
 from diver.toolbox import TOOL_NAMES
 
 GOLDEN_TRACE = Path(__file__).resolve().parent / "golden" / "probe_trace.json"
+SHOTS = Path(cotf.__file__).parent / "data" / "concise_shots.json"
 
 
 def make_clauses(text: str, cuts: list[int]) -> list[Clause]:
@@ -406,6 +408,35 @@ def test_round_trip_fuzz():
         again = deserialize(serialize(doc))
         assert again == doc
         assert serialize(again) == serialize(doc)
+
+
+def test_deserialize_of_decoded_json_is_deserialize_of_its_bytes():
+    # the golden trace, the five concise shots and generated documents
+    shots = [json.dumps(shot["cotf"]).encode() for shot in json.loads(SHOTS.read_bytes())]
+    assert len(shots) == 5
+    rng = random.Random(20261022)
+    generated = [serialize(random_doc(rng)) for _ in range(100)]
+    for data in [GOLDEN_TRACE.read_bytes(), *shots, *generated]:
+        decoded = json.loads(data)
+        untouched = copy.deepcopy(decoded)
+        assert serialize(deserialize(decoded)) == serialize(deserialize(data))
+        assert decoded == untouched
+
+
+def test_deserialize_leaves_a_refused_value_unchanged():
+    decoded = json.loads(serialize(golden_doc()))
+    decoded["turns"] = []
+    untouched = copy.deepcopy(decoded)
+    with pytest.raises(SchemaViolation, match="^turns must hold one list per clause$"):
+        deserialize(decoded)
+    assert decoded == untouched
+
+
+def test_given_empty_turns_are_refused_and_none_is_one_empty_column_per_clause():
+    doc = small_doc()
+    with pytest.raises(SchemaViolation, match="^turns must hold one list per clause$"):
+        CoTFDocument(doc.question, doc.clauses, [])
+    assert CoTFDocument(doc.question, doc.clauses, None).turns == [[]]
 
 
 def one_shot_bytes(doc: CoTFDocument) -> bytes:

@@ -365,7 +365,7 @@ def test_scripted_from_dict_and_file(tmp_path):
 def test_a_script_that_is_not_utf8_or_nested_too_deeply_is_refused(tmp_path, data, reason):
     path = tmp_path / "script.json"
     path.write_bytes(data)
-    refused = f"^cannot load replay script {re.escape(str(path))}: {reason}"
+    refused = f"^cannot load replay script from {re.escape(str(path))}: {reason}"
     with pytest.raises(DiverError, match=refused):
         ScriptedSession.from_file(path)
 
