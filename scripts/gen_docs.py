@@ -1,4 +1,9 @@
-"""Regenerate the golden prompt files under docs/ from the live constants.
+"""Regenerate docs/, the golden copy of every stage the model is sent.
+
+Each prompts.Stage row of the module gets one file, docs/<row name in lower
+case>.txt, with its name, temperature, response format, system prompt and
+user template. The rows are found in the module, not listed here, so a new
+stage gets its file and a changed one changes its file.
 
 Run from the repository root: python3 scripts/gen_docs.py
 """
@@ -10,47 +15,37 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from diver import prompts  # noqa: E402
-from diver.toolbox import render_guidance  # noqa: E402
-
-SEPARATOR = "\n\n--- user message template ---\n\n"
 
 
-def segmentation_doc() -> str:
-    return prompts.SEGMENTATION_SYSTEM + SEPARATOR + prompts.SEGMENTATION_USER
-
-
-def lookup_doc() -> str:
+def stage_doc(name: str, stage: prompts.Stage) -> str:
     return (
-        prompts.LOOKUP_SYSTEM
-        + SEPARATOR
-        + prompts.LOOKUP_THOUGHT_USER
-        + "\n\n--- tool call request (sent after the thought) ---\n\n"
-        + prompts.LOOKUP_TOOL_USER.format()
-        + "\n\n--- repair request (sent after a tool call that does not parse) ---\n\n"
-        + prompts.REPAIR_USER.format(error="{error}")
+        f"stage: {name}\n"
+        f"temperature: {stage.temperature!r}\n"
+        f"response_format: {stage.response_format}\n"
+        "\n--- system message ---\n\n"
+        f"{stage.system}\n"
+        "\n--- user message template (str.format: a doubled brace is one brace) ---\n\n"
+        f"{stage.user}\n"
     )
 
 
-FILES = {
-    "tool_guidance.txt": render_guidance,
-    "segmentation_prompt.txt": segmentation_doc,
-    "lookup_prompt.txt": lookup_doc,
-}
-
-
 def render() -> dict[str, str]:
-    """The text of each docs/ file, ending in one newline."""
-    texts = {}
-    for name, producer in FILES.items():
-        text = producer()
-        texts[name] = text if text.endswith("\n") else text + "\n"
-    return texts
+    """The text of each docs/ file, one per Stage row of prompts."""
+    return {
+        f"{name.lower()}.txt": stage_doc(name, stage)
+        for name, stage in vars(prompts).items()
+        if isinstance(stage, prompts.Stage)
+    }
 
 
 def main() -> None:
     docs = ROOT / "docs"
     docs.mkdir(exist_ok=True)
-    for name, text in render().items():
+    texts = render()
+    for stale in sorted({p.name for p in docs.iterdir()} - texts.keys()):
+        (docs / stale).unlink()
+        print(f"removed docs/{stale}")
+    for name, text in texts.items():
         (docs / name).write_text(text, encoding="utf-8")
         print(f"wrote docs/{name} ({len(text)} bytes)")
 

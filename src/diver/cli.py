@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .cotf import (
@@ -103,11 +103,17 @@ def _writing(path: Path):
 
 def _write_atomic(path: Path, data: bytes) -> None:
     """Write through a temp file in the same directory, so that a killed run
-    leaves the old file or the new one, never a part of one."""
+    leaves the old file or the new one, never a part of one. A failed write
+    takes its temp file with it."""
     tmp = path.with_name(path.name + ".tmp")
     with _writing(path):
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except OSError:
+            with suppress(OSError):
+                tmp.unlink()
+            raise
 
 
 def _write_json(path: Path, payload) -> None:

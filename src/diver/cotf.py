@@ -165,6 +165,7 @@ class ToolCall:
             raise SchemaViolation(f"tool_call.tool is not valid UTF-8: {self.tool!r}")
         if not isinstance(self.args, dict):
             raise SchemaViolation("tool_call.args must be a mapping")
+        self.args = dict(self.args)  # its own: a decoded trace's dict stays the caller's
         for k, v in self.args.items():
             if not isinstance(k, str):
                 raise SchemaViolation("tool_call arg names must be strings")

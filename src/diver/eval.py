@@ -12,7 +12,7 @@ import logging
 import math
 import re
 from collections import Counter
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
@@ -609,6 +609,8 @@ def evaluate(
     if bad or not metrics:
         raise DiverError(f"unknown metrics {bad}; choose from {', '.join(KNOWN_METRICS)}")
     needs_execution = "ex" in metrics or "ves" in metrics
+    # overlap reads only the evidence text and the gold SQL
+    needs_database = needs_execution or "f1" in metrics
 
     warnings: list[str] = []
     records: list[dict] = []
@@ -617,11 +619,11 @@ def evaluate(
     # would hold every file in memory at once
     for path, run in groupby(samples, key=lambda sample: Path(sample.db_path)):
         try:
-            handle = open_database(path)
+            handle = open_database(path) if needs_database else None
         except DiverError as exc:
             warnings.extend(f"{s.question_id}: cannot open database ({exc})" for s in run)
             continue
-        with closing(handle):
+        with closing(handle) if handle else nullcontext():
             for sample in run:
                 if needs_execution:
                     try:

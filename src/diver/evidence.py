@@ -53,10 +53,17 @@ class Evidence:
     text: str
 
 
+# abbreviations, in any case, that are neither a table.column claim nor a
+# sentence end
+_ABBREVIATIONS = ("i.e.", "e.g.")
+
 # sentence boundary: run of terminal punctuation followed by whitespace or
 # the end, or a newline run; bare dots inside numbers and dotted identifiers
-# do not split
-_BOUNDARY_RE = re.compile(r"[.!?]+(?:(?=\s)\s+|$)|\n+\s*")
+# and the last dot of an abbreviation do not split
+_BOUNDARY_RE = re.compile(
+    "".join(rf"(?<!\b(?i:{re.escape(a[:-1])}))" for a in _ABBREVIATIONS)
+    + r"[.!?]+(?:(?=\s)\s+|$)|\n+\s*"
+)
 
 _BACKTICK_RE = re.compile(r"`([^`\n]+)`")
 _DQUOTE_RE = re.compile(r'"([^"\n]+)"')
@@ -64,7 +71,9 @@ _DQUOTE_RE = re.compile(r'"([^"\n]+)"')
 _SQUOTED = r"'((?:[^'\n]|'')+)'"
 # lookarounds keep possessive apostrophes from opening a quote
 _SQUOTE_RE = re.compile(rf"(?<![\w]){_SQUOTED}(?![\w])")
-_DOTTED_RE = re.compile(r"\b(\w+)\.(\w+)\b")
+_DOTTED_RE = re.compile(
+    rf"\b(?!(?i:{'|'.join(map(re.escape, _ABBREVIATIONS))}))(\w+)\.(\w+)\b"
+)
 # a value paired with its column, dotted or backticked: schools.City = 'Davis';
 # the lookbehind starts a name only where a word or a backtick does not
 _IDENT = r"(?:`[^`\n]+`|\w+)"

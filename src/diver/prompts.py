@@ -1,8 +1,9 @@
 """Prompt templates for every LLM-facing stage, and the stage table that
 turns them into requests.
 
-These strings are golden-filed under docs/ and pinned by tests; edit them
-there and here together. System prompts are constants, sent as written; the
+Every Stage row (name, temperature, response format, system prompt and user
+template) is golden-filed under docs/ by scripts/gen_docs.py, one file per
+row, and pinned by tests; rerun the script after editing one. System prompts are constants, sent as written; the
 lookup one ends with the rendered tool guidance. User templates use
 str.format placeholders, so a literal brace in one is written twice.
 """

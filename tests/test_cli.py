@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from diver import cli
+from diver import eval as eval_module
 from diver.cotf import Question, deserialize, serialize
 from diver.database import DatabaseHandle, catalog
 from diver.embedding import LexicalEmbedder
@@ -484,6 +485,19 @@ def test_rerun_redoes_a_truncated_sidecar(happy_run, tmp_path, db_root):
     report = json.loads((out / "run_report.json").read_text())
     assert report["completed"] == ["12"]
     assert sidecar.read_bytes() == whole
+
+
+def test_a_trace_that_cannot_be_written_leaves_no_temp_file(tmp_path, db_root):
+    dataset = write_dataset(tmp_path / "dataset.json", DATASET[:1])
+    script = ScriptBuilder()
+    script.responses = build_happy_script().build()[:14]  # q1's block alone
+    out = tmp_path / "out"
+    (out / "traces" / "11.json").mkdir(parents=True)
+    assert cli.main(run_args(dataset, db_root, out, script.write(tmp_path / "q1.json"))) == 1
+    report = json.loads((out / "run_report.json").read_text())
+    trace = out / "traces" / "11.json"
+    assert report["failed"] == {"11": f"cannot write {trace}: Is a directory"}
+    assert sorted(p.name for p in (out / "traces").iterdir()) == ["11.json"]
 
 
 def test_a_sidecar_holds_only_its_own_traces_evidence(tmp_path, db_root, open_db):
@@ -1156,6 +1170,23 @@ def test_eval_reads_a_difficulty_or_evidence_that_is_not_valid_utf8_as_absent(
     assert report["warnings"] == [f"2: {field} is not valid UTF-8; ignored"]
     counts = {name: sub["count"] for name, sub in report["per_difficulty"].items()}
     assert counts == ({"simple": 2} if field == "evidence" else {"simple": 1})
+
+
+def test_eval_overlap_alone_opens_no_database(tmp_path, db_root, monkeypatch):
+    row = dict(EVAL_DATASET[0], db_id="no_such_db", evidence="west refers to region = 'west'")
+    dataset = write_dataset(tmp_path / "eval.json", [row])
+    pred_path = tmp_path / "preds.json"
+    pred_path.write_text(json.dumps({str(row["question_id"]): row["SQL"]}), "utf-8")
+    out = tmp_path / "report.json"
+
+    def no_database(path):
+        raise AssertionError(f"opened {path}")
+
+    monkeypatch.setattr(eval_module, "open_database", no_database)
+    assert cli.main(eval_args(dataset, pred_path, db_root, out, "overlap")) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert (report["count"], report["overlap"]["count"]) == (1, 1)
+    assert report["warnings"] == []
 
 
 def test_eval_scores_ves_zero_when_a_timed_run_fails(tmp_path, db_root, monkeypatch):

@@ -419,8 +419,15 @@ def test_deserialize_of_decoded_json_is_deserialize_of_its_bytes():
     for data in [GOLDEN_TRACE.read_bytes(), *shots, *generated]:
         decoded = json.loads(data)
         untouched = copy.deepcopy(decoded)
-        assert serialize(deserialize(decoded)) == serialize(deserialize(data))
+        doc = deserialize(decoded)
+        assert serialize(doc) == serialize(deserialize(data))
         assert decoded == untouched
+        # nor does the document share the caller's objects
+        for column in decoded["turns"]:
+            for turn in column:
+                turn["tool_call"]["args"]["table"] = "changed"
+        args = [turn.tool_call.args for column in doc.turns for turn in column]
+        assert args == [t["tool_call"]["args"] for c in untouched["turns"] for t in c]
 
 
 def test_deserialize_leaves_a_refused_value_unchanged():

@@ -236,7 +236,8 @@ _BACKTICK_RE = re.compile(r"`([^`\n]+)`")
 _DQUOTE_RE = re.compile(r'"([^"\n]+)"')
 # a single-quoted span, in which SQL's '' reads as one '
 _SQUOTE_RE = re.compile(r"(?<![\w])'((?:[^'\n]|'')+)'(?![\w])")
-_DOTTED_RE = re.compile(r"\b(\w+)\.(\w+)\b")
+# i.e. and e.g., in any case, are no table.column claims
+_DOTTED_RE = re.compile(r"\b(?!(?i:i\.e\.|e\.g\.))(\w+)\.(\w+)\b")
 
 
 def two_kind_filter(text, doc, catalog):
@@ -286,7 +287,7 @@ CLAIM_PIECES = st.sampled_from(
         "frpm", "FRPM", "schools", "Low Grade", "low grade", "CDSCode", "K", "k", "4",
         "Zz9", "Ghost", "school's", "frpm.CDSCode", "FRPM.cdscode", "frpm.Bogus",
         "schools.City", "x.y", "3.5", "10.0", "1.x", "`", '"', "'", ".", " ", ". ",
-        "!", "\n", "_",
+        "!", "\n", "_", "i.e. ", "E.g.", "e.g.frpm",
     ]
 )
 CLAIM_TEXT = st.lists(
@@ -322,6 +323,45 @@ def test_a_doubled_apostrophe_in_a_quoted_value_reads_as_one(cat):
     assert grounding_filter(kept + wrong, doc, cat) == {
         "text": kept,
         "removed_claims": ["schools.County = 'O''Neill'"],
+    }
+
+
+def grade_k_doc():
+    """One probe: value_in affirmed 'K' in frpm.`Low Grade`."""
+    text = "Which schools serve grade K?"
+    doc = CoTFDocument(Question("q", "california_schools", text), token_refine(text, []))
+    call = ToolCall("value_in", {"table": "frpm", "column": "Low Grade", "value": "K"})
+    affirmed = ToolFeedback.standard({"exists": True, "match_count": 1})
+    return append_turn(doc, 0, Turn("probe", call, affirmed))
+
+
+@pytest.mark.parametrize(
+    "sentence",
+    [
+        "Grade K, i.e. kindergarten, refers to `Low Grade` = 'K'.",
+        "Grade K (e.g. kindergarten) refers to `Low Grade` = 'K'.",
+        "Grade K, I.E. kindergarten, refers to frpm.`Low Grade` = 'K'.",
+        "Grade K (E.g. kindergarten) is stored as 'K'. E.g. kindergarten.",
+    ],
+)
+def test_an_abbreviation_is_neither_a_claim_nor_a_sentence_end(cat, sentence):
+    assert grounding_filter(sentence, grade_k_doc(), cat) == {
+        "text": sentence,
+        "removed_claims": [],
+    }
+
+
+def test_a_sentence_with_an_abbreviation_and_an_ungrounded_claim_is_removed_whole(cat):
+    kept = "Grade K refers to `Low Grade` = 'K'."
+    made_up = "Grade K, i.e. kindergarten, refers to `Kinder Grade` = 'K'. "
+    assert grounding_filter(made_up + kept, grade_k_doc(), cat) == {
+        "text": kept,
+        "removed_claims": ["Kinder Grade"],
+    }
+    unknown = "Grade K is stored e.g. in frpm.Bogus. "
+    assert grounding_filter(unknown + kept, grade_k_doc(), cat) == {
+        "text": kept,
+        "removed_claims": ["frpm.Bogus"],
     }
 
 

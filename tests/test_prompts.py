@@ -1,8 +1,9 @@
-"""docs/ is the golden copy of scripts/gen_docs.py's output. The concise-style
-examples in src/diver/data/concise_shots.json have no generator: the JSON is
-their one source, so it must stay canonical and every workspace in it must
-round-trip through the trace codec. Every request the model sees is built by
-the stage table."""
+"""docs/ is the golden copy of scripts/gen_docs.py's output, one file per
+prompts.Stage row: its name, temperature, response format, system prompt and
+user template. The concise-style examples in src/diver/data/concise_shots.json
+have no generator: the JSON is their one source, so it must stay canonical
+and every workspace in it must round-trip through the trace codec. Every
+request the model sees is built by the stage table."""
 
 import importlib.util
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import test_golden_trace
 from diver.cotf import deserialize, serialize
+from diver import prompts
 from diver.prompts import Stage
 from diver.toolbox import render_guidance
 from replay import RecordingSession
@@ -33,31 +35,35 @@ def _read(name: str) -> str:
     return (DOCS / name).read_text(encoding="utf-8")
 
 
-def test_tool_guidance_matches_golden_file():
-    assert _read("tool_guidance.txt") == gen_docs.render()["tool_guidance.txt"]
+def test_docs_holds_exactly_the_generated_files():
+    committed = {p.name: p.read_text(encoding="utf-8") for p in DOCS.iterdir()}
+    assert committed == gen_docs.render()
+
+
+def test_every_stage_row_gets_its_file(monkeypatch):
+    stages = {name for name, value in vars(prompts).items() if isinstance(value, Stage)}
+    assert len(stages) == 8
+    assert set(gen_docs.render()) == {f"{name.lower()}.txt" for name in stages}
+    monkeypatch.setattr(prompts, "EXTRA", Stage("sys", "user {x}", 0.3, "free_text"), raising=False)
+    assert gen_docs.render()["extra.txt"] == (
+        "stage: EXTRA\ntemperature: 0.3\nresponse_format: free_text\n\n"
+        "--- system message ---\n\nsys\n\n"
+        "--- user message template (str.format: a doubled brace is one brace) ---\n\n"
+        "user {x}\n"
+    )
 
 
 def test_guidance_render_is_deterministic():
     assert render_guidance() == render_guidance()
 
 
-def test_segmentation_prompt_matches_golden_file():
-    assert _read("segmentation_prompt.txt") == gen_docs.render()["segmentation_prompt.txt"]
-
-
-def test_lookup_prompt_matches_golden_file():
-    assert _read("lookup_prompt.txt") == gen_docs.render()["lookup_prompt.txt"]
-
-
-def test_docs_holds_exactly_the_generated_files():
-    assert sorted(p.name for p in DOCS.iterdir()) == sorted(gen_docs.render())
-
-
 def test_lookup_golden_file_names_every_tool():
-    text = _read("lookup_prompt.txt")
-    for name in ("value_in", "sim_value_in", "uniq_value", "head", "random",
-                 "if_null", "info", "sim_columns", "none"):
-        assert f"### {name}" in text
+    for stage in ("lookup_thought", "lookup_tool", "repair"):
+        text = _read(f"{stage}.txt")
+        assert render_guidance() in text
+        for name in ("value_in", "sim_value_in", "uniq_value", "head", "random",
+                     "if_null", "info", "sim_columns", "none"):
+            assert f"### {name}" in text
 
 
 def test_concise_shots_are_canonical_round_tripping_workspaces():
