@@ -40,6 +40,30 @@ def test_docs_holds_exactly_the_generated_files():
     assert committed == gen_docs.render()
 
 
+def _system_message(text: str) -> str:
+    head, _, rest = text.partition("\n--- system message ---\n\n")
+    system, _, _ = rest.partition("\n\n--- user message template")
+    assert head and system
+    return system
+
+
+def test_tool_guidance_matches_golden_file():
+    # the guidance has no file of its own: it closes the system message of
+    # every lookup stage file
+    for stage in ("lookup_thought", "lookup_tool", "repair"):
+        assert _system_message(_read(f"{stage}.txt")).endswith("\n\n" + render_guidance())
+
+
+def test_segmentation_prompt_matches_golden_file():
+    assert _read("segmentation.txt") == gen_docs.render()["segmentation.txt"]
+
+
+def test_lookup_prompt_matches_golden_file():
+    rendered = gen_docs.render()
+    for name in ("lookup_thought.txt", "lookup_tool.txt", "repair.txt"):
+        assert _read(name) == rendered[name]
+
+
 def test_every_stage_row_gets_its_file(monkeypatch):
     stages = {name for name, value in vars(prompts).items() if isinstance(value, Stage)}
     assert len(stages) == 8
